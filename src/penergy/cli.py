@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -279,8 +278,8 @@ def _describe(value):
 
 
 def _header(command: str, cfg: dict) -> dict:
-    # jobs stays out on purpose: results are identical at any parallelism,
-    # and the byte-identity guarantee quantifies over config + seed only
+    # jobs stays out on purpose: it is accepted but changes nothing, and
+    # the byte-identity guarantee quantifies over config + seed only
     header = {f"config.{k}": _describe(v) for k, v in cfg.items()}
     header["command"] = command
     return header
@@ -354,7 +353,7 @@ def cmd_build_measure(cfg: dict, args, out_dir: Path) -> int:
         rows = trace.to_rows() if trace is not None else []
         path = reporting.write_csv(
             out_dir / "build_measure_trace.csv",
-            ("level", "energy"), rows,
+            ("level", "energy", "inf_so_far"), rows,
             _header("build-measure", cfg))
         print(f"error: {exc}", file=sys.stderr)
         print(f"build-measure: non-convergence, trace -> {path}")
@@ -408,12 +407,7 @@ def cmd_check_laws(cfg: dict, args, out_dir: Path) -> int:
             return law_domination(form, heavier, sampler, trials=trials)
         return ALL_LAWS[name](form, sampler, trials)
 
-    names = cfg["laws"]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, names))
-    else:
-        reports = [run(name) for name in names]
+    reports = [run(name) for name in cfg["laws"]]
     rows = [(r.law, r.trials, r.worst_slack, r.tolerance,
              "pass" if r.passed else "fail")
             for r in sorted(reports, key=lambda r: r.law)]
@@ -531,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sampler seed, overrides the config entry")
     common.add_argument("--jobs", type=int, metavar="N",
                         default=argparse.SUPPRESS,
-                        help="parallel law evaluations (default 1)")
+                        help="accepted for compatibility and ignored: laws "
+                        "run one after another (must be at least 1)")
     common.add_argument("--plot", action="store_true",
                         default=argparse.SUPPRESS,
                         help="also write SVG charts")

@@ -7,15 +7,16 @@ F_f^g(a) that behaves like the measure of the sublevel set {g <= a}.
 Differencing those limits along a grid of levels yields a genuine measure
 with a piecewise-constant density.
 
-Evaluating the capped fold literally is hopeless at deep levels (the fold
-has 2^n pieces), so the central routine here, :func:`folded_lid_energy`,
-never materialises it.  On pieces where the cap sits at or above the fold's
-peak the fold is the pointwise minimum and folding preserves the absolute
-slope a.e., so the energy contribution is the plain local energy of f.
-Where the cap is nonpositive the cap wins outright.  Only in the band where
-the cap crosses (0, peak) do fold nodes get materialised, and their count
-is set by the slope ratio of f to the witness, independent of n.  That
-makes level 35 as cheap as level 5.
+The fold has 2^n pieces, so nothing here materialises it.  Where the cap
+sits at or above the fold's peak the energy is the plain energy of f, and
+where it is nonpositive the cap wins outright.  Only the band in between
+needs the fold's nodes, as many as the slope ratio of f to the witness,
+whatever n is.  One ragged kernel, :func:`_band_energy`, integrates the
+bands of a whole batch of thresholds, fed by two producers: the identity
+witness, whose band is the x-interval [a, a + 2^-n], and general lids,
+classified one by one in :func:`_folded_lid_parts`.  One driver,
+:func:`_drive`, runs a batch through the levels until every threshold,
+band residual included, is quiet.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -216,77 +217,87 @@ def cell_function(f: PLFunction, g: PLFunction, a: float, n: int,
     return lattice(folded, lid, "min", piece_cap=piece_cap)
 
 
-def _fold_segment_nodes(x0: float, x1: float, v0: float, v1: float,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of T_n o f on [x0, x1] where f is affine from v0 to v1.
+#: fold nodes expanded per kernel step; bounds the kernel's scratch memory
+_NODE_CHUNK = 1 << 16
 
-    Returns (x, y) arrays including both endpoints.  Interior nodes are the
-    preimages of the half-period lattice k * 2^-n; their fold values are 0
-    for even k and the peak for odd k.
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and in-row position of every entry of rows of the given lengths."""
+    row = np.repeat(np.arange(counts.size), counts)
+    return row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+
+
+def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
+                 p: float) -> np.ndarray:
+    """Energy of min(T_n o f, lid) over band pieces, summed per owner.
+
+    ``pieces`` holds per-piece arrays (x0, x1, v0, v1, l0, l1, w): on
+    [x0, x1], with x0 < x1, f runs affinely from v0 to v1, the lid from l0
+    to l1, and the weight is w; ``owner`` maps each piece to one of
+    ``size`` thresholds.  Every piece is cut at the preimages of the
+    half-period lattice k 2^-n, where the fold peaks (odd k) or vanishes
+    (even k).  Between cuts fold and lid are both affine, so the lower one
+    changes at most once, at the root of their difference.  Folding keeps
+    |f'|, so the fold carries w |f'|^p and the lid w |lid'|^p on the
+    stretches where each is lower.
     """
+    x0, x1, v0, v1, l0, l1, w = pieces
     eps = 2.0 ** (-n)
-    if x1 <= x0:
-        x = np.array([x0, x1])
-        return x, triangle_wave(np.array([v0, v1]), n)
-    if v1 == v0:
-        x = np.array([x0, x1])
-        yv = float(triangle_wave(v0, n))
-        return x, np.array([yv, yv])
-    lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
-    kmin = int(np.floor(lo / eps)) + 1
-    kmax = int(np.ceil(hi / eps)) - 1
-    count = max(kmax - kmin + 1, 0)
-    if count > PIECE_CAP:
-        raise PieceCapError(
-            f"fold band would materialise {count} nodes on one piece")
-    s = (v1 - v0) / (x1 - x0)
-    ks = np.arange(kmin, kmin + count, dtype=np.int64)
-    xi = x0 + (ks * eps - v0) / s
-    yi = eps * (ks % 2).astype(float)
-    if s < 0.0:
-        xi = xi[::-1]
-        yi = yi[::-1]
-    x = np.concatenate(([x0], xi, [x1]))
-    y = np.concatenate(([float(triangle_wave(v0, n))], yi,
-                        [float(triangle_wave(v1, n))]))
-    return x, y
+    fs = (v1 - v0) / (x1 - x0)
+    ls = (l1 - l0) / (x1 - x0)
+    kmin = np.floor(np.minimum(v0, v1) / eps).astype(np.int64) + 1
+    kmax = np.ceil(np.maximum(v0, v1) / eps).astype(np.int64) - 1
+    count = np.maximum(kmax - kmin + 1, 0)
+    if count.max(initial=0) > PIECE_CAP:
+        raise PieceCapError(f"fold band would materialise {count.max()} "
+                            "nodes on one piece")
 
+    # pieces go through in runs of about _NODE_CHUNK nodes, bounding memory
+    ends = np.cumsum(count + 2)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1:].sum(), _NODE_CHUNK),
+                           side="right")
+    total = np.zeros(size)
+    for lo, hi in zip(cuts, np.append(cuts[1:], count.size)):
+        # nodes in x order: both piece ends and the lattice crossings between
+        piece, pos = _ragged(count[lo:hi] + 2)
+        piece += lo
+        end = pos == count[piece] + 1
+        x = np.where(pos == 0, x0[piece], x1[piece])
+        y = triangle_wave(np.where(pos == 0, v0[piece], v1[piece]), n)
+        inner = np.nonzero((pos > 0) & ~end)[0]
+        ip = piece[inner]
+        k = np.where(fs[ip] > 0.0, kmin[ip] + pos[inner] - 1,
+                     kmax[ip] - pos[inner] + 1)
+        x[inner] = x0[ip] + (k * eps - v0[ip]) / fs[ip]
+        y[inner] = eps * (k & 1)
+        d = y - (l0[piece] + ls[piece] * (x - x0[piece]))
 
-def _min_segments_energy(x: np.ndarray, ya: np.ndarray, yb: np.ndarray,
-                         p: float) -> float:
-    """Energy of min(A, B) where A, B are PL with common nodes x.
-
-    Splits each segment at the single crossing if the difference changes
-    sign; on each part the winner's slope carries the |slope|^p density.
-    """
-    total = 0.0
-    d = ya - yb
-    for j in range(x.size - 1):
-        ln = x[j + 1] - x[j]
-        if ln <= 0.0:
-            continue
-        d0, d1 = d[j], d[j + 1]
-        sa = (ya[j + 1] - ya[j]) / ln
-        sb = (yb[j + 1] - yb[j]) / ln
-        ea = abs(sa) ** p
-        eb = abs(sb) ** p
-        if d0 <= 0.0 and d1 <= 0.0:
-            total += ea * ln
-        elif d0 >= 0.0 and d1 >= 0.0:
-            total += eb * ln
-        else:
-            t = d0 / (d0 - d1)
-            la = t * ln
-            if d0 < 0.0:
-                total += ea * la + eb * (ln - la)
-            else:
-                total += eb * la + ea * (ln - la)
+        left = np.nonzero(~end)[0]
+        seg = piece[left]
+        span = x[left + 1] - x[left]
+        d0, d1 = d[left], d[left + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = span * (d0 / (d0 - d1))
+        # the stretch of each segment on which the fold is the lower one
+        fold = np.where((d0 <= 0.0) & (d1 <= 0.0), span,
+                        np.where((d0 >= 0.0) & (d1 >= 0.0), 0.0,
+                                 np.where(d0 < 0.0, root, span - root)))
+        energy = w[seg] * (np.abs(fs[seg]) ** p * fold
+                           + np.abs(ls[seg]) ** p * (span - fold))
+        total += np.bincount(owner[seg], minlength=size,
+                             weights=np.where(span > 0.0, energy, 0.0))
     return total
 
 
 def folded_lid_energy(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
                       n: int) -> float:
-    """E(min(T_n o f, lid)) without materialising the fold.
+    """E(min(T_n o f, lid)) without materialising the fold."""
+    return float(_lid_energies(form, f, [lid], n)[0][0])
+
+
+def _folded_lid_parts(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
+                      n: int) -> tuple[float, tuple]:
+    """Plain energy and band pieces of min(T_n o f, lid).
 
     Pieces are classified against the fold's peak height 2^-n after
     refining the lid at its crossings of 0 and the peak:
@@ -294,20 +305,10 @@ def folded_lid_energy(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
     * lid at or above the peak: the fold wins; folding preserves |f'|, so
       the piece contributes its plain energy in the form.
     * lid at or below 0: the lid wins outright (the fold is nonnegative).
-    * otherwise: a band piece; fold nodes are materialised locally and the
-      pointwise min is integrated exactly.
-    """
-    plain, band = _folded_lid_parts(form, f, lid, n)
-    return plain + band
+    * otherwise: a band piece, returned as :func:`_band_energy` input.
 
-
-def _folded_lid_parts(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
-                      n: int) -> tuple[float, float]:
-    """(plain, band) split of the capped fold energy.
-
-    The plain part integrates over {lid >= peak} and {lid <= 0}; for a
-    shifted-cut lid those sets do not depend on n, so the band part is an
-    upper bound for the excess over the fold limit.
+    For a shifted-cut lid the plain sets do not depend on n, so the band
+    energy is an upper bound for the excess over the fold limit.
     """
     p = form.p
     eps = 2.0 ** (-n)
@@ -316,12 +317,10 @@ def _folded_lid_parts(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
     fv = f.evaluate(grid)
     cv = np.interp(grid, lx, lv)
 
-    lens = np.diff(grid)
-    live = lens > 0.0
+    lens = np.diff(grid)  # positive: merged grids are strictly increasing
     l0, l1 = cv[:-1], cv[1:]
     f0, f1 = fv[:-1], fv[1:]
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    w = form.weight_at(mids)
+    w = form.weight_at(0.5 * (grid[:-1] + grid[1:]))
 
     # crossing nodes reproduce the levels only up to rounding; the clip
     # arithmetic behind a shifted cut also leaves absolute residues of
@@ -330,60 +329,147 @@ def _folded_lid_parts(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
     # by 1e-14 moves at most that much energy between the plain and band
     # buckets, far below any stall tolerance in use.
     tol = 1e-9 * eps + 1e-14
-    plateau = live & (np.minimum(l0, l1) >= eps - tol)
-    sunk = live & (np.maximum(l0, l1) <= tol) & ~plateau
-    band = live & ~plateau & ~sunk
+    plateau = np.minimum(l0, l1) >= eps - tol
+    sunk = (np.maximum(l0, l1) <= tol) & ~plateau
+    band = ~plateau & ~sunk
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fslope = np.where(live, (f1 - f0) / np.where(live, lens, 1.0), 0.0)
-        lslope = np.where(live, (l1 - l0) / np.where(live, lens, 1.0), 0.0)
+    # the winner's slope: the fold's on the plateau, the lid's where sunk
+    slope = np.where(plateau, f1 - f0, l1 - l0) / lens
+    plain = float(np.sum((w * np.abs(slope) ** p * lens)[~band]))
+    return plain, (grid[:-1][band], grid[1:][band], f0[band], f1[band],
+                   l0[band], l1[band], w[band])
 
-    plain = float(np.sum(w[plateau] * np.abs(fslope[plateau]) ** p
-                         * lens[plateau]))
-    plain += float(np.sum(w[sunk] * np.abs(lslope[sunk]) ** p * lens[sunk]))
 
-    band_total = 0.0
-    for i in np.nonzero(band)[0]:
-        x, y = _fold_segment_nodes(grid[i], grid[i + 1],
-                                   float(f0[i]), float(f1[i]), n)
-        lidv = l0[i] + lslope[i] * (x - grid[i])
-        band_total += w[i] * _min_segments_energy(x, y, lidv, p)
-    return plain, band_total
+def _lid_energies(form: PLIntervalForm, f: PLFunction, lids,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(energy, band residual) of min(T_n o f, lid) for each lid; the
+    band pieces of all the lids go through one kernel call."""
+    plain, parts = zip(*(_folded_lid_parts(form, f, lid, n) for lid in lids))
+    owner = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
+    pieces = [np.concatenate(column) for column in zip(*parts)]
+    band = _band_energy(pieces, owner, len(parts), n, form.p)
+    return np.array(plain) + band, band
 
 
 # ---------------------------------------------------------------------------
-# fold limits
+# the level driver and the fold limits
 
 
-def _run_levels(parts_at, reference: float,
-                sched: FoldSchedule) -> ConvergenceTrace:
-    """Drive a level -> (energy, band residual) callable to a stall.
+@dataclass(frozen=True)
+class _LevelRun:
+    """A batch of fold limits: one energy row per level, one column per
+    threshold, each threshold's trailing quiet steps, and its last step's
+    change or band residual, whichever is larger, over the tolerance."""
 
-    A step is quiet when the energy change is below tolerance and, if the
-    evaluator reports one (band is None otherwise), the band residual is
-    too; the residual bounds the remaining distance to the limit.
+    thresholds: np.ndarray
+    levels: tuple
+    energies: np.ndarray
+    quiet_run: np.ndarray
+    miss: np.ndarray
+    converged: bool
+
+    def trace(self, j: int) -> ConvergenceTrace:
+        return ConvergenceTrace(
+            self.levels, tuple(self.energies[:, j].tolist()), self.converged,
+            self.levels[-1] if self.converged else None)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Running minimum per threshold over the levels run."""
+        return self.energies.min(axis=0)
+
+    def limits(self) -> np.ndarray:
+        """The values; if the batch did not stall, raises naming the
+        threshold furthest from quiet (shortest quiet run, then largest
+        last miss), with its trace."""
+        if not self.converged:
+            j = int(np.lexsort((-self.miss, self.quiet_run))[0])
+            raise ConvergenceError(
+                f"fold limits did not stall by n={self.levels[-1]}; furthest "
+                f"from quiet: threshold a={self.thresholds[j]:g} (quiet run "
+                f"{self.quiet_run[j]}, last step {self.miss[j]:.3g} x "
+                f"tolerance)", self.trace(j))
+        return self.values
+
+
+def _drive(energies_at, thresholds: np.ndarray, reference: float,
+           sched: FoldSchedule, tol: float) -> _LevelRun:
+    """Run a batch of fold limits through levels n_min..n_max.
+
+    ``energies_at(n)`` gives (energy, band residual or None) per threshold.
+    A step is quiet when the energy change and the band residual, which
+    bounds the distance left to the limit, are both at most ``tol`` times
+    the largest of the two energies and ``reference``.  The batch stops
+    once every threshold has had ``stall_count`` quiet steps in a row.
     """
-    levels: list[int] = []
-    energies: list[float] = []
-    quiet_run = 0
-    stalled_at = None
+    rows = []
+    quiet_run = np.zeros(thresholds.size, dtype=int)
+    miss = np.full(thresholds.size, np.inf)
     for n in sched.levels:
-        e, band = parts_at(n)
-        e = float(e)
-        levels.append(n)
-        energies.append(e)
-        if len(energies) >= 2:
-            prev = energies[-2]
-            scale = max(e, prev, reference, 1e-300)
-            quiet = abs(e - prev) <= sched.rel_tol * scale
+        e, band = energies_at(n)
+        if rows:
+            limit = tol * np.maximum(np.maximum(e, rows[-1]),
+                                     max(reference, 1e-300))
+            step = np.abs(e - rows[-1])
             if band is not None:
-                quiet = quiet and band <= sched.rel_tol * scale
-            quiet_run = quiet_run + 1 if quiet else 0
-            if quiet_run >= sched.stall_count:
-                stalled_at = n
-                break
-    return ConvergenceTrace(tuple(levels), tuple(energies),
-                            stalled_at is not None, stalled_at)
+                step = np.maximum(step, band)
+            miss = step / limit
+            quiet_run = np.where(step <= limit, quiet_run + 1, 0)
+        rows.append(e)
+        if np.all(quiet_run >= sched.stall_count):
+            break
+    return _LevelRun(thresholds, tuple(sched.levels[:len(rows)]),
+                     np.array(rows), quiet_run, miss,
+                     bool(np.all(quiet_run >= sched.stall_count)))
+
+
+def _cut_run(form: PLIntervalForm, f: PLFunction, pairs,
+             sched: FoldSchedule) -> _LevelRun:
+    """F_f^g(a) for every witness pair (g, a), as one batch."""
+    return _drive(lambda n: _lid_energies(
+        form, f, [shifted_cut(g, a, n) for g, a in pairs], n),
+        np.array([a for _, a in pairs], dtype=float), form.energy(f), sched,
+        sched.rel_tol)
+
+
+def _identity_run(form: PLIntervalForm, f: PLFunction, a_vec,
+                  sched: FoldSchedule) -> _LevelRun:
+    """F_f^id at every threshold of a_vec, as one batch.
+
+    The identity lid is the ramp a + 2^-n - x clipped to [0, 2^-n]: below
+    a the fold is the minimum, read off the cumulative energy of f, and
+    past a + 2^-n the lid is 0.  Only the band between goes to the kernel,
+    cut where f or the weight changes slope.  A quarter of rel_tol as the
+    stall tolerance keeps the band residual inside the cell-mass slack.
+    """
+    a_vec = np.asarray(a_vec, dtype=float)
+    grid, cum = form.cumulative_energy(f)
+    plateau = np.interp(a_vec, grid, cum)
+
+    def energies_at(n):
+        if cum[-1] == 0.0:  # f is constant: every limit is exactly 0
+            return plateau, plateau
+        eps = 2.0 ** (-n)
+        lo = np.clip(a_vec, 0.0, 1.0)
+        hi = np.clip(a_vec + eps, 0.0, 1.0)
+        first = np.searchsorted(grid, lo, side="right")
+        inside = np.searchsorted(grid, hi, side="left") - first
+        # band nodes per threshold: lo, the grid nodes strictly inside, hi
+        row, pos = _ragged(np.where(hi > lo, inside + 2, 0))
+        end = pos == inside[row] + 1
+        x = grid[np.clip(first[row] + pos - 1, 0, grid.size - 1)]
+        x = np.where(pos == 0, lo[row], np.where(end, hi[row], x))
+        v = f.evaluate(x)
+        lid = a_vec[row] + eps - x
+        left = np.nonzero(~end)[0]
+        right = left + 1
+        pieces = (x[left], x[right], v[left], v[right], lid[left], lid[right],
+                  form.weight_at(0.5 * (x[left] + x[right])))
+        band = _band_energy(pieces, row[left], a_vec.size, n, form.p)
+        return plateau + band, band
+
+    return _drive(energies_at, a_vec, float(cum[-1]), sched,
+                  0.25 * sched.rel_tol)
 
 
 def F_value(form: PLIntervalForm, f: PLFunction, g: PLFunction, a: float,
@@ -398,16 +484,13 @@ def F_value(form: PLIntervalForm, f: PLFunction, g: PLFunction, a: float,
     exponential in n).
     """
     _require_pl(form)
-    e_ref = form.energy(f)
-    if materialized:
-        # the literal route has no plain/band split to certify against
-        def parts_at(n):
-            return form.energy(cell_function(f, g, a, n)), None
-    else:
-        def parts_at(n):
-            plain, band = _folded_lid_parts(form, f, shifted_cut(g, a, n), n)
-            return plain + band, band
-    return _run_levels(parts_at, e_ref, sched)
+    if not materialized:
+        return _cut_run(form, f, [(g, a)], sched).trace(0)
+
+    def literal(n):  # no plain/band split to certify against
+        return np.array([form.energy(cell_function(f, g, a, n))]), None
+    return _drive(literal, np.array([a], dtype=float), form.energy(f), sched,
+                  sched.rel_tol).trace(0)
 
 
 def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
@@ -421,26 +504,22 @@ def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     measure of that slab, compared against F(high) - F(low) in tests.
     """
     _require_pl(form)
-    e_ref = form.energy(f)
     neg_g = -g
-
-    def parts_at(n):
-        lid = lattice(shifted_cut(g, high, n),
-                      shifted_cut(neg_g, -low, n), "min")
-        plain, band = _folded_lid_parts(form, f, lid, n)
-        return plain + band, band
-
-    return _run_levels(parts_at, e_ref, sched)
+    return _drive(lambda n: _lid_energies(form, f, [lattice(
+        shifted_cut(g, high, n), shifted_cut(neg_g, -low, n), "min")], n),
+        np.array([high], dtype=float), form.energy(f), sched,
+        sched.rel_tol).trace(0)
 
 
 def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,
                  a_values, sched: FoldSchedule = DEFAULT_SCHEDULE,
                  ) -> DistributionSamples:
-    """F_f^g along an increasing grid of levels.
+    """F_f^g along an increasing grid of levels, run as one batch.
 
-    Asserts the structure the measure construction relies on: values are
+    Checks the structure the measure construction relies on: values are
     monotone nondecreasing up to the stall slack, vanish below min g, and
-    reach E(f) at or above max g.  Non-convergent traces raise.
+    reach E(f) at or above max g.  A batch that does not stall, or values
+    that break that structure, raise ConvergenceError.
     """
     _require_pl(form)
     a_grid = np.asarray(a_values, dtype=float)
@@ -449,33 +528,28 @@ def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     if np.any(np.diff(a_grid) <= 0.0):
         raise ValueError("level grid must be strictly increasing")
     e_ref = form.energy(f)
-    traces = []
-    for a in a_grid:
-        tr = F_value(form, f, g, float(a), sched)
-        if not tr.converged:
-            raise ConvergenceError(
-                f"fold limit at level a={a:g} did not stall by "
-                f"n={sched.n_max}", tr)
-        traces.append(tr)
-    vals = np.array([tr.final for tr in traces])
+    run = _cut_run(form, f, [(g, a) for a in a_grid], sched)
+    vals = run.limits()
 
     slack = sched.rel_tol * max(e_ref, 1e-300)
     drops = np.diff(vals)
     if drops.size and float(drops.min()) < -slack:
         k = int(np.argmin(drops))
-        raise AssertionError(
+        raise ConvergenceError(
             f"distribution not monotone: F({a_grid[k + 1]:g}) < "
-            f"F({a_grid[k]:g}) by {-drops[k]:.3e}")
+            f"F({a_grid[k]:g}) by {-drops[k]:.3e}", run.trace(k))
     g_lo, g_hi = g.value_range()
     if a_grid[0] < g_lo and vals[0] > 4.0 * slack:
-        raise AssertionError(
+        raise ConvergenceError(
             f"distribution should vanish below min g: F({a_grid[0]:g}) = "
-            f"{vals[0]:.3e}")
+            f"{vals[0]:.3e}", run.trace(0))
     if a_grid[-1] >= g_hi and abs(vals[-1] - e_ref) > 4.0 * slack:
-        raise AssertionError(
+        raise ConvergenceError(
             f"distribution should reach E(f) above max g: "
-            f"F({a_grid[-1]:g}) = {vals[-1]:.6e} vs {e_ref:.6e}")
-    return DistributionSamples(a_grid, vals, tuple(traces), True)
+            f"F({a_grid[-1]:g}) = {vals[-1]:.6e} vs {e_ref:.6e}",
+            run.trace(a_grid.size - 1))
+    return DistributionSamples(
+        a_grid, vals, tuple(run.trace(j) for j in range(a_grid.size)), True)
 
 
 def reflection_gap(form: PLIntervalForm, f: PLFunction, g: PLFunction,
@@ -488,9 +562,8 @@ def reflection_gap(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     level a on a set of positive measure.
     """
     _require_pl(form)
-    below = F_value(form, f, g, a, sched).final
-    above = F_value(form, f, -g, -a - shrink, sched).final
-    return below + above - form.energy(f)
+    below, above = _cut_run(form, f, [(g, a), (-g, -a - shrink)], sched).values
+    return float(below + above - form.energy(f))
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +624,22 @@ def outer_measure_lb(form: PLIntervalForm, f: PLFunction,
     _require_pl(form)
     if family is None:
         family = canonical_witnesses(target)
-    best = None
+    admissible = []
     for g, a in family:
         if not a < 0.0:
             warnings.warn(
                 f"witness level a={a:g} is not negative; skipped",
                 InadmissibleWitnessWarning, stacklevel=2)
-            continue
-        if not sublevel_set(g, a).issubset(target):
+        elif not sublevel_set(g, a).issubset(target):
             warnings.warn(
                 f"sublevel set at a={a:g} escapes the target; skipped",
                 InadmissibleWitnessWarning, stacklevel=2)
-            continue
-        val = F_value(form, f, g, a, sched).final
-        if best is None or val > best:
-            best = val
-    if best is None:
+        else:
+            admissible.append((g, a))
+    if not admissible:
         raise EmptyFamilyError(
             "no admissible witness pair for the target set")
-    return float(best)
+    return float(_cut_run(form, f, admissible, sched).values.max())
 
 
 # ---------------------------------------------------------------------------
@@ -639,171 +709,6 @@ class EnergyMeasure:
                 f"mass {self.total_mass():.6g})")
 
 
-class _IdentityWitnessEvaluator:
-    """Batched E(min(T_n o f, S_n^a o id)) over a whole grid of levels a.
-
-    For the identity witness the cap is the fixed ramp a + 2^-n - x clipped
-    to [0, 2^-n], so the band is the single x-interval [a, a + 2^-n].  The
-    plateau part is read off the cumulative energy of f exactly; the band
-    is evaluated with the vectorised winner logic below whenever it sits
-    inside one f-piece and one weight cell with moderate slope, and falls
-    back to the general evaluator otherwise.
-    """
-
-    # band node columns: entry ramp node, up to _MAX_INNER lattice
-    # crossings (|slope| <= _SLOPE_CAP over a width-eps band), exit node
-    _SLOPE_CAP = 6.0
-    _MAX_INNER = 8
-
-    def __init__(self, form: PLIntervalForm, f: PLFunction):
-        self.form = form
-        self.f = f
-        self.p = form.p
-        self.nodes, self.cum = form.cumulative_energy(f)
-        self.e_ref = float(self.cum[-1])
-        self.bx = f.breakpoints
-        self.by = f.values
-        self.slopes = f.slopes
-        self.wb = form.weight_bounds
-        self.wv = form.weight_values
-        self.ident = PLFunction.identity()
-
-    def energies(self, a_vec: np.ndarray, n: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """(energy, band residual) per grid level; plain part is exact."""
-        eps = 2.0 ** (-n)
-        plateau = np.interp(a_vec, self.nodes, self.cum)
-        bands = np.zeros_like(plateau)
-        b_vec = np.minimum(a_vec + eps, 1.0)
-        blen = b_vec - a_vec
-        active = blen > 0.0
-        if not np.any(active):
-            return plateau.copy(), bands
-
-        piece = np.clip(np.searchsorted(self.bx, a_vec, side="right") - 1,
-                        0, self.slopes.size - 1)
-        wcell = np.clip(np.searchsorted(self.wb, a_vec, side="right") - 1,
-                        0, self.wv.size - 1)
-        one_piece = self.bx[piece + 1] >= b_vec
-        one_wcell = self.wb[wcell + 1] >= b_vec
-        slope = self.slopes[piece]
-        fast = (active & one_piece & one_wcell
-                & (np.abs(slope) <= self._SLOPE_CAP))
-        slow = active & ~fast
-
-        idx = np.nonzero(fast)[0]
-        if idx.size:
-            bands[idx] = self._band_fast(
-                a_vec[idx], b_vec[idx], blen[idx], slope[idx],
-                self.by[piece[idx]] + slope[idx] * (a_vec[idx]
-                                                    - self.bx[piece[idx]]),
-                self.wv[wcell[idx]], eps, n)
-        energies = plateau + bands
-        for i in np.nonzero(slow)[0]:
-            lid = shifted_cut(self.ident, float(a_vec[i]), n)
-            plain, band = _folded_lid_parts(self.form, self.f, lid, n)
-            energies[i] = plain + band
-            bands[i] = band
-        return energies, bands
-
-    def _band_fast(self, a, b, blen, s, v0, w, eps, n):
-        """Band energies when f is a single affine piece across the band."""
-        p = self.p
-        rows = a.size
-        cols = self._MAX_INNER + 2
-        v1 = v0 + s * blen
-        lo = np.minimum(v0, v1)
-        hi = np.maximum(v0, v1)
-        kmin = np.floor(lo / eps).astype(np.int64) + 1
-        kmax = np.ceil(hi / eps).astype(np.int64) - 1
-        count = np.maximum(kmax - kmin + 1, 0)
-
-        x = np.repeat(b[:, None], cols, axis=1)
-        y = np.repeat(triangle_wave(v1, n)[:, None], cols, axis=1)
-        x[:, 0] = a
-        y[:, 0] = triangle_wave(v0, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sdiv = np.where(s != 0.0, s, 1.0)
-            for j in range(self._MAX_INNER):
-                use = j < count
-                kk = np.where(s > 0.0, kmin + j, kmax - j)
-                xj = a + (kk * eps - v0) / sdiv
-                x[:, j + 1] = np.where(use, xj, x[:, j + 1])
-                y[:, j + 1] = np.where(use, eps * (kk % 2), y[:, j + 1])
-
-        # the cap is the ramp a + eps - x, slope exactly -1
-        lid = (a[:, None] + eps) - x
-        d = y - lid
-        out = np.zeros(rows)
-        for j in range(cols - 1):
-            ln = x[:, j + 1] - x[:, j]
-            valid = ln > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                st = np.where(valid, (y[:, j + 1] - y[:, j])
-                              / np.where(valid, ln, 1.0), 0.0)
-            ea = np.abs(st) ** p
-            d0 = d[:, j]
-            d1 = d[:, j + 1]
-            fold_wins = (d0 <= 0.0) & (d1 <= 0.0)
-            lid_wins = (d0 >= 0.0) & (d1 >= 0.0) & ~fold_wins
-            crossing = ~(fold_wins | lid_wins)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(crossing, d0 / np.where(crossing, d0 - d1, 1.0),
-                             0.0)
-            la = t * ln
-            seg = np.where(
-                fold_wins, ea * ln,
-                np.where(lid_wins, ln,
-                         np.where(d0 < 0.0, ea * la + (ln - la),
-                                  la + ea * (ln - la))))
-            out += np.where(valid, seg, 0.0)
-        return w * out
-
-
-def _stalled_distribution(form: PLIntervalForm, f: PLFunction, a_vec,
-                          sched: FoldSchedule,
-                          safety: float = 0.25) -> tuple[np.ndarray, list]:
-    """Batched identity-witness limits F_f^id(a) over the thresholds a_vec.
-
-    Runs every point through the levels together and stops once each has
-    stayed quiet (small observed delta AND small residual band energy) for
-    stall_count consecutive levels; ``safety`` shrinks the per-point
-    tolerance below sched.rel_tol.  Returns (values, levels_run) with
-    values the running minimum over levels.  Raises ConvergenceError on
-    budget exhaustion; a zero-energy f yields zeros and no levels.
-    """
-    a_vec = np.asarray(a_vec, dtype=float)
-    ev = _IdentityWitnessEvaluator(form, f)
-    e_ref = ev.e_ref
-    if e_ref == 0.0:
-        return np.zeros(a_vec.size), []
-
-    quiet_tol = safety * sched.rel_tol
-    history = []
-    quiet_run = np.zeros(a_vec.size, dtype=int)
-    levels_run = []
-    stalled = False
-    for n in sched.levels:
-        vals, bands = ev.energies(a_vec, n)
-        history.append(vals)
-        levels_run.append(n)
-        if len(history) >= 2:
-            prev = history[-2]
-            scale = np.maximum(np.maximum(vals, prev), e_ref)
-            quiet = ((np.abs(vals - prev) <= quiet_tol * scale)
-                     & (bands <= quiet_tol * scale))
-            quiet_run = np.where(quiet, quiet_run + 1, 0)
-            if np.all(quiet_run >= sched.stall_count):
-                stalled = True
-                break
-    if not stalled:
-        worst = int(np.argmin(quiet_run))
-        raise ConvergenceError(
-            f"fold limits did not stall by n={sched.n_max}; slowest "
-            f"threshold a={a_vec[worst]:g}")
-    return np.minimum.reduce(history), levels_run
-
-
 def _density_grid(form: PLIntervalForm, f: PLFunction,
                   resolution: int) -> np.ndarray:
     """Thresholds for differencing: uniform points plus the density cells.
@@ -826,14 +731,11 @@ def energy_measure(form: PLIntervalForm, f: PLFunction, resolution: int = 512,
                    sched: FoldSchedule = MEASURE_SCHEDULE) -> EnergyMeasure:
     """The energy measure of f, by differencing identity-witness limits.
 
-    Evaluates F_f^id on the uniform grid k/resolution refined by f's
-    breakpoints and the weight bounds (the density is constant between
-    those, so the differenced masses recover it exactly), running all grid
-    points through the levels together and stopping once every point has
-    stalled (with a 1/4 safety factor on the per-point tolerance so the
-    residual band energy stays within the slack granted to cell masses).
-    The differences form the cell masses; dips below -rel_tol * E(f) and a
-    total-mass mismatch beyond rel_tol raise, a budget exhaustion raises
+    Evaluates F_f^id in one batch on the uniform grid k/resolution refined
+    by f's breakpoints and the weight bounds (the density is constant
+    between those, so the differenced masses recover it exactly).  The
+    differences form the cell masses; a budget exhaustion, dips below
+    -rel_tol * E(f) and a total-mass mismatch beyond rel_tol raise
     ConvergenceError.
     """
     _require_pl(form)
@@ -844,20 +746,21 @@ def energy_measure(form: PLIntervalForm, f: PLFunction, resolution: int = 512,
     if e_ref == 0.0:
         return EnergyMeasure(a_grid, np.zeros(a_grid.size - 1), (), True)
 
-    dist, levels_run = _stalled_distribution(form, f, a_grid, sched)
-    masses = np.diff(dist)
+    run = _identity_run(form, f, a_grid, sched)
+    masses = np.diff(run.limits())
     slack = sched.rel_tol * e_ref
     if float(masses.min()) < -slack:
         k = int(np.argmin(masses))
-        raise AssertionError(
+        raise ConvergenceError(
             f"negative cell mass {masses[k]:.3e} on "
-            f"[{a_grid[k]:g}, {a_grid[k + 1]:g}] beyond slack {slack:.1e}")
+            f"[{a_grid[k]:g}, {a_grid[k + 1]:g}] beyond slack {slack:.1e}",
+            run.trace(k))
     total = float(masses.sum())
     if abs(total - e_ref) > slack:
-        raise AssertionError(
+        raise ConvergenceError(
             f"total mass {total:.9e} vs energy {e_ref:.9e} beyond "
-            f"slack {slack:.1e}")
-    return EnergyMeasure(a_grid, masses, tuple(levels_run), True)
+            f"slack {slack:.1e}", run.trace(a_grid.size - 1))
+    return EnergyMeasure(a_grid, masses, run.levels, True)
 
 
 def reference_measure(form: PLIntervalForm, f: PLFunction) -> EnergyMeasure:
@@ -889,10 +792,7 @@ def covering_check(form: PLIntervalForm, f: PLFunction, g: PLFunction,
         raise CoverHypothesisError(
             f"cover misses part of the sublevel set: {covered} is not "
             f"inside {covering}")
-    base = F_value(form, f, g, a, sched)
-    parts = [F_value(form, f, h, b, sched) for h, b in cover]
-    lhs = base.final
-    rhs = tuple(tr.final for tr in parts)
-    converged = base.converged and all(tr.converged for tr in parts)
-    return CoveringReport(lhs, rhs, float(sum(rhs) - lhs),
-                          sched.rel_tol * form.energy(f), converged)
+    run = _cut_run(form, f, [(g, a)] + cover, sched)
+    lhs, *rhs = run.values.tolist()
+    return CoveringReport(lhs, tuple(rhs), float(sum(rhs) - lhs),
+                          sched.rel_tol * form.energy(f), run.converged)

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import (
-    ConvergenceError,
     FoldSchedule,
     MEASURE_SCHEDULE,
-    F_value,
+    _cut_run,
+    _identity_run,
     _require_pl,
-    _stalled_distribution,
 )
 from .forms import PLIntervalForm, _clarkson_slacks, _signed_power
 from .pl import (
@@ -185,7 +184,7 @@ def set_masses(form: PLIntervalForm, f: PLFunction, targets,
     out = np.zeros(len(comps))
     if not points:
         return out
-    vals, _ = _stalled_distribution(form, f, np.array(points), sched)
+    vals = _identity_run(form, f, points, sched).limits()
     lookup = {e: i for i, e in enumerate(points)}
     for i, cs in enumerate(comps):
         out[i] = sum(vals[lookup[hi]] - vals[lookup[lo]] for lo, hi in cs)
@@ -569,8 +568,7 @@ def _cell_masses(form, fn, cells, route, sched):
         slopes = np.diff(fn.evaluate(cells)) / ln
         w = form.weight_at(0.5 * (cells[:-1] + cells[1:]))
         return w * np.abs(slopes) ** form.p * ln
-    vals, _ = _stalled_distribution(form, fn, cells, sched)
-    return np.diff(vals)
+    return np.diff(_identity_run(form, fn, cells, sched).limits())
 
 
 def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
@@ -1088,30 +1086,34 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
         pad = 0.05 * (hi - lo) + 1e-6
         fill = np.linspace(lo - pad, hi + pad, max(probes - crit.size, 0))
         targets = np.concatenate((crit, fill))[:probes]
+        widths = []
         for t in targets:
             others = crit[np.abs(crit - t) > 1e-12]
             dmin = float(np.min(np.abs(others - t))) if others.size \
                 else math.inf
-            d = float(np.clip(0.4 * dmin, 1e-10, delta))
-            m = [_sublevel_mass(form, f, s, route, sched)
-                 for s in (t - d, t - d / 2.0, t + d / 2.0, t + d)]
-            atom = 2.0 * (m[2] - m[1]) - (m[3] - m[0])
-            worst.push(-abs(atom), trial=k, value=float(t), width=d)
+            widths.append(float(np.clip(0.4 * dmin, 1e-10, delta)))
+        levels = targets[:, None] + np.array(widths)[:, None] * np.array(
+            [-1.0, -0.5, 0.5, 1.0])
+        m = _sublevel_masses(form, f, levels.ravel(), route,
+                             sched).reshape(levels.shape)
+        atoms = 2.0 * (m[:, 2] - m[:, 1]) - (m[:, 3] - m[:, 0])
+        for t, d, atom in zip(targets, widths, atoms):
+            worst.push(-abs(float(atom)), trial=k, value=float(t), width=d)
     return _report("image_density", form, sampler.seed, trials, worst,
                    ATOM_TOL)
 
 
-def _sublevel_mass(form, f, s: float, route: str,
-                   sched: FoldSchedule) -> float:
-    """mu_f({f <= s}) through the requested route."""
+def _sublevel_masses(form, f, levels: np.ndarray, route: str,
+                     sched: FoldSchedule) -> np.ndarray:
+    """mu_f({f <= s}) for every s in levels, through the requested route.
+
+    The construction route runs all levels through one batched fold limit.
+    """
     if route == "oracle":
-        return set_mass_oracle(form, f, sublevel_set(f, s))
+        return np.array([set_mass_oracle(form, f, sublevel_set(f, s))
+                         for s in levels])
     if route == "construction":
-        trace = F_value(form, f, f, s, sched)
-        if not trace.converged:
-            raise ConvergenceError(
-                f"sublevel mass at s={s:g} did not stall by n={sched.n_max}")
-        return trace.final
+        return _cut_run(form, f, [(f, s) for s in levels], sched).limits()
     raise ValueError(f"unknown mass route {route!r}")
 
 

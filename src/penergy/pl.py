@@ -103,6 +103,8 @@ class _PLBase:
             raise ValueError("need matching breakpoint/value arrays of length >= 2")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("breakpoints and values must be finite")
+        if np.any(np.diff(x) < 0):
+            raise ValueError("breakpoints must be in increasing order")
         if np.any(np.diff(x) <= 0):
             x, idx = np.unique(x, return_index=True)
             y = y[idx]

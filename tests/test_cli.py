@@ -5,10 +5,12 @@ tests compare raw bytes, which is the reproducibility guarantee the CSV
 headers advertise.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from penergy import construction
 from penergy.cli import (
     EXIT_CONFIG,
     EXIT_LAW_FAILURE,
@@ -129,6 +131,49 @@ def test_build_measure_needs_pl_form(tmp_path):
         tmp_path, seed=5,
         form={"kind": "graph", "p": 2.0, "vertices": 3,
               "edges": [[0, 1, 1.0], [1, 2, 1.0]]})
+    assert main(["--config", cfg, "build-measure"]) == EXIT_CONFIG
+
+
+def test_build_measure_stall_writes_trace(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, seed=7, resolution=64, form={"kind": "pl", "p": 2.0},
+        function={"kind": "points", "breakpoints": [0, 0.3, 1],
+                  "values": [0, 2, 1]},
+        schedule={"n_min": 4, "n_max": 6})
+    assert main(["--config", cfg, "--out", str(tmp_path),
+                 "build-measure"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "furthest from quiet: threshold a=" in err
+    assert "threshold a=0 " not in err
+    rows = [line for line in
+            (tmp_path / "build_measure_trace.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "level,energy,inf_so_far"
+    assert [row.split(",")[0] for row in rows[1:]] == ["4", "5", "6"]
+
+
+def test_build_measure_failed_mass_check_exits_numeric(tmp_path, capsys,
+                                                       monkeypatch):
+    # a run whose limits come out in reverse order fails the cell-mass check
+    real = construction._identity_run
+
+    def reversed_run(*args):
+        run = real(*args)
+        return dataclasses.replace(run, energies=run.energies[:, ::-1])
+
+    monkeypatch.setattr(construction, "_identity_run", reversed_run)
+    cfg = write_config(tmp_path, seed=5, resolution=16)
+    assert main(["--config", cfg, "--out", str(tmp_path),
+                 "build-measure"]) == EXIT_NUMERIC
+    assert "negative cell mass" in capsys.readouterr().err
+    assert (tmp_path / "build_measure_trace.csv").exists()
+
+
+def test_build_measure_rejects_swapped_points(tmp_path):
+    cfg = write_config(tmp_path, seed=5, resolution=16,
+                       function={"kind": "points",
+                                 "breakpoints": [0, 0.7, 0.3, 1],
+                                 "values": [0, 2, 1, 1]})
     assert main(["--config", cfg, "build-measure"]) == EXIT_CONFIG
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from penergy import construction
 from penergy.construction import (
     DEFAULT_SCHEDULE,
     LAW_SCHEDULE,
@@ -31,8 +32,9 @@ from penergy.construction import (
     reflection_gap,
     two_sided_cut_limit,
 )
-from penergy.construction import _IdentityWitnessEvaluator
+from penergy.construction import _identity_run
 from penergy.forms import PLIntervalForm
+from penergy.laws import set_mass_oracle, set_masses
 from penergy.pl import IntervalSet, PLFunction, shifted_cut, triangle_wave
 from penergy.sampler import PLSampler
 
@@ -74,15 +76,103 @@ def test_batched_identity_rows_match_general():
     form = PLIntervalForm(2.0, weight=[(0.0, 0.5, 1.0), (0.5, 1.0, 3.0)])
     for k in range(3):
         f = SAMPLER.pl(20 + k, allow_flat=False)
-        ev = _IdentityWitnessEvaluator(form, f)
         a = np.arange(33) / 32.0
         for n in (6, 12):
-            rows, bands = ev.energies(a, n)
-            assert np.all(bands >= 0.0)
+            rows = _identity_run(form, f, a, FoldSchedule(n, n)).energies[0]
+            # rows are the plateau energy plus a nonnegative band residual
+            assert np.all(rows >= np.interp(a, *form.cumulative_energy(f)))
             for j in (0, 1, 7, 16, 31, 32):
                 lid = shifted_cut(IDENT, float(a[j]), n)
                 want = folded_lid_energy(form, f, lid, n)
                 assert rows[j] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# beyond the sampler's envelope: steep pieces, many weight cells
+
+
+def _steep(slope: float, seed: int) -> PLFunction:
+    """Five-piece zigzag whose steepest piece has |f'| = slope."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 4)), [1.0]))
+    mags = slope * rng.uniform(0.8, 1.0, 5)
+    mags[rng.integers(5)] = slope
+    signs = np.where(np.arange(5) % 2 == 0, 1.0, -1.0)
+    y = np.concatenate(([0.0], np.cumsum(signs * mags * np.diff(x))))
+    return PLFunction(x, y)
+
+
+def _steep_form(p: float, cells: int, seed: int) -> PLIntervalForm:
+    """p-form with ``cells`` jittered weight cells, weights in [0.5, 2]."""
+    if cells == 1:
+        return PLIntervalForm(p)
+    rng = np.random.default_rng(seed)
+    bounds = np.linspace(0.0, 1.0, cells + 1)
+    bounds[1:-1] += rng.uniform(-0.3, 0.3, cells - 1) / cells
+    vals = rng.uniform(0.5, 2.0, cells)
+    return PLIntervalForm(p, weight=[(bounds[i], bounds[i + 1], vals[i])
+                                     for i in range(cells)])
+
+
+STEEP_CASES = [(8.0, 1.1, 50), (16.0, 1.5, 1), (32.0, 2.0, 50),
+               (64.0, 3.0, 20), (64.0, 6.0, 50)]
+
+
+@pytest.mark.parametrize("slope,p,cells", STEEP_CASES)
+def test_kernel_matches_literal_steep_weighted(slope, p, cells):
+    form = _steep_form(p, cells, seed=int(slope))
+    f = _steep(slope, seed=int(slope) + 1)
+    g = _steep(4.0, seed=3)
+    glo, ghi = g.value_range()
+    a = np.array([0.1, 0.33, 0.5, 0.77])
+    for n in (5, 8, 11):
+        # the literal fold has about 2^n |f'| pieces and recomputes every
+        # slope from node differences, so its own rounding grows like that
+        rel = max(1e-12, 2.0 ** n * slope * 1e-15)
+        rows = _identity_run(form, f, a, FoldSchedule(n, n)).energies[0]
+        for j, aj in enumerate(a):
+            literal = form.energy(cell_function(f, IDENT, aj, n))
+            assert rows[j] == pytest.approx(literal, rel=rel)
+            ag = glo + aj * (ghi - glo)
+            literal = form.energy(cell_function(f, g, ag, n))
+            fast = folded_lid_energy(form, f, shifted_cut(g, ag, n), n)
+            assert fast == pytest.approx(literal, rel=rel)
+
+
+@pytest.mark.parametrize("slope,p,cells", STEEP_CASES)
+def test_energy_measure_matches_reference_when_steep(slope, p, cells):
+    form = _steep_form(p, cells, seed=int(slope))
+    _assert_matches_reference(form, _steep(slope, seed=int(slope) + 1),
+                              resolution=64)
+
+
+def test_band_kernel_runs_in_node_chunks(monkeypatch):
+    form = _steep_form(2.0, 50, seed=32)
+    f = _steep(32.0, seed=33)
+    whole = energy_measure(form, f, resolution=64)
+    monkeypatch.setattr(construction, "_NODE_CHUNK", 257)
+    chunked = energy_measure(form, f, resolution=64)
+    assert chunked.levels_used == whole.levels_used
+    assert np.allclose(chunked.masses, whole.masses, rtol=1e-12,
+                       atol=1e-14 * form.energy(f))
+
+
+@pytest.mark.parametrize("slope,p,cells", STEEP_CASES)
+def test_set_masses_with_ends_next_to_nodes(slope, p, cells):
+    # each end sits 3e-11, 1e-8 or 2^-20 off a breakpoint or weight bound,
+    # so its band straddles that node at every level up to 34, 26 or 19
+    form = _steep_form(p, cells, seed=int(slope))
+    f = _steep(slope, seed=int(slope) + 1)
+    nodes = np.union1d(f.breakpoints[1:-1], form.weight_bounds[1:-1])
+    sets = []
+    for t in nodes:
+        for d in (3e-11, 1e-8, 2.0 ** -20):
+            sets += [IntervalSet.closed(0.0, t - d),
+                     IntervalSet.closed(0.0, t + d),
+                     IntervalSet.closed(t - d, t + d)]
+    got = set_masses(form, f, sets)
+    want = np.array([set_mass_oracle(form, f, A) for A in sets])
+    assert np.max(np.abs(got - want)) <= 1e-6 * form.energy(f)
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +452,24 @@ def test_energy_measure_weighted_identity_recovers_weight():
     assert np.max(np.abs(m.density - form.weight_at(mids))) <= 1e-5
 
 
+def _assert_matches_reference(form, f, resolution=512):
+    """Criterion-01 tolerances: 1e-4 sup density gap, 1e-6 mass gap."""
+    m = energy_measure(form, f, resolution)
+    r = reference_measure(form, f)
+    cell_ref = np.array([r.measure((lo, hi))
+                         for lo, hi in zip(m.nodes[:-1], m.nodes[1:])])
+    widths = np.diff(m.nodes)
+    sup_gap = np.max(np.abs(m.masses - cell_ref) / widths)
+    assert sup_gap <= 1e-4 * np.max(r.density)
+    e_ref = form.energy(f)
+    assert abs(m.total_mass() - e_ref) <= 1e-6 * e_ref
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_energy_measure_matches_reference(p):
     form = PLIntervalForm(p)
     for k in range(3):
-        f = SAMPLER.pl(30 + k, allow_flat=False)
-        m = energy_measure(form, f)
-        r = reference_measure(form, f)
-        cell_ref = np.array([r.measure((lo, hi))
-                             for lo, hi in zip(m.nodes[:-1], m.nodes[1:])])
-        widths = np.diff(m.nodes)
-        sup_gap = np.max(np.abs(m.masses - cell_ref) / widths)
-        assert sup_gap <= 1e-4 * np.max(r.density)
-        e_ref = form.energy(f)
-        assert abs(m.total_mass() - e_ref) <= 1e-6 * e_ref
+        _assert_matches_reference(form, SAMPLER.pl(30 + k, allow_flat=False))
 
 
 def test_energy_measure_deterministic():

@@ -85,6 +85,12 @@ def test_set_masses_match_oracle(form):
         assert np.max(np.abs(got - want)) <= 1e-6 * max(e, 1e-12)
 
 
+def test_set_masses_of_constant_are_zero():
+    sets = default_set_family(SAMPLER, levels=2, unions=2)
+    got = set_masses(WEIGHTED, PLFunction.constant(0.4), sets)
+    assert np.all(got == 0.0)
+
+
 def test_set_mass_oracle_splits_components():
     A = IntervalSet.from_pairs([(0.0, 0.25), (0.5, 1.0)])
     whole = set_mass_oracle(UNIFORM2, IDENT, A)

@@ -284,6 +284,17 @@ def test_domain_validation():
         PLFunction([0.1, 1.0], [0.0, 1.0])
 
 
+def test_out_of_order_breakpoints_rejected():
+    with pytest.raises(ValueError, match="increasing order"):
+        PLFunction([0.0, 0.7, 0.3, 1.0], [0.0, 2.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="increasing order"):
+        PLMap([1.0, 0.0], [0.0, 1.0])
+    # an exact duplicate still collapses to its first value
+    f = PLFunction([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 3.0, 0.0])
+    assert f.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    assert f.values.tolist() == [0.0, 1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # property-based checks
 
