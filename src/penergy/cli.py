@@ -37,7 +37,7 @@ from .forms import (
 from .gasket import renormalization_constant
 from .ks import SampledSpace, default_r_sequence, ks_limit_scan, profile_values
 from .laws import ALL_LAWS, law_domination
-from .pl import PLFunction
+from .pl import PieceCapError, PLFunction
 from .sampler import PLSampler
 
 EXIT_PASS = 0
@@ -588,7 +588,7 @@ def main(argv=None) -> int:
         # precondition violations surfaced by the law layer
         print(f"error: precondition violated: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
+    except (ConvergenceError, PieceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

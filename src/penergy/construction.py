@@ -401,7 +401,16 @@ def _drive(energies_at, thresholds: np.ndarray, reference: float,
     bounds the distance left to the limit, are both at most ``tol`` times
     the largest of the two energies and ``reference``.  The batch stops
     once every threshold has had ``stall_count`` quiet steps in a row.
+
+    A zero ``reference`` is E(f) = 0, and 0 <= F_f^g(a) <= E(f) forces
+    every limit to be exactly 0: the batch returns zeros, converged, at
+    the first level, without running any.
     """
+    if reference == 0.0:
+        return _LevelRun(thresholds, (sched.n_min,),
+                         np.zeros((1, thresholds.size)),
+                         np.full(thresholds.size, sched.stall_count),
+                         np.zeros(thresholds.size), True)
     rows = []
     quiet_run = np.zeros(thresholds.size, dtype=int)
     miss = np.full(thresholds.size, np.inf)
@@ -447,8 +456,6 @@ def _identity_run(form: PLIntervalForm, f: PLFunction, a_vec,
     plateau = np.interp(a_vec, grid, cum)
 
     def energies_at(n):
-        if cum[-1] == 0.0:  # f is constant: every limit is exactly 0
-            return plateau, plateau
         eps = 2.0 ** (-n)
         lo = np.clip(a_vec, 0.0, 1.0)
         hi = np.clip(a_vec + eps, 0.0, 1.0)

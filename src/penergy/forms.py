@@ -20,6 +20,12 @@ Three models are provided:
 
 All forms share ``energy``, ``energy_derivative`` (the one-sided directional
 derivative ``(1/p) d/dt E(u + t v)`` at ``t = 0``) and a JSON descriptor.
+
+Every closed-form integral of the interval model, here and in
+:mod:`penergy.laws`, goes through :class:`Cells`: one merged partition of
+function breakpoints, weight bounds and extra nodes, on which densities are
+piecewise constant or linear, integrated over many target sets in one pass.
+
 The module also houses the Clarkson-inequality checker and the assumption
 audit used by ``validate-form``.
 """
@@ -32,6 +38,7 @@ import numpy as np
 
 from .pl import (
     GEOM_TOL,
+    IntervalSet,
     PLFunction,
     PLMap,
     _merge_sorted_grids,
@@ -60,7 +67,7 @@ class PLIntervalForm:
     The weight is piecewise constant, nonnegative, given as consecutive
     ``(lo, hi, w)`` cells covering [0, 1]; omitting it means ``w = 1``.
     Energies, directional derivatives and restricted energies are all exact
-    closed-form sums over the merged piece grid.
+    closed-form sums over one :class:`Cells` partition.
     """
 
     def __init__(self, p: float, weight=None):
@@ -86,50 +93,31 @@ class PLIntervalForm:
     # -- basics -------------------------------------------------------------
 
     def weight_at(self, x: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.searchsorted(self.weight_bounds, x, side="right") - 1,
-                      0, self.weight_values.size - 1)
-        return self.weight_values[idx]
-
-    def _piece_grid(self, f: PLFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merged grid with per-cell slope and weight arrays."""
-        grid = _merge_sorted_grids(f.breakpoints, self.weight_bounds)
-        vals = f.evaluate(grid)
-        slopes = np.diff(vals) / np.diff(grid)
-        w = self.weight_at(0.5 * (grid[:-1] + grid[1:]))
-        return grid, slopes, w
+        return step_at(self.weight_bounds, self.weight_values, x)
 
     def energy(self, f: PLFunction) -> float:
-        grid, slopes, w = self._piece_grid(f)
-        return float(np.sum(w * np.abs(slopes) ** self.p * np.diff(grid)))
+        return float(np.sum(Cells(self, f).mass(f)))
 
     def energy_between(self, f: PLFunction, lo: float, hi: float) -> float:
         """Energy of the restriction to [lo, hi] (exact)."""
-        if hi <= lo:
-            return 0.0
-        nodes, cum = self.cumulative_energy(f)
-        return float(np.interp(hi, nodes, cum) - np.interp(lo, nodes, cum))
+        cells = Cells(self, f)
+        return float(cells.integrate(cells.mass(f), [(lo, hi)])[0])
 
     def cumulative_energy(self, f: PLFunction) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and running energy integral; linear between nodes."""
-        grid, slopes, w = self._piece_grid(f)
-        dens = w * np.abs(slopes) ** self.p
-        cum = np.concatenate(([0.0], np.cumsum(dens * np.diff(grid))))
-        return grid, cum
+        cells = Cells(self, f)
+        return cells.nodes, cells.cumulative(cells.mass(f))
 
     def density_cells(self, f: PLFunction) -> tuple[np.ndarray, np.ndarray]:
         """Partition nodes and the per-cell density w |f'|^p."""
-        grid, slopes, w = self._piece_grid(f)
-        return grid, w * np.abs(slopes) ** self.p
+        cells = Cells(self, f)
+        return cells.nodes, cells.density(f)
 
     def energy_derivative(self, u: PLFunction, v: PLFunction) -> float:
         """(1/p) d/dt E(u + t v) at t = 0, with 0 on flat pieces of u."""
-        grid = _merge_sorted_grids(u.breakpoints, v.breakpoints,
-                                   self.weight_bounds)
-        du = np.diff(u.evaluate(grid)) / np.diff(grid)
-        dv = np.diff(v.evaluate(grid)) / np.diff(grid)
-        w = self.weight_at(0.5 * (grid[:-1] + grid[1:]))
-        return float(np.sum(w * _signed_power(du, self.p - 1.0) * dv
-                            * np.diff(grid)))
+        cells = Cells(self, u, v)
+        return float(cells.integrate(cells.flux(u) * cells.slope(v)
+                                     * cells.width)[0])
 
     def seminorm(self, f: PLFunction) -> float:
         return self.energy(f) ** (1.0 / self.p)
@@ -143,6 +131,96 @@ class PLIntervalForm:
 
     def __repr__(self):
         return f"PLIntervalForm(p={self.p:g}, {self.weight_values.size} weight cells)"
+
+
+def step_at(bounds: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+    """The step function equal to values[i] on [bounds[i], bounds[i+1]),
+    at x; points outside the bounds take the nearest end value."""
+    idx = np.searchsorted(bounds, x, side="right") - 1
+    return values[np.minimum(np.maximum(idx, 0), values.size - 1)]
+
+
+def spans(targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, lo, hi): every component of every target, clipped to [0, 1].
+
+    A target is an IntervalSet or a bare (lo, hi) pair; ``owner`` is the
+    index of each component's target.  Components empty after clipping
+    are dropped, the rest keep their order.
+    """
+    raw = np.array([(i, c[0], c[1]) for i, t in enumerate(targets)
+                    for c in (t.components if isinstance(t, IntervalSet)
+                              else (t,))], dtype=float).reshape(-1, 3)
+    lo, hi = np.maximum(raw[:, 1], 0.0), np.minimum(raw[:, 2], 1.0)
+    keep = hi > lo
+    return raw[keep, 0].astype(int), lo[keep], hi[keep]
+
+
+class Cells:
+    """The common refinement behind every closed-form integral on [0, 1].
+
+    Nodes merge the breakpoints of the given PL functions, the weight
+    bounds of the form and any extra nodes (component ends of target sets,
+    preimages of map kinks), so each function is affine and the weight
+    constant on every cell.  Per-cell slopes and the densities built from
+    them feed :meth:`integrate`, which turns per-cell integrals into one
+    integral per target set.  An extra node closer than GEOM_TOL to a
+    breakpoint or weight bound is left out, so an integral read there is
+    off by at most that distance times the density's spread in the cell.
+    """
+
+    def __init__(self, form: PLIntervalForm, *fns: PLFunction, nodes=()):
+        self.p = form.p
+        grid = _merge_sorted_grids(*(f.breakpoints for f in fns),
+                                   form.weight_bounds)
+        if nodes:
+            # extra nodes refine the cells but never displace a breakpoint
+            # or weight bound, which would bend a function inside a cell
+            extra = np.concatenate(nodes)
+            right = np.minimum(np.maximum(np.searchsorted(grid, extra), 1),
+                               grid.size - 1)
+            gap = np.minimum(extra - grid[right - 1], grid[right] - extra)
+            grid = _merge_sorted_grids(grid, extra[gap > GEOM_TOL])
+        self.nodes = grid
+        self.width = np.diff(self.nodes)
+        self.mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        self.weight = form.weight_at(self.mid)
+
+    def slope(self, f: PLFunction) -> np.ndarray:
+        return np.diff(f.evaluate(self.nodes)) / self.width
+
+    def density(self, f: PLFunction) -> np.ndarray:
+        """w |f'|^p, the density of mu_f."""
+        return self.weight * np.abs(self.slope(f)) ** self.p
+
+    def mass(self, f: PLFunction) -> np.ndarray:
+        """mu_f of each cell."""
+        return self.density(f) * self.width
+
+    def flux(self, f: PLFunction) -> np.ndarray:
+        """w sgn(f')|f'|^{p-1}, the density of nu_{f;v} against v'."""
+        return self.weight * _signed_power(self.slope(f), self.p - 1.0)
+
+    @staticmethod
+    def cumulative(per_cell: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(per_cell)))
+
+    def integrate(self, per_cell: np.ndarray,
+                  targets=((0.0, 1.0),)) -> np.ndarray:
+        """The integral over each of a sequence of targets, from per-cell
+        integrals.
+
+        The running integral is read at every component end by linear
+        interpolation, exact where the density is constant per cell; a
+        density that is not must have the component ends among the nodes.
+        ``np.add.at`` adds each target's components in order, as a running
+        sum over them would.
+        """
+        cum = self.cumulative(per_cell)
+        owner, lo, hi = spans(targets)
+        out = np.zeros(len(targets))
+        np.add.at(out, owner, np.interp(hi, self.nodes, cum)
+                  - np.interp(lo, self.nodes, cum))
+        return out
 
 
 # ---------------------------------------------------------------------------

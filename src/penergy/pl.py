@@ -465,6 +465,19 @@ class ProductApprox:
     sup_error: float
 
 
+def refined_grid(grids, refine: int, piece_cap: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The merged grid of the given node arrays, and that grid with each
+    cell split into ``refine`` equal parts."""
+    base = _merge_sorted_grids(*grids)
+    _check_cap((base.size - 1) * refine + 1, piece_cap)
+    if refine == 1:
+        return base, base
+    t = np.linspace(0.0, 1.0, refine + 1)[:-1]
+    cells = base[:-1][:, None] + np.diff(base)[:, None] * t[None, :]
+    return base, np.append(cells.ravel(), base[-1])
+
+
 def pl_product(f: PLFunction, g: PLFunction, refine: int = 8,
                piece_cap: int | None = None) -> ProductApprox:
     """Piecewise-linear interpolant of the product f*g.
@@ -477,14 +490,8 @@ def pl_product(f: PLFunction, g: PLFunction, refine: int = 8,
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    base = _merge_sorted_grids(f.breakpoints, g.breakpoints)
-    _check_cap((base.size - 1) * refine + 1, piece_cap)
-    if refine == 1:
-        grid = base
-    else:
-        t = np.linspace(0.0, 1.0, refine + 1)[:-1]
-        cells = base[:-1][:, None] + np.diff(base)[:, None] * t[None, :]
-        grid = np.append(cells.ravel(), base[-1])
+    base, grid = refined_grid((f.breakpoints, g.breakpoints), refine,
+                              piece_cap)
     fv = f.evaluate(grid)
     gv = g.evaluate(grid)
     prod = PLFunction(*_prune_collinear(grid, fv * gv), piece_cap=piece_cap)

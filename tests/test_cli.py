@@ -152,6 +152,17 @@ def test_build_measure_stall_writes_trace(tmp_path, capsys):
     assert [row.split(",")[0] for row in rows[1:]] == ["4", "5", "6"]
 
 
+def test_build_measure_piece_cap_exits_numeric(tmp_path, capsys):
+    # slope 1e7: one fold band would need about 2^21 nodes on one piece
+    cfg = write_config(
+        tmp_path, seed=7, resolution=16,
+        function={"kind": "points", "breakpoints": [0, 1e-7, 1],
+                  "values": [0, 1, 1]})
+    assert main(["--config", cfg, "--out", str(tmp_path),
+                 "build-measure"]) == EXIT_NUMERIC
+    assert "nodes on one piece" in capsys.readouterr().err
+
+
 def test_build_measure_failed_mass_check_exits_numeric(tmp_path, capsys,
                                                        monkeypatch):
     # a run whose limits come out in reverse order fails the cell-mass check

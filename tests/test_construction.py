@@ -426,6 +426,24 @@ def test_energy_measure_constant_is_zero():
     assert np.all(m.masses == 0.0)
 
 
+@pytest.mark.parametrize("form, f", [
+    (PLIntervalForm(2.0), PLFunction.constant(0.3)),
+    # all of f's slope sits on the zero-weight cell
+    (PLIntervalForm(3.0, weight=[(0.0, 0.5, 0.0), (0.5, 1.0, 2.0)]),
+     PLFunction([0.0, 0.2, 0.5, 1.0], [0.0, 1.0, 0.4, 0.4])),
+])
+def test_zero_energy_fold_limits_are_zero_and_converged(form, f):
+    assert form.energy(f) == 0.0
+    g = PLFunction.identity()
+    trace = F_value(form, f, g, 0.5)
+    assert trace.converged and trace.final == 0.0
+    dist = distribution(form, f, g, [-0.5, 0.25, 0.5, 1.5])
+    assert dist.converged and np.all(dist.values == 0.0)
+    assert all(t.converged for t in dist.traces)
+    sets = (IntervalSet.closed(0.1, 0.6), IntervalSet.full())
+    assert np.all(set_masses(form, f, sets) == 0.0)
+
+
 def test_energy_measure_tent_p3_unit_density():
     form = PLIntervalForm(3.0)
     m = energy_measure(form, PLFunction.tent())
