@@ -4,6 +4,11 @@ J_{p,r}(u) is the double integral of |u(x) - u(y)|^p against the scale-r
 PI kernel 1_{B(x,r)}(y) 1_U(x) / (r^p m(B(x,r))), with open balls.  On the
 bundled uniform grids the inner integral collapses to a band of lattice
 offsets, so one evaluation costs O(N * r / spacing) instead of O(N^2).
+A scan evaluates every radius in one pass over the offsets of the largest:
+each offset's |u(x + k) - u(x)|^p is taken once and shared by every radius
+that reaches it, so a scan costs O(N * max cap) powers, not O(N * sum of
+caps), and each radius still adds its terms in the order a lone
+evaluation does.
 
 Ball masses use the same quadrature weights as the outer sums, which keeps
 the functional exactly zero on constants and makes J(a u) = |a|^p J(u) hold
@@ -131,78 +136,137 @@ def _membership(space: SampledSpace, restriction) -> np.ndarray:
         return np.ones(space.points.shape[0])
     if space.kind != "interval":
         raise ValueError("restriction sets apply to the interval grid only")
-    return np.array([1.0 if restriction.contains(float(t)) else 0.0
-                     for t in space.points])
+    x = space.points
+    inside = np.zeros(x.shape, dtype=bool)
+    # the test of IntervalSet.contains, one component at a time
+    for lo, hi, lc, hc in restriction.components:
+        inside |= ((lo < x) & (x < hi)) | ((x == lo) & lc) | ((x == hi) & hc)
+    return inside.astype(float)
 
 
-def ks_energy(space: SampledSpace, u, kernel: KSKernel) -> float:
-    """J_{p,r}(u): the double quadrature sum against the PI kernel."""
+def _checked_values(space: SampledSpace, u) -> np.ndarray:
+    """u as a float array, one finite value per point of a bundled space."""
     u = np.asarray(u, dtype=float)
     if u.shape != (space.points.shape[0],):
         raise ValueError("need one value of u per grid point")
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite")
+    if space.kind not in ("interval", "torus"):
+        raise ValueError(f"unknown space kind {space.kind!r}")
+    return u
+
+
+def ks_energy(space: SampledSpace, u, kernel: KSKernel) -> float:
+    """J_{p,r}(u): the double quadrature sum against the PI kernel."""
+    u = _checked_values(space, u)
     if space.kind == "interval":
         return _ks_interval(space, u, kernel)
-    if space.kind == "torus":
-        return _ks_torus(space, u, kernel)
-    raise ValueError(f"unknown space kind {space.kind!r}")
+    return _ks_torus(space, u, kernel)
 
 
+# one-radius entry points, kept by name: perfbench/tracer.py wraps them
 def _ks_interval(space: SampledSpace, u: np.ndarray,
                  kernel: KSKernel) -> float:
+    return float(_interval_energies(space, u, [kernel.r], kernel.p,
+                                    kernel.restriction)[0])
+
+
+def _ks_torus(space: SampledSpace, u: np.ndarray, kernel: KSKernel) -> float:
+    return float(_torus_energies(space, u, [kernel.r], kernel.p,
+                                 kernel.restriction)[0])
+
+
+def _interval_energies(space: SampledSpace, u: np.ndarray, radii,
+                       p: float, restriction) -> np.ndarray:
+    """J_{p,r}(u) for every r in radii, each offset's power taken once.
+
+    Offset k enters every radius whose cap reaches it, and each radius adds
+    its terms in increasing k, so every J is the sum a lone radius makes.
+    """
     n = u.size
     h = space.spacing
-    k_max = min(_offset_cap(space, kernel.r), n - 1)
-    if k_max == 0:
-        return 0.0
-    # open-ball point counts: interior points see 2 k_max + 1 grid cells
+    caps = [min(_offset_cap(space, r), n - 1) for r in radii]
+    member = _membership(space, restriction)
     idx = np.arange(n)
-    counts = (np.minimum(idx + k_max, n - 1)
-              - np.maximum(idx - k_max, 0) + 1)
-    ball = counts * h
-    member = _membership(space, kernel.restriction)
-    side = member / ball  # per-x factor 1_U(x) / m(B(x, r))
-    p = kernel.p
-    acc = 0.0
-    for k in range(1, k_max + 1):
-        dp = np.abs(u[k:] - u[:-k]) ** p
-        acc += float(np.sum(dp * (side[k:] + side[:-k])))
-    return acc * h * h / kernel.r ** p
+    sides = []
+    for cap in caps:
+        # open-ball point counts: interior points see 2 cap + 1 grid cells
+        counts = (np.minimum(idx + cap, n - 1)
+                  - np.maximum(idx - cap, 0) + 1)
+        # per-x factor 1_U(x) / m(B(x, r))
+        sides.append(member / (counts * h))
+    acc = [0.0] * len(caps)
+    # scratch rows, reused for every offset: a fresh array per step costs
+    # more than the arithmetic at these lengths
+    dp_row, term_row = np.empty(n), np.empty(n)
+    for k in range(1, max(caps) + 1):
+        dp = dp_row[:n - k]
+        np.subtract(u[k:], u[:-k], out=dp)
+        np.abs(dp, out=dp)
+        dp **= p
+        terms = term_row[:n - k]
+        for i, side in enumerate(sides):
+            if k <= caps[i]:
+                np.add(side[k:], side[:-k], out=terms)
+                terms *= dp
+                acc[i] += float(terms.sum())
+    return np.array([a * h * h / r ** p for a, r in zip(acc, radii)])
 
 
-def _torus_offsets(side: int, h: float, r: float) -> np.ndarray:
-    """Integer lattice offsets (a, b) != 0 with torus distance < r."""
-    k_max = min(max(int(math.ceil(r / h)) - 1, 0), side // 2)
+def _torus_cap(space: SampledSpace, r: float) -> int:
+    """Offset cap per axis: open balls, and no offset past half the side."""
+    return min(_offset_cap(space, r), space.side // 2)
+
+
+def _torus_offsets(space: SampledSpace, r: float):
+    """Integer lattice offsets (a, b) != 0 with torus distance < r, in
+    lexicographic order, and their distances."""
+    side = space.side
+    h = space.spacing
+    k_max = _torus_cap(space, r)
     if k_max == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
     rng = np.arange(-k_max, k_max + 1)
     aa, bb = np.meshgrid(rng, rng, indexing="ij")
     off = np.column_stack([aa.ravel(), bb.ravel()])
     wrap = np.minimum(np.abs(off), side - np.abs(off)) * h
     dist = np.sqrt(np.sum(wrap * wrap, axis=1))
     keep = (dist < r) & np.any(off != 0, axis=1)
-    return off[keep]
+    return off[keep], dist[keep]
 
 
-def _ks_torus(space: SampledSpace, u: np.ndarray, kernel: KSKernel) -> float:
-    if kernel.restriction is not None:
+def _torus_energies(space: SampledSpace, u: np.ndarray, radii,
+                    p: float, restriction) -> np.ndarray:
+    """J_{p,r}(u) for every r in radii, each offset's sum taken once.
+
+    A radius's offsets are those of the largest radius that lie inside its
+    own cap and ball, in the same order, so every J is the sum a lone
+    radius makes.
+    """
+    if restriction is not None:
         raise ValueError("restriction sets apply to the interval grid only")
     side = space.side
-    h = space.spacing
-    offsets = _torus_offsets(side, h, kernel.r)
-    if offsets.shape[0] == 0:
-        return 0.0
-    w = h * h
-    # translation invariance: every ball holds the same mass
-    ball = (offsets.shape[0] + 1) * w
+    offsets, dist = _torus_offsets(space, max(radii))
     grid = u.reshape(side, side)
-    p = kernel.p
-    acc = 0.0
-    for a, b in offsets:
-        shifted = np.roll(np.roll(grid, int(a), axis=0), int(b), axis=1)
-        acc += float(np.sum(np.abs(grid - shifted) ** p))
-    return acc * w * w / (ball * kernel.r ** p)
+    terms = []
+    for a, b in offsets.tolist():
+        shifted = np.roll(np.roll(grid, a, axis=0), b, axis=1)
+        terms.append(float(np.sum(np.abs(grid - shifted) ** p)))
+    reach = np.abs(offsets).max(axis=1)
+    h = space.spacing
+    w = h * h
+    out = np.zeros(len(radii))
+    for i, r in enumerate(radii):
+        keep = np.flatnonzero((reach <= _torus_cap(space, r)) & (dist < r))
+        if keep.size == 0:
+            continue
+        acc = 0.0
+        for j in keep.tolist():
+            acc += terms[j]
+        # translation invariance: every ball holds the same mass
+        ball = (keep.size + 1) * w
+        out[i] = acc * w * w / (ball * r ** p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +331,15 @@ def ks_limit_scan(space: SampledSpace, u, p: float,
     if r_values[-1] < floor - 1e-12:
         raise ValueError(
             f"r={r_values[-1]:g} is below the resolution floor {floor:g}")
-    j_values = np.array([
-        ks_energy(space, u, KSKernel(float(r), p, restriction))
-        for r in r_values])
+    for r in r_values:
+        KSKernel(float(r), p, restriction)  # the kernel's own r and p checks
+    u = _checked_values(space, u)
+    if space.kind == "interval":
+        j_values = _interval_energies(space, u, r_values.tolist(), p,
+                                      restriction)
+    else:
+        j_values = _torus_energies(space, u, r_values.tolist(), p,
+                                   restriction)
     running_sup = np.maximum.accumulate(j_values)
     window = min(max(window, 2), r_values.size)
     tail_r = r_values[-window:]

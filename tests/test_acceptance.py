@@ -132,9 +132,9 @@ def test_criterion_05_functional_identity():
     exact_gap = abs(lhs - 0.5)
     ok = worst >= -1e-9 and exact_gap <= 1e-6
     _verdict(5, "functional identity", ok,
-             f"worst budgeted slack {worst:.2e} (internal tol 1e-9, "
-             f"required 1e-3), identity instance gap {exact_gap:.2e} "
-             f"(tol 1e-6), 20 pairs per p, p in (2, 3)")
+             f"worst closed-form residual slack {worst:.2e} "
+             f"(internal tol 1e-9, required 1e-3), identity instance gap "
+             f"{exact_gap:.2e} (tol 1e-6), 20 pairs per p, p in (2, 3)")
 
 
 def test_criterion_06_domination():

@@ -2,9 +2,9 @@
 
 Criterion 11 compares two runs of one checkout; these hashes were recorded
 from an earlier build, so a change that moves a single digit of
-``build_measure.csv`` or ``check_laws.csv`` on these small configs fails
-here.  A change that moves them on purpose records the new hashes and says
-why.
+``build_measure.csv``, ``check_laws.csv`` or ``ks_energy.csv`` on these
+small configs fails here.  A change that moves them on purpose records the
+new hashes and says why.
 """
 
 import hashlib
@@ -34,6 +34,26 @@ PINS = {
          "laws": ["total_mass", "measure_clarkson", "measure_triangle",
                   "minmax_bound", "domination"]},
         "b3d3d15f0293af309b12f59d37fda05e166ed9c29a5382376ac3d469980107b5"),
+    "ks-energy interval default radii": (
+        "ks-energy", "ks_energy.csv",
+        {"seed": 7, "space": "interval", "n": 2000, "p": 3.0,
+         "profile": "sine"},
+        "b5e88a46c0142e1f727a2d4fc110c87c98c996bc0b0832483fa89fb74b83f7fa"),
+    "ks-energy interval r_list": (
+        "ks-energy", "ks_energy.csv",
+        {"seed": 7, "space": "interval", "n": 4000, "p": 2.0,
+         "profile": "step", "r_list": [0.02, 0.011, 0.006, 0.004, 0.0025]},
+        "4f2d7e736f0fd42b1a535f2c029328d55c55806bf6c5192fffb6780869ab7ed8"),
+    "ks-energy torus default radii": (
+        "ks-energy", "ks_energy.csv",
+        {"seed": 7, "space": "torus", "n": 32, "p": 2.0, "profile": "tent"},
+        "a4372bcbd0143535be0781c410032853e1f34f4791485b023975b39fb3b09b51"),
+    # r = 0.52 caps the offsets at side // 2 = 24
+    "ks-energy torus half-side cap": (
+        "ks-energy", "ks_energy.csv",
+        {"seed": 7, "space": "torus", "n": 48, "p": 3.0, "profile": "step",
+         "r_list": [0.52, 0.3, 0.17, 0.1]},
+        "4d24fb0a40ed3ab56ab1b1b4b8d0280e511a820b92a335ed111edf0a714e6745"),
 }
 
 

@@ -18,6 +18,7 @@ from penergy.ks import (
     CanonicalComparison,
     KSKernel,
     SampledSpace,
+    _membership,
     ball_measure,
     check_weak_monotonicity,
     default_r_sequence,
@@ -47,6 +48,46 @@ def brute_ks(space, u, kernel):
                        * space.weights[mask])
         acc += inner / mass * space.weights[i]
     return acc / kernel.r ** kernel.p
+
+
+def per_radius_ks(space, u, kernel):
+    """One radius at a time, every offset's power taken afresh: the loop
+    the batched scan kernels must reproduce to the last bit."""
+    h = space.spacing
+    p = kernel.p
+    acc = 0.0
+    if space.kind == "interval":
+        n = u.size
+        k_max = min(max(math.ceil(kernel.r / h) - 1, 0), n - 1)
+        if k_max == 0:
+            return 0.0
+        idx = np.arange(n)
+        counts = (np.minimum(idx + k_max, n - 1)
+                  - np.maximum(idx - k_max, 0) + 1)
+        side = _membership(space, kernel.restriction) / (counts * h)
+        for k in range(1, k_max + 1):
+            dp = np.abs(u[k:] - u[:-k]) ** p
+            acc += float(np.sum(dp * (side[k:] + side[:-k])))
+        return acc * h * h / kernel.r ** p
+    n_side = space.side
+    k_max = min(max(math.ceil(kernel.r / h) - 1, 0), n_side // 2)
+    rng = np.arange(-k_max, k_max + 1)
+    grid = u.reshape(n_side, n_side)
+    count = 0
+    for a in rng:
+        for b in rng:
+            wa = min(abs(a), n_side - abs(a)) * h
+            wb = min(abs(b), n_side - abs(b)) * h
+            if (a, b) == (0, 0) \
+                    or not np.sqrt(wa * wa + wb * wb) < kernel.r:
+                continue
+            shifted = np.roll(np.roll(grid, a, axis=0), b, axis=1)
+            acc += float(np.sum(np.abs(grid - shifted) ** p))
+            count += 1
+    if count == 0:
+        return 0.0
+    w = h * h
+    return acc * w * w / ((count + 1) * w * kernel.r ** p)
 
 
 # -- spaces -----------------------------------------------------------------
@@ -242,6 +283,81 @@ def test_scan_validation():
         ks_limit_scan(GRID, LINEAR, 2.0, [0.05])
     with pytest.raises(ValueError):
         ks_limit_scan(GRID, LINEAR, 2.0, [0.05, 1e-4])
+
+
+MIXED = IntervalSet([(0.05, 0.2, True, True), (0.3, 0.45, False, False),
+                     (0.5, 0.62, True, False), (0.7, 0.81, False, True),
+                     (0.9, 0.9, True, True)])
+
+BATCHED_SCANS = {
+    "interval": (SampledSpace.interval(700), 2.5, [0.08, 0.05, 0.031, 0.02,
+                                                   0.0105], None),
+    "interval restricted": (SampledSpace.interval(700), 3.0,
+                            [0.08, 0.05, 0.031, 0.02, 0.0105], MIXED),
+    # the first two caps reach n - 1
+    "small interval": (SampledSpace.interval(12), 2.0,
+                       [1.5, 0.95, 0.5, 0.3], IntervalSet.closed(0.2, 0.7)),
+    # the first two caps reach side // 2
+    "torus": (SampledSpace.torus(12), 3.0, [0.6, 0.55, 0.3, 0.26], None),
+    # r / h rounds up to 6 and 3, so the cap, not the ball, drops the
+    # offsets (6, 0) and (3, 0) at distance 0.24 and 0.12 < r
+    "torus cap inside ball": (SampledSpace.torus(25), 2.0,
+                              [0.5, np.nextafter(0.24, 1.0),
+                               np.nextafter(0.12, 1.0)], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_SCANS))
+def test_scan_matches_per_radius_bits(name):
+    space, p, radii, restriction = BATCHED_SCANS[name]
+    u = np.random.default_rng(29).normal(size=space.points.shape[0])
+    scan = ks_limit_scan(space, u, p, radii, restriction)
+    kernels = [KSKernel(r, p, restriction) for r in radii]
+    lone = np.array([ks_energy(space, u, k) for k in kernels])
+    literal = np.array([per_radius_ks(space, u, k) for k in kernels])
+    assert scan.j_values.tobytes() == lone.tobytes()
+    assert scan.j_values.tobytes() == literal.tobytes()
+    assert np.all(scan.j_values > 0.0)
+
+
+def test_scan_input_errors_match_ks_energy():
+    tor = SampledSpace.torus(16)
+    bad = LINEAR.copy()
+    bad[5] = np.inf
+    cases = [
+        (GRID, LINEAR, 1.0, None, "exponent p must exceed 1"),
+        (GRID, np.zeros(7), 2.0, None, "one value of u per grid point"),
+        (GRID, bad, 2.0, None, "u must be finite"),
+        (tor, np.zeros(256), 2.0, IntervalSet.closed(0.0, 0.5),
+         "restriction sets apply to the interval grid only"),
+    ]
+    for space, u, p, restriction, message in cases:
+        radii = [0.3, 0.2] if space is tor else [0.05, 0.03]
+        with pytest.raises(ValueError, match=message):
+            ks_energy(space, u, KSKernel(radii[0], p, restriction))
+        with pytest.raises(ValueError, match=message):
+            ks_limit_scan(space, u, p, radii, restriction)
+
+
+def test_membership_matches_pointwise_contains():
+    space = SampledSpace.interval(40)
+    x = space.points
+    # ends on grid points, with every bracket kind and a closed point
+    on_grid = IntervalSet([(x[2], x[6], True, True),
+                           (x[9], x[13], False, False),
+                           (x[16], x[20], True, False),
+                           (x[23], x[27], False, True),
+                           (x[31], x[31], True, True)])
+    for restriction in (on_grid, MIXED, IntervalSet.empty(),
+                        IntervalSet.full()):
+        want = [1.0 if restriction.contains(float(t)) else 0.0 for t in x]
+        got = _membership(space, restriction)
+        assert got.tobytes() == np.array(want).tobytes()
+    assert _membership(space, on_grid)[[2, 6, 9, 13, 16, 20, 23, 27, 31]] \
+        .tolist() == [1, 1, 0, 0, 1, 0, 0, 1, 1]
+    assert np.all(_membership(space, None) == 1.0)
+    with pytest.raises(ValueError):
+        _membership(SampledSpace.torus(4), on_grid)
 
 
 def test_scan_constant_all_zero():
