@@ -364,11 +364,12 @@ class SGForm:
         return cls(level, p, rho=rho)
 
     def energy(self, values) -> float:
+        from . import gasket
         v = np.asarray(values, dtype=float)
         if v.size != self.graph.n_vertices:
             raise ValueError(f"need {self.graph.n_vertices} vertex values")
-        d = v[self.graph.edge_j] - v[self.graph.edge_i]
-        return float(self.rho ** self.level * np.sum(np.abs(d) ** self.p))
+        return (self.rho ** self.level
+                * gasket.graph_energy(self.graph, self.p, v))
 
     def energy_derivative(self, u, v) -> float:
         uu = np.asarray(u, dtype=float)

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import spsolve
 
 from penergy import gasket
+
+# an overflow at a tiny smoothing width or a singular Newton matrix
+# (MatrixRankWarning) must fail a test rather than pass silently
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +41,14 @@ def test_edges_are_unique_and_short():
     assert len(pairs) == g.edge_i.size
     lengths = np.hypot(*(g.coords[g.edge_j] - g.coords[g.edge_i]).T)
     assert np.allclose(lengths, 0.25)
+
+
+def test_edges_follow_cells():
+    # edges (a, b), (a, c), (b, c) of each cell in turn, low index first
+    g = gasket.build_gasket(4)
+    ref = [(min(u, v), max(u, v)) for a, b, c in g.cells.tolist()
+           for u, v in ((a, b), (a, c), (b, c))]
+    assert list(zip(g.edge_i.tolist(), g.edge_j.tolist())) == ref
 
 
 def test_builder_is_deterministic():
@@ -119,6 +133,63 @@ def test_p15_extension_converges():
     assert ext.converged
     assert ext.energy < gasket.graph_energy(
         g, 1.5, gasket.exact_p2_extension(g, [1.0, 0.3, 0.0])) + 1e-12
+
+
+def _fenchel_lower_bound(g, p, boundary_values, values):
+    """Energy of ``values`` and a lower bound on the minimal energy.
+
+    Independent of the solver: the edge flux p|d|^(p-1) sgn d is made
+    interior-divergence-free by a sparse least-squares projection, and
+    Fenchel-Young on each edge then bounds every admissible energy below.
+    """
+    m = g.edge_i.size
+    rows = np.repeat(np.arange(m), 2)
+    cols = np.stack([g.edge_i, g.edge_j], axis=1).ravel()
+    inc = coo_matrix((np.tile([-1.0, 1.0], m), (rows, cols)),
+                     shape=(m, g.n_vertices)).tocsc()
+    b_int = inc[:, g.interior]
+    c = inc[:, list(g.boundary)] @ np.asarray(boundary_values, dtype=float)
+    d = values[g.edge_j] - values[g.edge_i]
+    flux = p * np.abs(d) ** (p - 1.0) * np.sign(d)
+    q = flux - b_int @ spsolve((b_int.T @ b_int).tocsc(), b_int.T @ flux)
+    lower = q @ c - (p - 1.0) * np.sum((np.abs(q) / p) ** (p / (p - 1.0)))
+    return float(np.sum(np.abs(d) ** p)), float(lower)
+
+
+@pytest.mark.parametrize("boundary", [(0.0, 1.0, 0.3), (1.0, 0.0, 0.0)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("level", [5, 6, 7])
+def test_extension_within_independent_duality_gap(level, p, boundary):
+    g = gasket.build_gasket(level)
+    ext = gasket.harmonic_extension(g, p, boundary)
+    energy, lower = _fenchel_lower_bound(g, p, boundary, ext.values)
+    assert ext.converged
+    assert ext.energy == pytest.approx(energy, rel=1e-13)
+    assert energy - lower <= 1e-10 * energy
+
+
+@pytest.mark.parametrize("level", [5, 7])
+def test_p12_extension_reports_its_gap_honestly(level):
+    g = gasket.build_gasket(level)
+    bv = (0.0, 1.0, 0.3)
+    tol = 1e-10
+    ext = gasket.harmonic_extension(g, 1.2, bv, tol=tol)
+    assert ext.converged == (ext.gap <= tol * ext.energy)
+    assert np.isfinite(ext.gap)
+    assert ext.gap >= -1e-15 * ext.energy
+    start = gasket.exact_p2_extension(g, bv)
+    assert ext.energy <= gasket.graph_energy(g, 1.2, start)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_level_energy_ratio_matches_renormalization(p):
+    # the minimal level-m energies of fixed data scale like rho_p^-m, so
+    # E_6 / E_7 is a second route to the fixed point's rho_p
+    bv = (0.0, 1.0, 0.3)
+    e6, e7 = (gasket.harmonic_extension(gasket.build_gasket(m), p, bv).energy
+              for m in (6, 7))
+    rho = gasket.renormalization_constant(p).rho
+    assert e6 / e7 == pytest.approx(rho, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
