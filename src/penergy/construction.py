@@ -154,10 +154,6 @@ class ConvergenceTrace:
         """The running infimum; energies decrease up to stopping noise."""
         return float(min(self.energies))
 
-    @property
-    def last(self) -> float:
-        return float(self.energies[-1])
-
     def to_rows(self):
         """(n, energy, inf_so_far) rows for dumps."""
         rows = []
@@ -205,16 +201,16 @@ def _require_pl(form) -> PLIntervalForm:
 # cell functions and their energies
 
 
-def cell_function(f: PLFunction, g: PLFunction, a: float, n: int,
-                  piece_cap: int | None = None) -> PLFunction:
+def cell_function(f: PLFunction, g: PLFunction, a: float,
+                  n: int) -> PLFunction:
     """The capped fold min(T_n o f, S_n^a o g), materialised literally.
 
     Exponential in n; useful for cross-checks at small levels and as the
     defining object.  Deep levels go through :func:`folded_lid_energy`.
     """
-    folded = triangle_fold(f, n, piece_cap=piece_cap)
-    lid = shifted_cut(g, a, n, piece_cap=piece_cap)
-    return lattice(folded, lid, "min", piece_cap=piece_cap)
+    folded = triangle_fold(f, n)
+    lid = shifted_cut(g, a, n)
+    return lattice(folded, lid, "min")
 
 
 #: fold nodes expanded per kernel step; bounds the kernel's scratch memory

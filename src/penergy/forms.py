@@ -453,8 +453,8 @@ def check_clarkson(form, sampler, trials: int = 64,
     for k in range(trials):
         u, v = _sample_pair(form, sampler, k)
         fu, fv = form.seminorm(u), form.seminorm(v)
-        fp = form.seminorm(_add(form, u, v, 1.0))
-        fm = form.seminorm(_add(form, u, v, -1.0))
+        fp = form.seminorm(u + v)
+        fm = form.seminorm(u - v)
         scale = max(fu ** form.p + fv ** form.p, 1e-30)
         for name, slack in _clarkson_slacks(form.p, fu, fv, fp, fm).items():
             rel = slack / scale
@@ -475,13 +475,6 @@ def _sample_pair(form, sampler, k):
     return sampler.vertex_pair(k, n)
 
 
-def _add(form, u, v, sign):
-    if isinstance(form, PLIntervalForm):
-        from .pl import affine_combine
-        return affine_combine(1.0, u, sign, v)
-    return np.asarray(u) + sign * np.asarray(v)
-
-
 # ---------------------------------------------------------------------------
 # assumption audit
 
@@ -491,7 +484,8 @@ class AssumptionsReport:
     """Outcome of the sampled form-assumption audit.
 
     ``checks`` maps check name to (worst normalised slack, tolerance,
-    passed); ``notes`` records the facts that are documented rather than
+    passed); ``clarkson`` is the Clarkson audit the clarkson checks were
+    folded from; ``notes`` records the facts that are documented rather than
     tested (completeness of the domain, regularity, and the graph-model
     locality deviation).
     """
@@ -499,6 +493,7 @@ class AssumptionsReport:
     seed: int
     trials: int
     checks: dict
+    clarkson: ClarksonReport
     notes: dict = field(default_factory=dict)
 
     @property
@@ -532,12 +527,12 @@ def check_assumptions(form, sampler, trials: int = 32) -> AssumptionsReport:
         su, sv = form.seminorm(u), form.seminorm(v)
         scale = max(su + sv, 1e-30)
         fold_in("triangle",
-                (su + sv - form.seminorm(_add(form, u, v, 1.0))) / scale, 1e-9)
+                (su + sv - form.seminorm(u + v)) / scale, 1e-9)
         c = 0.5 + 1.5 * (k % 5) / 4.0
         eu = form.energy(u)
         escale = max(eu, 1e-30)
         fold_in("homogeneity",
-                -abs(form.energy(_scale(form, u, -c)) - c ** p * eu) / escale,
+                -abs(form.energy(u * -c) - c ** p * eu) / escale,
                 1e-9)
 
     clk = check_clarkson(form, sampler, trials)
@@ -566,13 +561,7 @@ def check_assumptions(form, sampler, trials: int = 32) -> AssumptionsReport:
                                     "energy is not strongly local")
 
     return AssumptionsReport(form.to_descriptor(), sampler.seed, trials,
-                             checks, notes)
-
-
-def _scale(form, u, c):
-    if isinstance(form, PLIntervalForm):
-        return u * c
-    return np.asarray(u) * c
+                             checks, clk, notes)
 
 
 def _random_normal_contraction(sampler, k, f) -> PLMap:

@@ -185,15 +185,20 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
     damped Newton solver (see the module docstring) unless ``x0`` overrides
     it; the solver stops once the duality gap is at most ``tol`` times the
     energy, when a line search finds no descent, or after ``_MAX_STEPS``.
+    ``x0`` holds one finite value per vertex in builder order; its boundary
+    entries are ignored.
     """
     if not p > 1.0:
         raise ValueError("p must be > 1")
     bv = np.asarray(boundary_values, dtype=float)
     if bv.size != 3:
         raise ValueError("need exactly 3 boundary values")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (graph.n_vertices,) or not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must hold one finite value per vertex")
     b_int, c, lap = _laplacian_system(graph, bv)
-    x = lap.solve(-(b_int.T @ c)) if x0 is None else np.asarray(
-        x0, dtype=float)[graph.interior]
+    x = lap.solve(-(b_int.T @ c)) if x0 is None else x0[graph.interior]
     scale = float(np.abs(b_int @ x + c).max())
     floor = _EPS_FLOOR * scale
     eps = scale if p < 2.0 else floor

@@ -184,14 +184,19 @@ def set_masses(form: PLIntervalForm, f: PLFunction, targets,
     return out
 
 
+def _check_route(route: str) -> None:
+    """Reject an unknown mass route; every function that takes a route calls
+    this first, so the helpers below see only the two known ones."""
+    if route not in ("oracle", "construction"):
+        raise ValueError(f"unknown mass route {route!r}")
+
+
 def _masses(form, f, sets, route: str,
             sched: FoldSchedule = MEASURE_SCHEDULE) -> np.ndarray:
     if route == "oracle":
         cells = Cells(form, f)
         return cells.integrate(cells.mass(f), sets)
-    if route == "construction":
-        return set_masses(form, f, sets, sched)
-    raise ValueError(f"unknown mass route {route!r}")
+    return set_masses(form, f, sets, sched)
 
 
 def _route_tol(route: str) -> float:
@@ -258,6 +263,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     rides along in ``closed_form`` for cross-checks.  Raises
     ExtrapolationError when extrapolants disagree beyond the raw deltas.
     """
+    _check_route(route)
     _require_pl(form)
     steps = tuple(float(t) for t in steps)
     if len(steps) < 2 or any(t <= 0.0 for t in steps) \
@@ -305,6 +311,7 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
     Sampled draws rarely hit exact zeros, so each trial also checks a
     plateaued variant (f - median)^+ whose zero set has genuine interior.
     """
+    _check_route(route)
     _require_pl(form)
     worst = _Worst()
     full = IntervalSet.full()
@@ -345,6 +352,7 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
                           trials: int = 16, route: str = "oracle", sets=None,
                           sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """mu_{af} = |a|^p mu_f and mu_{|f-a|-|a|} = mu_f on the set family."""
+    _check_route(route)
     _require_pl(form)
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     p = form.p
@@ -392,6 +400,7 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
     Slacks are normalised by the pair's total energy (the p-power scale), so
     sets of tiny mass do not amplify schedule noise.
     """
+    _check_route(route)
     _require_pl(form)
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     p = form.p
@@ -416,6 +425,7 @@ def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
                          trials: int = 40, route: str = "oracle", sets=None,
                          sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """mu_{f+g}(A)^{1/p} <= mu_f(A)^{1/p} + mu_g(A)^{1/p} on the family."""
+    _check_route(route)
     _require_pl(form)
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     invp = 1.0 / form.p
@@ -442,6 +452,7 @@ def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
     route runs at tolerance 1e-6 relative to E(f) + E(g): endpoint limits
     carry schedule-level error only, well under that line.
     """
+    _check_route(route)
     _require_pl(form)
     tol = ORACLE_TOL if route == "oracle" else 1e-6
     worst = _Worst()
@@ -485,6 +496,7 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
                      trials: int = 32, route: str = "oracle", sets=None,
                      sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """mu of f v (g-a) and f ^ (g+a) stay within c_p (mu_f + mu_g) setwise."""
+    _check_route(route)
     _require_pl(form)
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     c_p = 2.0 ** abs(form.p - 2.0)
@@ -547,6 +559,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
     sgn(phi' o f)|phi' o f|^{p-1} through two_variable_measure, rescaled
     into this report's tolerance.
     """
+    _check_route(route)
     _require_pl(form)
     p = form.p
     worst = _Worst()
@@ -604,8 +617,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
                 worst.push(-rel * CONSTRUCTION_TOL / dtol, trial=k,
                            check="weighting_derivative")
     return _report("chain_rule", form, sampler.seed, trials, worst,
-                   CONSTRUCTION_TOL if route == "construction"
-                   else ORACLE_TOL)
+                   _route_tol(route))
 
 
 def _chain_weighted_masses(form, f, phi, v, targets) -> np.ndarray:
@@ -862,6 +874,7 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
                    route: str = "oracle", sets=None,
                    sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """The smaller form's measure is dominated setwise by the larger's."""
+    _check_route(route)
     _require_pl(form_lo)
     _require_pl(form_hi)
     if form_lo.p != form_hi.p:
@@ -972,6 +985,7 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
     difference 2 m(d/2) - m(d) cancels the locally linear mass exactly and
     the residue estimates the atom.
     """
+    _check_route(route)
     _require_pl(form)
     worst = _Worst()
     for k in range(trials):

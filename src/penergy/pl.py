@@ -14,9 +14,10 @@ Conventions used throughout:
   nodes closer than ``GEOM_TOL`` are merged;
 * after every constructive operation, collinear neighbours (slope difference
   below ``SLOPE_MERGE_TOL``) are pruned, so representations stay canonical;
-* operations that can grow the breakpoint count accept a ``piece_cap``
-  (default ``PIECE_CAP``) and raise :class:`PieceCapError` instead of
-  allocating an oversized representation.
+* the piece cap is a fixed policy, not a per-call option: every operation
+  that can grow the breakpoint count checks the module constant
+  ``PIECE_CAP`` and raises :class:`PieceCapError` instead of allocating an
+  oversized representation.
 
 ``PLMap`` is the companion type for piecewise-linear maps defined on an
 arbitrary interval of the real line; it is what gets composed with functions
@@ -36,7 +37,7 @@ GEOM_TOL = 1e-12
 #: adjacent pieces whose slopes differ by less than this are merged
 SLOPE_MERGE_TOL = 1e-12
 
-#: default cap on the number of stored breakpoints of any constructed function
+#: cap on the number of stored breakpoints of any constructed function
 PIECE_CAP = 2_000_000
 
 #: largest admissible triangle-fold level for materialised folds
@@ -62,10 +63,9 @@ def _as_float_array(a) -> np.ndarray:
     return arr
 
 
-def _check_cap(n: int, piece_cap: int | None) -> None:
-    cap = PIECE_CAP if piece_cap is None else int(piece_cap)
-    if n > cap:
-        raise PieceCapError(f"operation needs {n} breakpoints, cap is {cap}")
+def _check_cap(n: int) -> None:
+    if n > PIECE_CAP:
+        raise PieceCapError(f"operation needs {n} breakpoints, cap is {PIECE_CAP}")
 
 
 def _merge_sorted_grids(*grids: np.ndarray) -> np.ndarray:
@@ -154,13 +154,6 @@ class PLMap(_PLBase):
     def domain(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    def piece_lipschitz(self) -> np.ndarray:
-        """Per-piece Lipschitz constants, i.e. absolute slopes."""
-        return np.abs(self.slopes)
-
-    def lipschitz(self) -> float:
-        return float(self.piece_lipschitz().max())
-
     @classmethod
     def identity(cls, lo: float, hi: float) -> "PLMap":
         return cls([lo, hi], [lo, hi])
@@ -194,7 +187,7 @@ class PLMap(_PLBase):
         eps = 2.0 ** (-n)
         k_lo = int(np.floor(lo / eps)) + 1
         k_hi = int(np.ceil(hi / eps)) - 1
-        _check_cap(max(0, k_hi - k_lo + 1) + 2, None)
+        _check_cap(max(0, k_hi - k_lo + 1) + 2)
         interior = np.arange(k_lo, k_hi + 1, dtype=float) * eps
         knots = np.concatenate(([lo], interior, [hi]))
         vals = triangle_wave(knots, n)
@@ -211,11 +204,11 @@ class PLFunction(_PLBase):
     Immutable.  Serialises to ``{"x": [...], "y": [...]}``.
     """
 
-    def __init__(self, breakpoints, values, *, piece_cap: int | None = None):
+    def __init__(self, breakpoints, values):
         x = _as_float_array(breakpoints)
         if abs(x[0]) > GEOM_TOL or abs(x[-1] - 1.0) > GEOM_TOL:
             raise ValueError("domain must be exactly [0, 1]")
-        _check_cap(x.size, piece_cap)
+        _check_cap(x.size)
         super().__init__(x, values)
         # snap the endpoints so downstream arithmetic sees exactly [0, 1]
         if self.breakpoints[0] != 0.0 or self.breakpoints[-1] != 1.0:
@@ -251,21 +244,7 @@ class PLFunction(_PLBase):
         return json.dumps({"x": self.breakpoints.tolist(),
                            "y": self.values.tolist()})
 
-    # -- small conveniences (the named ops below are the real interface) ----
-
-    def simplified(self) -> "PLFunction":
-        x, y = _prune_collinear(self.breakpoints, self.values)
-        return PLFunction(x, y)
-
-    def restricted_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes of the restriction to [lo, hi], endpoints included."""
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError("need 0 <= lo < hi <= 1")
-        inside = (self.breakpoints > lo + GEOM_TOL) & (self.breakpoints < hi - GEOM_TOL)
-        xs = np.concatenate(([lo], self.breakpoints[inside], [hi]))
-        ys = np.concatenate(([self.evaluate(lo)], self.values[inside],
-                             [self.evaluate(hi)]))
-        return xs, ys
+    # -- arithmetic (the named ops below are the real interface) ------------
 
     def __add__(self, other):
         if isinstance(other, PLFunction):
@@ -311,59 +290,50 @@ def shifted_cut_scalar(t, a: float, n: int):
 # exact binary/unary operations
 
 
+def _crossings(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where the linear interpolant of d on the nodes x changes sign
+    strictly inside a cell: x0 + t (x1 - x0) with t = d0 / (d0 - d1)."""
+    hit = (d[:-1] * d[1:]) < 0.0
+    x0, x1, d0, d1 = x[:-1][hit], x[1:][hit], d[:-1][hit], d[1:][hit]
+    return x0 + d0 / (d0 - d1) * (x1 - x0)
+
+
 def _with_level_crossings(f: PLFunction, levels) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints of f enriched with exact preimages of the given levels."""
     x, y = f.breakpoints, f.values
-    extra = []
-    y0, y1 = y[:-1], y[1:]
-    x0, x1 = x[:-1], x[1:]
-    for lev in levels:
-        if not np.isfinite(lev):
-            continue
-        d0, d1 = y0 - lev, y1 - lev
-        hit = (d0 * d1) < 0.0
-        if np.any(hit):
-            t = d0[hit] / (d0[hit] - d1[hit])
-            extra.append(x0[hit] + t * (x1[hit] - x0[hit]))
-    if not extra:
+    extra = [_crossings(x, y - lev) for lev in levels if np.isfinite(lev)]
+    if not any(e.size for e in extra):
         return x, y
     grid = _merge_sorted_grids(x, *extra)
     return grid, f.evaluate(grid)
 
 
-def affine_combine(a: float, f: PLFunction, b: float, g: PLFunction,
-                   piece_cap: int | None = None) -> PLFunction:
+def affine_combine(a: float, f: PLFunction, b: float, g: PLFunction) -> PLFunction:
     """Exact a*f + b*g on the merged breakpoint grid."""
     grid = _merge_sorted_grids(f.breakpoints, g.breakpoints)
-    _check_cap(grid.size, piece_cap)
+    _check_cap(grid.size)
     vals = a * f.evaluate(grid) + b * g.evaluate(grid)
-    return PLFunction(*_prune_collinear(grid, vals), piece_cap=piece_cap)
+    return PLFunction(*_prune_collinear(grid, vals))
 
 
-def lattice(f: PLFunction, g: PLFunction, op: str = "min",
-            piece_cap: int | None = None) -> PLFunction:
+def lattice(f: PLFunction, g: PLFunction, op: str = "min") -> PLFunction:
     """Pointwise min or max with crossings solved exactly segment by segment."""
     if op not in ("min", "max"):
         raise ValueError("op must be 'min' or 'max'")
     grid = _merge_sorted_grids(f.breakpoints, g.breakpoints)
     fv = f.evaluate(grid)
     gv = g.evaluate(grid)
-    d0 = fv[:-1] - gv[:-1]
-    d1 = fv[1:] - gv[1:]
-    hit = (d0 * d1) < 0.0
-    if np.any(hit):
-        t = d0[hit] / (d0[hit] - d1[hit])
-        cross = grid[:-1][hit] + t * np.diff(grid)[hit]
+    cross = _crossings(grid, fv - gv)
+    if cross.size:
         grid = _merge_sorted_grids(grid, cross)
         fv = f.evaluate(grid)
         gv = g.evaluate(grid)
-    _check_cap(grid.size, piece_cap)
+    _check_cap(grid.size)
     vals = np.minimum(fv, gv) if op == "min" else np.maximum(fv, gv)
-    return PLFunction(*_prune_collinear(grid, vals), piece_cap=piece_cap)
+    return PLFunction(*_prune_collinear(grid, vals))
 
 
-def cut(f: PLFunction, a: float, b: float,
-        piece_cap: int | None = None) -> PLFunction:
+def cut(f: PLFunction, a: float, b: float) -> PLFunction:
     """Normalised double cut: clip f between levels a < b, anchored at 0.
 
     Returns x -> clip(f(x), a, b) - clip(0, a, b); infinite levels are
@@ -374,11 +344,10 @@ def cut(f: PLFunction, a: float, b: float,
     grid, vals = _with_level_crossings(f, (a, b))
     offset = min(max(0.0, a), b)
     vals = np.clip(vals, a, b) - offset
-    return PLFunction(*_prune_collinear(grid, vals), piece_cap=piece_cap)
+    return PLFunction(*_prune_collinear(grid, vals))
 
 
-def triangle_fold(f: PLFunction, n: int,
-                  piece_cap: int | None = None) -> PLFunction:
+def triangle_fold(f: PLFunction, n: int) -> PLFunction:
     """Compose f with the level-n triangle wave T_n, exactly.
 
     Each piece of f acquires a node at every preimage of a multiple of
@@ -395,7 +364,7 @@ def triangle_fold(f: PLFunction, n: int,
     k_lo = np.floor(lo / eps).astype(np.int64) + 1
     k_hi = np.ceil(hi / eps).astype(np.int64) - 1
     counts = np.maximum(0, k_hi - k_lo + 1)
-    _check_cap(int(counts.sum()) + x.size, piece_cap)
+    _check_cap(int(counts.sum()) + x.size)
 
     xs_parts = [x[:1]]
     ys_parts = [triangle_wave(y[:1], n)]
@@ -416,11 +385,10 @@ def triangle_fold(f: PLFunction, n: int,
         ys_parts.append(triangle_wave(y[i + 1:i + 2], n))
     xs = np.concatenate(xs_parts)
     ys = np.concatenate(ys_parts)
-    return PLFunction(*_prune_collinear(xs, ys), piece_cap=piece_cap)
+    return PLFunction(*_prune_collinear(xs, ys))
 
 
-def shifted_cut(g: PLFunction, a: float, n: int,
-                piece_cap: int | None = None) -> PLFunction:
+def shifted_cut(g: PLFunction, a: float, n: int) -> PLFunction:
     """Compose g with the shifted ramp S_n^a.
 
     The result is 2^-n on {g <= a}, 0 on {g >= a + 2^-n} and ramps linearly
@@ -431,11 +399,10 @@ def shifted_cut(g: PLFunction, a: float, n: int,
     eps = 2.0 ** (-n)
     grid, vals = _with_level_crossings(g, (a, a + eps))
     out = np.clip(a + eps - vals, 0.0, eps)
-    return PLFunction(*_prune_collinear(grid, out), piece_cap=piece_cap)
+    return PLFunction(*_prune_collinear(grid, out))
 
 
-def compose(phi: PLMap, f: PLFunction,
-            piece_cap: int | None = None) -> PLFunction:
+def compose(phi: PLMap, f: PLFunction) -> PLFunction:
     """Exact post-composition phi(f(x)).
 
     Requires the domain of phi to cover the value range of f.  Nodes are
@@ -449,9 +416,9 @@ def compose(phi: PLMap, f: PLFunction,
             f"map domain [{dlo:g}, {dhi:g}] does not cover value range "
             f"[{lo:g}, {hi:g}]")
     grid, vals = _with_level_crossings(f, phi.breakpoints[1:-1])
-    _check_cap(grid.size, piece_cap)
+    _check_cap(grid.size)
     out = phi.evaluate(np.clip(vals, dlo, dhi))
-    return PLFunction(*_prune_collinear(grid, out), piece_cap=piece_cap)
+    return PLFunction(*_prune_collinear(grid, out))
 
 
 @dataclass(frozen=True)
@@ -465,21 +432,17 @@ class ProductApprox:
     sup_error: float
 
 
-def refined_grid(grids, refine: int, piece_cap: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def refined_grid(grids, refine: int) -> tuple[np.ndarray, np.ndarray]:
     """The merged grid of the given node arrays, and that grid with each
     cell split into ``refine`` equal parts."""
     base = _merge_sorted_grids(*grids)
-    _check_cap((base.size - 1) * refine + 1, piece_cap)
-    if refine == 1:
-        return base, base
+    _check_cap((base.size - 1) * refine + 1)
     t = np.linspace(0.0, 1.0, refine + 1)[:-1]
     cells = base[:-1][:, None] + np.diff(base)[:, None] * t[None, :]
     return base, np.append(cells.ravel(), base[-1])
 
 
-def pl_product(f: PLFunction, g: PLFunction, refine: int = 8,
-               piece_cap: int | None = None) -> ProductApprox:
+def pl_product(f: PLFunction, g: PLFunction, refine: int = 8) -> ProductApprox:
     """Piecewise-linear interpolant of the product f*g.
 
     The merged grid is split ``refine``-fold per piece and the product is
@@ -490,11 +453,10 @@ def pl_product(f: PLFunction, g: PLFunction, refine: int = 8,
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    base, grid = refined_grid((f.breakpoints, g.breakpoints), refine,
-                              piece_cap)
+    base, grid = refined_grid((f.breakpoints, g.breakpoints), refine)
     fv = f.evaluate(grid)
     gv = g.evaluate(grid)
-    prod = PLFunction(*_prune_collinear(grid, fv * gv), piece_cap=piece_cap)
+    prod = PLFunction(*_prune_collinear(grid, fv * gv))
 
     h = np.diff(base) / refine
     fs = np.diff(f.evaluate(base)) / np.diff(base)
@@ -503,8 +465,7 @@ def pl_product(f: PLFunction, g: PLFunction, refine: int = 8,
     return ProductApprox(prod, err)
 
 
-def pl_power_interp(f: PLFunction, q: float, refine: int = 16,
-                    piece_cap: int | None = None) -> ProductApprox:
+def pl_power_interp(f: PLFunction, q: float, refine: int = 16) -> ProductApprox:
     """PL interpolant of x -> |f(x)|^q with an empirical sup-error bound.
 
     Nodes are placed at the breakpoints of f, at its zero crossings (where
@@ -514,16 +475,10 @@ def pl_power_interp(f: PLFunction, q: float, refine: int = 16,
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    grid0, vals0 = _with_level_crossings(f, (0.0,))
-    if refine > 1:
-        t = np.linspace(0.0, 1.0, refine + 1)[:-1]
-        cells = grid0[:-1][:, None] + np.diff(grid0)[:, None] * t[None, :]
-        grid = np.append(cells.ravel(), grid0[-1])
-    else:
-        grid = grid0
-    _check_cap(grid.size, piece_cap)
+    x = f.breakpoints
+    _, grid = refined_grid((x, _crossings(x, f.values)), refine)
     vals = np.abs(f.evaluate(grid)) ** q
-    approx = PLFunction(*_prune_collinear(grid, vals), piece_cap=piece_cap)
+    approx = PLFunction(*_prune_collinear(grid, vals))
     probe_t = np.linspace(0.0, 1.0, 11)[1:-1]
     probes = (grid[:-1][:, None] + np.diff(grid)[:, None] * probe_t[None, :]).ravel()
     err = float(np.max(np.abs(np.abs(f.evaluate(probes)) ** q

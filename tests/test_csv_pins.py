@@ -2,8 +2,9 @@
 
 Criterion 11 compares two runs of one checkout; these hashes were recorded
 from an earlier build, so a change that moves a single digit of
-``build_measure.csv``, ``check_laws.csv`` or ``ks_energy.csv`` on these
-small configs fails here.  A change that moves them on purpose records the
+``build_measure.csv``, ``check_laws.csv``, ``ks_energy.csv``,
+``validate_form.csv`` or ``sg_renorm.csv`` on these small configs fails
+here.  A change that moves them on purpose records the
 new hashes and says why.
 """
 
@@ -54,6 +55,26 @@ PINS = {
         {"seed": 7, "space": "torus", "n": 48, "p": 3.0, "profile": "step",
          "r_list": [0.52, 0.3, 0.17, 0.1]},
         "4d24fb0a40ed3ab56ab1b1b4b8d0280e511a820b92a335ed111edf0a714e6745"),
+    "validate-form default": (
+        "validate-form", "validate_form.csv", {"seed": 7},
+        "522608d1897cf4631debd60b85c8bab4656b4ce1dacb10cb23965ba0e7790987"),
+    "validate-form 3-cell weight": (
+        "validate-form", "validate_form.csv",
+        {"seed": 7, "form": {"kind": "pl", "p": 3.0, "weight": WEIGHT3}},
+        "9b1d3abecf9deae8c9ae25043d6bab159274ffbda56ebbae7a38dbd661bdf1ef"),
+    "validate-form graph": (
+        "validate-form", "validate_form.csv",
+        {"seed": 7, "form": {"kind": "graph", "p": 1.5, "vertices": 4,
+                             "edges": [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 2.0],
+                                       [3, 0, 1.0], [0, 2, 0.25]]}},
+        "571b11c839410b4874330376caeceba75f177f3d9ecf0af7767590612615e23c"),
+    "validate-form sg": (
+        "validate-form", "validate_form.csv",
+        {"seed": 7, "form": {"kind": "sg", "p": 2.0, "level": 3}},
+        "9981f218b6f73f41d67526b0957a29dce48627762bdda96f786959e625fd4dab"),
+    "sg-renorm": (
+        "sg-renorm", "sg_renorm.csv", {"seed": 7, "p_list": [2.0, 3.0]},
+        "1305936cb865ef8a2b0d953f06148bf6ec4a0590f0552e1660988aa423c58627"),
 }
 
 

@@ -127,6 +127,16 @@ def test_p3_extension_unique_minimiser():
     assert a.energy <= gasket.graph_energy(g, 3.0, p2) + 1e-12
 
 
+@pytest.mark.parametrize("x0", [np.zeros(100), np.zeros(5),
+                                np.full(15, np.nan)],
+                         ids=["too long", "too short", "nan"])
+def test_extension_rejects_malformed_start(x0):
+    g = gasket.build_gasket(2)
+    assert g.n_vertices == 15
+    with pytest.raises(ValueError, match="x0"):
+        gasket.harmonic_extension(g, 3.0, [1.0, 0.0, -1.0], x0=x0)
+
+
 def test_p15_extension_converges():
     g = gasket.build_gasket(2)
     ext = gasket.harmonic_extension(g, 1.5, [1.0, 0.3, 0.0])

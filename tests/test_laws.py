@@ -6,9 +6,12 @@ both mass routes where that is meaningful.  The heavy sweeps live in the
 acceptance module; trial counts here are kept small.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from penergy import laws
 from penergy.construction import MEASURE_SCHEDULE
 from penergy.forms import PLIntervalForm
 from penergy.laws import (
@@ -72,6 +75,45 @@ def test_default_set_family_adds_unions():
     fam = default_set_family(SAMPLER, levels=2, unions=3)
     assert len(fam) == 7 + 3
     assert all(isinstance(s, IntervalSet) for s in fam)
+
+
+# one cheap call of every public function that takes a mass route
+ROUTE_CALLS = {
+    "two_variable_measure": lambda route: two_variable_measure(
+        UNIFORM2, IDENT, IDENT, dyadic_sets(1), route=route),
+    "law_total_mass": lambda route: law_total_mass(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_homogeneity_shift": lambda route: law_homogeneity_shift(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_measure_clarkson": lambda route: law_measure_clarkson(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_measure_triangle": lambda route: law_measure_triangle(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_locality": lambda route: law_locality(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_minmax_bound": lambda route: law_minmax_bound(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_chain_rule": lambda route: law_chain_rule(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+    "law_domination": lambda route: law_domination(
+        UNIFORM2, heavier_form(UNIFORM2), SAMPLER, trials=1, route=route),
+    "law_image_density": lambda route: law_image_density(
+        UNIFORM2, SAMPLER, trials=1, route=route),
+}
+
+
+def test_route_calls_cover_every_route_taking_function():
+    taking = {name for name, fn in vars(laws).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and "route" in inspect.signature(fn).parameters}
+    assert taking == set(ROUTE_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CALLS))
+def test_unknown_mass_route_is_rejected(name):
+    # a miscased route must not fall through to either route
+    with pytest.raises(ValueError, match="unknown mass route"):
+        ROUTE_CALLS[name]("Oracle")
 
 
 @pytest.mark.parametrize("form", [UNIFORM2, UNIFORM3, WEIGHTED])

@@ -267,7 +267,7 @@ def test_intervalset_open_components_drop_points():
 def test_piece_cap_enforced():
     f = SAMPLER.pl(2)
     with pytest.raises(PieceCapError):
-        triangle_fold(f, 14, piece_cap=1000)
+        triangle_fold(f, 24)
 
 
 def test_plfunction_json_roundtrip():
