@@ -15,8 +15,13 @@ whatever n is.  One ragged kernel, :func:`_band_energy`, integrates the
 bands of a whole batch of thresholds, fed by two producers: the identity
 witness, whose band is the x-interval [a, a + 2^-n], and general lids,
 classified one by one in :func:`_folded_lid_parts`.  One driver,
-:func:`_drive`, runs a batch through the levels until every threshold,
-band residual included, is quiet.
+:func:`_drive`, runs groups of thresholds through the levels in
+lock-step: each group (one function f with its thresholds) keeps its own
+reference energy and stops once all its thresholds, band residual
+included, are quiet, while the band pieces of every group still running
+go through one kernel call per level.  A group's rows, stop level and
+trace do not depend on the other groups in its batch, so the identity
+witness runs the sampled functions of a whole law as one batch.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -235,7 +240,8 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
     (even k).  Between cuts fold and lid are both affine, so the lower one
     changes at most once, at the root of their difference.  Folding keeps
     |f'|, so the fold carries w |f'|^p and the lid w |lid'|^p on the
-    stretches where each is lower.
+    stretches where each is lower.  Owners must not decrease from piece to
+    piece.
     """
     x0, x1, v0, v1, l0, l1, w = pieces
     eps = 2.0 ** (-n)
@@ -248,10 +254,14 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
         raise PieceCapError(f"fold band would materialise {count.max()} "
                             "nodes on one piece")
 
-    # pieces go through in runs of about _NODE_CHUNK nodes, bounding memory
+    # pieces go through in runs of about _NODE_CHUNK nodes, bounding memory;
+    # runs start only where the owner changes, so each threshold's band is
+    # summed in one bincount whatever else shares the batch
     ends = np.cumsum(count + 2)
     cuts = np.searchsorted(ends, np.arange(0, ends[-1:].sum(), _NODE_CHUNK),
                            side="right")
+    if cuts.size > 1:
+        cuts = np.unique(np.searchsorted(owner, owner[cuts], side="left"))
     total = np.zeros(size)
     for lo, hi in zip(cuts, np.append(cuts[1:], count.size)):
         # nodes in x order: both piece ends and the lattice crossings between
@@ -353,7 +363,7 @@ def _lid_energies(form: PLIntervalForm, f: PLFunction, lids,
 
 @dataclass(frozen=True)
 class _LevelRun:
-    """A batch of fold limits: one energy row per level, one column per
+    """One group of fold limits: one energy row per level, one column per
     threshold, each threshold's trailing quiet steps, and its last step's
     change or band residual, whichever is larger, over the tolerance."""
 
@@ -388,91 +398,156 @@ class _LevelRun:
         return self.values
 
 
-def _drive(energies_at, thresholds: np.ndarray, reference: float,
-           sched: FoldSchedule, tol: float) -> _LevelRun:
-    """Run a batch of fold limits through levels n_min..n_max.
+def _cat(parts: list) -> np.ndarray:
+    """Concatenation that hands a lone part back without copying it."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    ``energies_at(n)`` gives (energy, band residual or None) per threshold.
-    A step is quiet when the energy change and the band residual, which
-    bounds the distance left to the limit, are both at most ``tol`` times
-    the largest of the two energies and ``reference``.  The batch stops
-    once every threshold has had ``stall_count`` quiet steps in a row.
+
+def _drive(energies_at, groups, sched: FoldSchedule,
+           tol: float) -> list[_LevelRun]:
+    """Run groups of fold limits through levels n_min..n_max in lock-step.
+
+    ``groups`` holds one (thresholds, reference) pair per group, and
+    ``energies_at(n, active)`` gives (energy, band residual or None) for
+    the thresholds of the groups listed in ``active``, side by side in that
+    order.  A step is quiet when the energy change and the band residual,
+    which bounds the distance left to the limit, are both at most ``tol``
+    times the largest of the two energies and the group's ``reference``.
+    A group stops once every one of its thresholds has had ``stall_count``
+    quiet steps in a row; it is then frozen and leaves the active set, so
+    its run is the one it would have had alone.
 
     A zero ``reference`` is E(f) = 0, and 0 <= F_f^g(a) <= E(f) forces
-    every limit to be exactly 0: the batch returns zeros, converged, at
+    every limit to be exactly 0: the group returns zeros, converged, at
     the first level, without running any.
     """
-    if reference == 0.0:
-        return _LevelRun(thresholds, (sched.n_min,),
-                         np.zeros((1, thresholds.size)),
-                         np.full(thresholds.size, sched.stall_count),
-                         np.zeros(thresholds.size), True)
-    rows = []
-    quiet_run = np.zeros(thresholds.size, dtype=int)
-    miss = np.full(thresholds.size, np.inf)
-    for n in sched.levels:
-        e, band = energies_at(n)
-        if rows:
-            limit = tol * np.maximum(np.maximum(e, rows[-1]),
-                                     max(reference, 1e-300))
-            step = np.abs(e - rows[-1])
+    runs = [None] * len(groups)
+    active = []
+    for g, (thresholds, reference) in enumerate(groups):
+        if reference == 0.0 or thresholds.size == 0:
+            runs[g] = _LevelRun(thresholds, (sched.n_min,),
+                                np.zeros((1, thresholds.size)),
+                                np.full(thresholds.size, sched.stall_count),
+                                np.zeros(thresholds.size), True)
+        else:
+            active.append(g)
+    active = tuple(active)
+    sizes = np.array([groups[g][0].size for g in active], dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    spans = list(zip(active, starts.tolist(), sizes.tolist()))
+    floor = np.repeat([max(groups[g][1], 1e-300) for g in active], sizes)
+    quiet_run = np.zeros(floor.size, dtype=int)
+    miss = np.full(floor.size, np.inf)
+    rows = {g: [] for g in active}
+    prev = None
+    levels = sched.levels
+    for i, n in enumerate(levels):
+        if not active:
+            break
+        e, band = energies_at(n, active)
+        if prev is not None:
+            limit = tol * np.maximum(np.maximum(e, prev), floor)
+            step = np.abs(e - prev)
             if band is not None:
                 step = np.maximum(step, band)
             miss = step / limit
             quiet_run = np.where(step <= limit, quiet_run + 1, 0)
-        rows.append(e)
-        if np.all(quiet_run >= sched.stall_count):
-            break
-    return _LevelRun(thresholds, tuple(sched.levels[:len(rows)]),
-                     np.array(rows), quiet_run, miss,
-                     bool(np.all(quiet_run >= sched.stall_count)))
+        prev = e
+        for g, s, k in spans:
+            rows[g].append(e[s:s + k])
+        done = np.minimum.reduceat(quiet_run, starts) >= sched.stall_count
+        last = i + 1 == len(levels)
+        if last or done.any():
+            for (g, s, k), stop in zip(spans, done):
+                if stop or last:
+                    runs[g] = _LevelRun(groups[g][0], tuple(levels[:i + 1]),
+                                        np.array(rows.pop(g)),
+                                        quiet_run[s:s + k], miss[s:s + k],
+                                        bool(stop))
+            keep = np.repeat(~done, sizes)
+            prev, floor = prev[keep], floor[keep]
+            quiet_run, miss = quiet_run[keep], miss[keep]
+            active = tuple(g for g, stop in zip(active, done) if not stop)
+            sizes = sizes[~done]
+            starts = np.cumsum(sizes) - sizes
+            spans = list(zip(active, starts.tolist(), sizes.tolist()))
+    return runs
 
 
 def _cut_run(form: PLIntervalForm, f: PLFunction, pairs,
              sched: FoldSchedule) -> _LevelRun:
-    """F_f^g(a) for every witness pair (g, a), as one batch."""
-    return _drive(lambda n: _lid_energies(
+    """F_f^g(a) for every witness pair (g, a), as one group."""
+    return _drive(lambda n, _: _lid_energies(
         form, f, [shifted_cut(g, a, n) for g, a in pairs], n),
-        np.array([a for _, a in pairs], dtype=float), form.energy(f), sched,
-        sched.rel_tol)
+        [(np.array([a for _, a in pairs], dtype=float), form.energy(f))],
+        sched, sched.rel_tol)[0]
 
 
-def _identity_run(form: PLIntervalForm, f: PLFunction, a_vec,
-                  sched: FoldSchedule) -> _LevelRun:
-    """F_f^id at every threshold of a_vec, as one batch.
+def _identity_runs(form: PLIntervalForm, groups,
+                   sched: FoldSchedule) -> list[_LevelRun]:
+    """F_f^id at every threshold of each (f, a_vec) group, in lock-step.
 
     The identity lid is the ramp a + 2^-n - x clipped to [0, 2^-n]: below
     a the fold is the minimum, read off the cumulative energy of f, and
     past a + 2^-n the lid is 0.  Only the band between goes to the kernel,
-    cut where f or the weight changes slope.  A quarter of rel_tol as the
-    stall tolerance keeps the band residual inside the cell-mass slack.
+    cut where f or the weight changes slope.  Per level each running group
+    locates its band ends in its own grid and evaluates its own f at its
+    band nodes; the bands of all of them are assembled side by side and go
+    through one kernel call.  A quarter of rel_tol as the stall tolerance
+    keeps the band residual inside the cell-mass slack.
     """
-    a_vec = np.asarray(a_vec, dtype=float)
-    grid, cum = form.cumulative_energy(f)
-    plateau = np.interp(a_vec, grid, cum)
+    fns, grids, cols, drive = [], [], [], []
+    for f, a_vec in groups:
+        a_vec = np.asarray(a_vec, dtype=float)
+        grid, cum = form.cumulative_energy(f)
+        fns.append(f)
+        grids.append(grid)
+        cols.append((a_vec, np.interp(a_vec, grid, cum)))  # a and plateau
+        drive.append((a_vec, float(cum[-1])))
+    batch = {}  # the running groups' columns side by side, per active set
 
-    def energies_at(n):
+    def energies_at(n, active):
+        if batch.get("active") != active:
+            at = np.cumsum([0] + [cols[g][0].size for g in active])
+            nodes = np.cumsum([0] + [grids[g].size for g in active]).tolist()
+            spans = list(zip(active, at.tolist(), at[1:].tolist(), nodes))
+            a, plateau = map(_cat, zip(*(cols[g] for g in active)))
+            batch.update(active=active, spans=spans, a=a, plateau=plateau,
+                         at=at, grid=_cat([grids[g] for g in active]))
+        b = batch
         eps = 2.0 ** (-n)
-        lo = np.clip(a_vec, 0.0, 1.0)
-        hi = np.clip(a_vec + eps, 0.0, 1.0)
-        first = np.searchsorted(grid, lo, side="right")
-        inside = np.searchsorted(grid, hi, side="left") - first
+        lo = np.clip(b["a"], 0.0, 1.0)
+        hi = np.clip(b["a"] + eps, 0.0, 1.0)
+        # per group, as indices into the grids side by side: the first node
+        # past lo and the first node at or past hi
+        first = _cat([np.searchsorted(grids[g], lo[i:j], side="right") + off
+                      for g, i, j, off in b["spans"]])
+        inside = _cat([np.searchsorted(grids[g], hi[i:j], side="left") + off
+                       for g, i, j, off in b["spans"]]) - first
         # band nodes per threshold: lo, the grid nodes strictly inside, hi
         row, pos = _ragged(np.where(hi > lo, inside + 2, 0))
         end = pos == inside[row] + 1
-        x = grid[np.clip(first[row] + pos - 1, 0, grid.size - 1)]
+        x = b["grid"][np.clip(first[row] + pos - 1, 0, b["grid"].size - 1)]
         x = np.where(pos == 0, lo[row], np.where(end, hi[row], x))
-        v = f.evaluate(x)
-        lid = a_vec[row] + eps - x
+        # each group's nodes follow one another, as its thresholds do
+        ends = np.searchsorted(row, b["at"][1:]).tolist()
+        v = _cat([fns[g].evaluate(x[i:j]) for g, i, j
+                  in zip(active, [0] + ends, ends)])
+        lid = b["a"][row] + eps - x
         left = np.nonzero(~end)[0]
         right = left + 1
         pieces = (x[left], x[right], v[left], v[right], lid[left], lid[right],
                   form.weight_at(0.5 * (x[left] + x[right])))
-        band = _band_energy(pieces, row[left], a_vec.size, n, form.p)
-        return plateau + band, band
+        band = _band_energy(pieces, row[left], hi.size, n, form.p)
+        return b["plateau"] + band, band
 
-    return _drive(energies_at, a_vec, float(cum[-1]), sched,
-                  0.25 * sched.rel_tol)
+    return _drive(energies_at, drive, sched, 0.25 * sched.rel_tol)
+
+
+def _identity_run(form: PLIntervalForm, f: PLFunction, a_vec,
+                  sched: FoldSchedule) -> _LevelRun:
+    """F_f^id at every threshold of a_vec: the one-group batch."""
+    return _identity_runs(form, [(f, a_vec)], sched)[0]
 
 
 def F_value(form: PLIntervalForm, f: PLFunction, g: PLFunction, a: float,
@@ -490,10 +565,10 @@ def F_value(form: PLIntervalForm, f: PLFunction, g: PLFunction, a: float,
     if not materialized:
         return _cut_run(form, f, [(g, a)], sched).trace(0)
 
-    def literal(n):  # no plain/band split to certify against
+    def literal(n, _):  # no plain/band split to certify against
         return np.array([form.energy(cell_function(f, g, a, n))]), None
-    return _drive(literal, np.array([a], dtype=float), form.energy(f), sched,
-                  sched.rel_tol).trace(0)
+    return _drive(literal, [(np.array([a], dtype=float), form.energy(f))],
+                  sched, sched.rel_tol)[0].trace(0)
 
 
 def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
@@ -508,10 +583,10 @@ def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     """
     _require_pl(form)
     neg_g = -g
-    return _drive(lambda n: _lid_energies(form, f, [lattice(
+    return _drive(lambda n, _: _lid_energies(form, f, [lattice(
         shifted_cut(g, high, n), shifted_cut(neg_g, -low, n), "min")], n),
-        np.array([high], dtype=float), form.energy(f), sched,
-        sched.rel_tol).trace(0)
+        [(np.array([high], dtype=float), form.energy(f))], sched,
+        sched.rel_tol)[0].trace(0)
 
 
 def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,

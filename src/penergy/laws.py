@@ -15,7 +15,14 @@ budgets, cell masses) run on :class:`penergy.forms.Cells`, one partition
 per function family, each integrated over a whole set family in one pass.
 The construction route differences identity-witness fold limits at component
 endpoints, so its error budget comes from the level schedule alone, with no
-proration involved.
+proration involved.  Laws hand the construction route their functions in
+batches: those of every trial at once, or of one trial where trials differ in
+shape (total mass, homogeneity, two-variable differences), and one batch per
+form for domination.  A batch runs its fold limits in lock-step, one level at
+a time for all functions, and each function's limits come out bit for bit as
+they would alone.  Slacks are pushed in the order the functions were drawn,
+and a batch whose limits did not stall raises for the first such function in
+that order.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .construction import (
     FoldSchedule,
     MEASURE_SCHEDULE,
     _cut_run,
-    _identity_run,
+    _identity_runs,
     _require_pl,
 )
 from .forms import (
@@ -162,7 +169,7 @@ def default_set_family(sampler: PLSampler, levels: int = 5,
 
 def set_mass_oracle(form: PLIntervalForm, f: PLFunction, target) -> float:
     """Exact mu_f(target) by integrating the closed-form density."""
-    return float(_masses(form, f, (target,), "oracle")[0])
+    return float(_masses(form, [(f, (target,))], "oracle")[0][0])
 
 
 def set_masses(form: PLIntervalForm, f: PLFunction, targets,
@@ -171,16 +178,29 @@ def set_masses(form: PLIntervalForm, f: PLFunction, targets,
 
     All component endpoints go through one batched level run; the mass of a
     set is the sum of F(hi) - F(lo) over its components, so the error budget
-    is per endpoint and no cell proration enters.
+    is per endpoint and no cell proration enters.  The one-function case of
+    the batch every construction-route law runs.
     """
     _require_pl(form)
-    owner, lo, hi = spans(targets)
-    points = np.unique(np.concatenate((lo, hi)))
-    out = np.zeros(len(targets))
-    if points.size:
-        vals = _identity_run(form, f, points, sched).limits()
-        np.add.at(out, owner, vals[np.searchsorted(points, hi)]
-                  - vals[np.searchsorted(points, lo)])
+    return _set_masses(form, [(f, targets)], sched)[0]
+
+
+def _set_masses(form, jobs, sched: FoldSchedule) -> list[np.ndarray]:
+    """:func:`set_masses` for each (f, targets) job, all of them in one
+    lock-step batch; limits are read in job order, so a batch that did not
+    stall raises for the first job whose limits did not."""
+    ends = [spans(targets) for _, targets in jobs]
+    points = [np.unique(np.concatenate((lo, hi))) for _, lo, hi in ends]
+    runs = _identity_runs(
+        form, [(f, pts) for (f, _), pts in zip(jobs, points)], sched)
+    out = []
+    for (_, targets), (owner, lo, hi), pts, run in zip(jobs, ends, points,
+                                                       runs):
+        vals = run.limits()
+        mass = np.zeros(len(targets))
+        np.add.at(mass, owner, vals[np.searchsorted(pts, hi)]
+                  - vals[np.searchsorted(pts, lo)])
+        out.append(mass)
     return out
 
 
@@ -191,12 +211,16 @@ def _check_route(route: str) -> None:
         raise ValueError(f"unknown mass route {route!r}")
 
 
-def _masses(form, f, sets, route: str,
-            sched: FoldSchedule = MEASURE_SCHEDULE) -> np.ndarray:
-    if route == "oracle":
+def _masses(form, jobs, route: str,
+            sched: FoldSchedule = MEASURE_SCHEDULE) -> list[np.ndarray]:
+    """mu_f on its set family for each (f, sets) job, one array per job."""
+    if route == "construction":
+        return _set_masses(form, jobs, sched)
+    out = []
+    for f, sets in jobs:
         cells = Cells(form, f)
-        return cells.integrate(cells.mass(f), sets)
-    return set_masses(form, f, sets, sched)
+        out.append(cells.integrate(cells.mass(f), sets))
+    return out
 
 
 def _route_tol(route: str) -> float:
@@ -271,12 +295,10 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
         raise ValueError("need >= 2 positive, strictly decreasing steps")
     sets = tuple(sets)
     p = form.p
-    rows = []
-    for t in steps:
-        plus = _masses(form, u + v * t, sets, route, sched)
-        minus = _masses(form, u + v * (-t), sets, route, sched)
-        rows.append((plus - minus) / (2.0 * p * t))
-    d = np.vstack(rows)
+    masses = _masses(form, [(u + v * s, sets) for t in steps for s in (t, -t)],
+                     route, sched)
+    d = np.vstack([(plus - minus) / (2.0 * p * t) for t, plus, minus
+                   in zip(steps, masses[0::2], masses[1::2])])
     rich = []
     for i in range(len(steps) - 1):
         t1, t2 = steps[i], steps[i + 1]
@@ -317,15 +339,20 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
     full = IntervalSet.full()
     for k in range(trials):
         f = sampler.pl(k)
-        for name, fn in (("as_drawn", f), ("plateaued", _positive_part(f))):
+        variants = [(name, fn, _flat_zero_interior(fn)) for name, fn in
+                    (("as_drawn", f), ("plateaued", _positive_part(f)))]
+        jobs = []
+        for _, fn, zero in variants:
+            jobs += [(fn, (full,))] + ([(fn, (zero,))] if zero else [])
+        masses = iter(_masses(form, jobs, route, sched))
+        for name, fn, zero in variants:
             e = form.energy(fn)
             scale = e if e > 0.0 else 1.0
-            total = _masses(form, fn, (full,), route, sched)[0]
+            total = next(masses)[0]
             worst.push(-abs(total - e) / scale, trial=k, variant=name,
                        check="total_mass")
-            zero = _flat_zero_interior(fn)
             if zero:
-                mass = _masses(form, fn, (zero,), route, sched)[0]
+                mass = next(masses)[0]
                 worst.push(-abs(mass) / scale, trial=k, variant=name,
                            check="zero_interior")
     return _report("total_mass", form, sampler.seed, trials, worst,
@@ -365,16 +392,17 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
         rng = sampler._rng(k, tag=11)
         a = float(rng.uniform(0.25, 3.0)) * (1.0 if rng.uniform() < 0.5
                                              else -1.0)
-        base = _masses(form, f, sets, route, sched)
-        scaled = _masses(form, f * a, sets, route, sched)
+        shifts = (("random", float(rng.uniform(-1.0, 1.0))),
+                  ("at_max", float(f.values.max())))
+        fns = [f, f * a] + [_reflected_abs(f, s) for _, s in shifts]
+        base, scaled, *shifted = _masses(form, [(fn, sets) for fn in fns],
+                                         route, sched)
         gap = np.abs(scaled - abs(a) ** p * base)
         i = int(np.argmax(gap))
         worst.push(-float(gap[i]) / (abs(a) ** p * e), trial=k,
                    identity="scaling", a=a, set=i)
-        for tag, s in (("random", float(rng.uniform(-1.0, 1.0))),
-                       ("at_max", float(f.values.max()))):
-            shifted = _masses(form, _reflected_abs(f, s), sets, route, sched)
-            gap = np.abs(shifted - base)
+        for (tag, _), mass in zip(shifts, shifted):
+            gap = np.abs(mass - base)
             i = int(np.argmax(gap))
             worst.push(-float(gap[i]) / e, trial=k, identity="shift",
                        shift=tag, set=i)
@@ -405,13 +433,14 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     p = form.p
     worst = _Worst()
-    for k in range(trials):
-        u, v = sampler.pl_pair(k)
+    pairs = [sampler.pl_pair(k) for k in range(trials)]
+    masses = _masses(form, [(fn, sets) for u, v in pairs
+                            for fn in (u, v, u + v, u - v)], route, sched)
+    for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) + form.energy(v), 1e-12)
         # schedule noise can leave a mass a hair below zero; clip before ^1/p
-        mu = [np.maximum(_masses(form, fn, sets, route, sched), 0.0)
-              ** (1.0 / p)
-              for fn in (u, v, u + v, u - v)]
+        mu = [np.maximum(m, 0.0) ** (1.0 / p)
+              for m in masses[4 * k:4 * k + 4]]
         for i in range(len(sets)):
             slacks = _clarkson_slacks(p, mu[0][i], mu[1][i], mu[2][i],
                                       mu[3][i])
@@ -430,11 +459,13 @@ def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     invp = 1.0 / form.p
     worst = _Worst()
-    for k in range(trials):
-        u, v = sampler.pl_pair(k)
+    pairs = [sampler.pl_pair(k) for k in range(trials)]
+    masses = _masses(form, [(fn, sets) for u, v in pairs
+                            for fn in (u, v, u + v)], route, sched)
+    for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) ** invp + form.energy(v) ** invp, 1e-9)
-        su, sv, ssum = (np.maximum(_masses(form, fn, sets, route, sched),
-                                   0.0) ** invp for fn in (u, v, u + v))
+        su, sv, ssum = (np.maximum(m, 0.0) ** invp
+                        for m in masses[3 * k:3 * k + 3])
         margin = su + sv - ssum
         i = int(np.argmin(margin))
         worst.push(float(margin[i]) / scale, trial=k, set=i)
@@ -456,15 +487,18 @@ def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
     _require_pl(form)
     tol = ORACLE_TOL if route == "oracle" else 1e-6
     worst = _Worst()
+    cases = []
     for k in range(trials):
         A = sampler.interval_union(4000 + k)
         f = sampler.pl(k)
         rng = sampler._rng(k, tag=12)
         h = _gap_bump(A, float(rng.uniform(-1.5, 1.5)),
                       float(rng.uniform(0.5, 2.0)))
-        g = f + h
-        m_f = _masses(form, f, (A,), route, sched)[0]
-        m_g = _masses(form, g, (A,), route, sched)[0]
+        cases.append((A, f, f + h))
+    masses = _masses(form, [(fn, (A,)) for A, f, g in cases for fn in (f, g)],
+                     route, sched)
+    for k, (A, f, g) in enumerate(cases):
+        m_f, m_g = masses[2 * k][0], masses[2 * k + 1][0]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
         worst.push(-abs(m_f - m_g) / scale, trial=k,
                    set_measure=A.measure())
@@ -501,13 +535,16 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     c_p = 2.0 ** abs(form.p - 2.0)
     worst = _Worst()
+    cases = []
     for k in range(trials):
         f, g = sampler.pl_pair(k)
         a = float(sampler._rng(k, tag=13).uniform(0.0, 1.5))
-        top = lattice(f, g - a, "max")
-        bot = lattice(f, g + a, "min")
-        mf, mg, mt, mb = (_masses(form, fn, sets, route, sched)
-                          for fn in (f, g, top, bot))
+        cases.append((f, g, a, lattice(f, g - a, "max"),
+                      lattice(f, g + a, "min")))
+    masses = _masses(form, [(fn, sets) for f, g, _, top, bot in cases
+                            for fn in (f, g, top, bot)], route, sched)
+    for k, (f, g, a, _, _) in enumerate(cases):
+        mf, mg, mt, mb = masses[4 * k:4 * k + 4]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
         margin = c_p * (mf + mg) - np.maximum(mt, mb)
         i = int(np.argmin(margin))
@@ -539,10 +576,14 @@ def default_map_family(lo: float, hi: float) -> tuple[PLMap, ...]:
     )
 
 
-def _cell_masses(form, fn, cells, route, sched):
+def _cell_masses(form, jobs, route, sched) -> list[np.ndarray]:
+    """mu_f of every cell for each (f, cells) job; the construction route
+    differences limits at the nodes, all jobs in one lock-step batch."""
     if route == "oracle":
-        return cells.mass(fn)
-    return np.diff(_identity_run(form, fn, cells.nodes, sched).limits())
+        return [cells.mass(fn) for fn, cells in jobs]
+    runs = _identity_runs(form, [(fn, cells.nodes) for fn, cells in jobs],
+                          sched)
+    return [np.diff(run.limits()) for run in runs]
 
 
 def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
@@ -567,6 +608,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
     dtol = _derivative_tol(p)
     dsteps = DERIVATIVE_STEPS if p >= 2.0 \
         else tuple(0.25 * t for t in DERIVATIVE_STEPS)
+    drawn = []  # per trial: f and, per map, phi, its cells and phi o f
     for k in range(trials):
         f = sampler.nonzero_pl(k)
         lo, hi = f.value_range()
@@ -576,21 +618,27 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
             maps = tuple(map_family(lo, hi))
         else:
             maps = tuple(map_family)
-        e_ref = max(form.energy(f), 1e-12)
-        for j, phi in enumerate(maps):
+        per_map = []
+        for phi in maps:
             # f's preimages of phi's kinks make phi o f affine per cell
             kinks, _ = _with_level_crossings(f, phi.breakpoints[1:-1])
-            cells = Cells(form, f, nodes=(kinks,))
+            per_map.append((phi, Cells(form, f, nodes=(kinks,)),
+                            compose(phi, f)))
+        drawn.append((f, per_map))
+    jobs = [job for f, per_map in drawn for _, cells, g in per_map
+            for job in ((g, cells), (f, cells))]
+    masses = iter(_cell_masses(form, jobs, route, sched))
+    for k, (f, per_map) in enumerate(drawn):
+        e_ref = max(form.energy(f), 1e-12)
+        for j, (phi, cells, g) in enumerate(per_map):
             vmid = f.evaluate(cells.mid)
             pslope = step_at(phi.breakpoints, phi.slopes, vmid)
             on_kink = np.any(np.abs(vmid[:, None]
                                     - phi.breakpoints[None, 1:-1])
                              <= GEOM_TOL, axis=1)
             undefined = (cells.slope(f) == 0.0) & on_kink
-            g = compose(phi, f)
-            lhs = _cell_masses(form, g, cells, route, sched)
-            rhs = np.abs(pslope) ** p * _cell_masses(form, f, cells, route,
-                                                     sched)
+            lhs = next(masses)
+            rhs = np.abs(pslope) ** p * next(masses)
             top = max(float(np.max(lhs)), float(np.max(rhs)), 0.0)
             denom = np.maximum(np.maximum(lhs, rhs),
                                max(0.01 * top, 1e-3 * e_ref))
@@ -889,10 +937,11 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
             f"near x={mids[i]:g}; domination needs w_lo <= w_hi cell-wise")
     sets = default_set_family(sampler) if sets is None else tuple(sets)
     worst = _Worst()
-    for k in range(trials):
-        f = sampler.pl(k)
-        mu = _masses(form_lo, f, sets, route, sched)
-        nu = _masses(form_hi, f, sets, route, sched)
+    fns = [sampler.pl(k) for k in range(trials)]
+    jobs = [(f, sets) for f in fns]
+    lows = _masses(form_lo, jobs, route, sched)
+    highs = _masses(form_hi, jobs, route, sched)
+    for k, (f, mu, nu) in enumerate(zip(fns, lows, highs)):
         scale = max(form_hi.energy(f), 1e-12)
         margin = nu - mu
         i = int(np.argmin(margin))
@@ -1027,7 +1076,8 @@ def _sublevel_masses(form, f, levels: np.ndarray, route: str,
     """
     if route == "construction":
         return _cut_run(form, f, [(f, s) for s in levels], sched).limits()
-    return _masses(form, f, [sublevel_set(f, s) for s in levels], route)
+    return _masses(form, [(f, [sublevel_set(f, s) for s in levels])],
+                   route)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1143,7 @@ def law_two_variable(form: PLIntervalForm, sampler: PLSampler,
         worst.push(-float(sample.mismatch[i]) / scale, trial=k, set=i,
                    check="closed_form")
         diag = two_variable_measure(form, u, u, sets, steps=steps)
-        mu = _masses(form, u, sets, "oracle")
+        mu, = _masses(form, [(u, sets)], "oracle")
         j = int(np.argmax(np.abs(diag.values - mu)))
         worst.push(-float(np.abs(diag.values - mu)[j]) / scale, trial=k,
                    set=j, check="diagonal")

@@ -103,13 +103,17 @@ class _PLBase:
             raise ValueError("need matching breakpoint/value arrays of length >= 2")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("breakpoints and values must be finite")
-        if np.any(np.diff(x) < 0):
+        dx = np.diff(x)
+        if np.any(dx < 0):
             raise ValueError("breakpoints must be in increasing order")
-        if np.any(np.diff(x) <= 0):
+        # distinct breakpoints closer than GEOM_TOL would be merged away by
+        # the first operation that joins grids
+        if np.any((dx > 0) & (dx <= GEOM_TOL)):
+            raise ValueError("breakpoints must be strictly increasing, "
+                             f"more than {GEOM_TOL:g} apart")
+        if np.any(dx == 0):
             x, idx = np.unique(x, return_index=True)
             y = y[idx]
-            if np.any(np.diff(x) <= GEOM_TOL):
-                raise ValueError("breakpoints must be strictly increasing")
         x = x.copy()
         y = y.copy()
         x.flags.writeable = False

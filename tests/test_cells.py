@@ -123,7 +123,7 @@ def test_batched_oracle_masses_keep_the_bits(form):
         nodes, cum = form.cumulative_energy(f)
         want = [float(sum(np.interp(hi, nodes, cum) - np.interp(lo, nodes, cum)
                           for lo, hi in _clipped(A))) for A in sets]
-        got = _masses(form, f, sets, "oracle")
+        got, = _masses(form, [(f, sets)], "oracle")
         assert got.tolist() == want
         assert [set_mass_oracle(form, f, A) for A in sets] == want
 

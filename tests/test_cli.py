@@ -188,6 +188,18 @@ def test_build_measure_rejects_swapped_points(tmp_path):
     assert main(["--config", cfg, "build-measure"]) == EXIT_CONFIG
 
 
+def test_build_measure_rejects_points_closer_than_geom_tol(tmp_path, capsys):
+    cfg = write_config(tmp_path, seed=5, resolution=16,
+                       function={"kind": "points",
+                                 "breakpoints": [0, 1e-14, 1],
+                                 "values": [0, 1, 1]})
+    assert main(["--config", cfg, "--out", str(tmp_path),
+                 "build-measure"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad function spec" in err and "strictly increasing" in err
+    assert "Traceback" not in err
+
+
 # -- check-laws ---------------------------------------------------------------
 
 FAST_LAWS = ["locality", "measure_clarkson", "measure_triangle",

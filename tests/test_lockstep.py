@@ -1,0 +1,142 @@
+"""Fold limits of many functions run in lock-step, one level at a time.
+
+A batch shares one band-kernel call per level across its groups, yet each
+group must come out exactly as it would alone: same rows to the bit, same
+stop level, same quiet runs and misses, and, when its budget runs out, the
+same error and trace.  The laws that batch their functions must still
+raise for the first failing function in draw order.
+"""
+
+import numpy as np
+import pytest
+
+from penergy import construction
+from penergy.construction import (
+    MEASURE_SCHEDULE,
+    ConvergenceError,
+    FoldSchedule,
+    _identity_run,
+    _identity_runs,
+)
+from penergy.forms import PLIntervalForm
+from penergy.laws import dyadic_sets, law_measure_clarkson, set_masses
+from penergy.pl import PLFunction
+from penergy.sampler import PLSampler
+
+FORM = PLIntervalForm(3.0, weight=[(0.0, 0.4, 1.0), (0.4, 1.0, 2.0)])
+# deep enough for most sampled functions, too shallow for a nearly flat one
+SCHED = FoldSchedule(n_min=6, n_max=34, rel_tol=1e-8)
+
+
+def _groups():
+    sampler = PLSampler(seed=3)
+    fns = [sampler.pl(k) for k in range(6)]
+    fns += [PLFunction.constant(0.3),                  # zero energy
+            PLFunction([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])]  # exhausts SCHED
+    a = np.linspace(-0.1, 1.1, 23)
+    return [(f, a[k % 3::2]) for k, f in enumerate(fns)]
+
+
+def _assert_same_run(got, want):
+    assert got.levels == want.levels
+    assert got.converged == want.converged
+    for field in ("thresholds", "energies", "quiet_run", "miss"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.shape == w.shape, field
+        assert g.tobytes() == w.tobytes(), field
+
+
+def test_batch_matches_lone_runs_field_for_field():
+    groups = _groups()
+    batch = _identity_runs(FORM, groups, SCHED)
+    for (f, a), run in zip(groups, batch):
+        _assert_same_run(run, _identity_run(FORM, f, a, SCHED))
+    stops = [run.levels[-1] for run in batch]
+    assert len(set(stops)) >= 4, stops  # the groups leave at different levels
+    zero, flat = batch[-2], batch[-1]
+    assert zero.levels == (SCHED.n_min,) and zero.converged
+    assert not np.any(zero.energies)
+    assert flat.levels[-1] == SCHED.n_max and not flat.converged
+
+
+def test_exhausted_group_raises_as_it_would_alone():
+    groups = _groups()
+    f, a = groups[-1]
+    with pytest.raises(ConvergenceError) as lone:
+        _identity_run(FORM, f, a, SCHED).limits()
+    runs = _identity_runs(FORM, groups, SCHED)
+    for run in runs[:-1]:
+        run.limits()
+    with pytest.raises(ConvergenceError) as batched:
+        runs[-1].limits()
+    assert str(batched.value) == str(lone.value)
+    assert batched.value.trace == lone.value.trace
+
+
+@pytest.mark.parametrize("chunk", [5, 17, 40])
+def test_kernel_chunks_never_split_a_threshold(monkeypatch, chunk):
+    # owner-aligned chunks: a threshold's band is one bincount, so neither
+    # the chunk size nor the rest of the batch moves a single bit.  Forty
+    # weight cells put about six pieces in each band at level 3, so a chunk
+    # cut inside a threshold would reorder its sum.
+    bounds = np.linspace(0.0, 1.0, 41)
+    form = PLIntervalForm(2.0, weight=[(lo, hi, 1.0 + (i % 3))
+                                       for i, (lo, hi)
+                                       in enumerate(zip(bounds, bounds[1:]))])
+    sched = FoldSchedule(n_min=3, n_max=34, rel_tol=1e-8)
+    groups = _groups()
+    lone = [_identity_run(form, f, a, sched) for f, a in groups]
+    monkeypatch.setattr(construction, "_NODE_CHUNK", chunk)
+    pieces = []
+    kernel = construction._band_energy
+
+    def counting(*args):
+        pieces.append(args[1].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(construction, "_band_energy", counting)
+    batch = _identity_runs(form, groups, sched)
+    assert max(pieces) > chunk  # so a level runs in several chunks
+    for run, want in zip(batch, lone):
+        _assert_same_run(run, want)
+
+
+def test_law_raises_for_first_failing_function_in_draw_order():
+    form = PLIntervalForm(3.0)
+    sampler = PLSampler(seed=3)
+    sets = dyadic_sets(3)
+    sched = FoldSchedule(n_min=6, n_max=32, rel_tol=1e-8)
+    drawn = [fn for k in range(3) for u, v in [sampler.pl_pair(k)]
+             for fn in (u, v, u + v, u - v)]
+    first = None
+    for i, fn in enumerate(drawn):
+        try:
+            set_masses(form, fn, sets, sched)
+        except ConvergenceError as exc:
+            first = (i, exc)
+            break
+    assert first is not None and first[0] > 0  # an earlier function passes
+    with pytest.raises(ConvergenceError) as got:
+        law_measure_clarkson(form, sampler, trials=3, route="construction",
+                             sets=sets, sched=sched)
+    assert str(got.value) == str(first[1])
+    assert got.value.trace == first[1].trace
+
+
+def test_law_runs_one_kernel_call_per_level(monkeypatch):
+    # 3 trials x 4 functions share each level's band kernel call; a
+    # regression to one level loop per function makes 12 sets of calls
+    calls = []
+    kernel = construction._band_energy
+
+    def counting(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(construction, "_band_energy", counting)
+    rep = law_measure_clarkson(PLIntervalForm(3.0), PLSampler(seed=11),
+                               trials=3, route="construction",
+                               sets=dyadic_sets(3))
+    assert rep.passed
+    assert 0 < len(calls) <= len(MEASURE_SCHEDULE.levels)
+    assert len(set(calls)) == len(calls)  # one call per level

@@ -295,6 +295,15 @@ def test_out_of_order_breakpoints_rejected():
     assert f.values.tolist() == [0.0, 1.0, 0.0]
 
 
+def test_breakpoints_closer_than_geom_tol_rejected():
+    # merging grids would drop the 1e-14 node and change f by O(1), so the
+    # spacing is checked whether or not some breakpoint repeats
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PLFunction([0.0, 1e-14, 1.0], [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PLMap([0.0, 0.5, 0.5 + 1e-13, 1.0], [0.0, 1.0, 2.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # property-based checks
 
