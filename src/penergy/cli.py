@@ -14,7 +14,9 @@ Exit codes: 0 pass, 1 law failure, 2 config error, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .forms import (
     PLIntervalForm,
     check_assumptions,
     form_from_descriptor,
+    step_at,
 )
 from .gasket import renormalization_constant
 from .ks import SampledSpace, default_r_sequence, ks_limit_scan, profile_values
@@ -99,16 +102,11 @@ def _as_function(v):
 def _as_schedule(v):
     if not isinstance(v, dict):
         raise ConfigError("schedule must be an object")
-    allowed = {"n_min", "n_max", "rel_tol", "stall_count"}
-    unknown = set(v) - allowed
+    unknown = set(v) - {f.name for f in dataclasses.fields(FoldSchedule)}
     if unknown:
         raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
-    base = {"n_min": MEASURE_SCHEDULE.n_min, "n_max": MEASURE_SCHEDULE.n_max,
-            "rel_tol": MEASURE_SCHEDULE.rel_tol,
-            "stall_count": MEASURE_SCHEDULE.stall_count}
-    base.update(v)
     try:
-        return FoldSchedule(**base)
+        return dataclasses.replace(MEASURE_SCHEDULE, **v)
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
@@ -126,7 +124,19 @@ def _as_weight(v):
     if not isinstance(v, list) or not all(
             isinstance(c, list) and len(c) == 3 for c in v):
         raise ConfigError("weight must be a list of [lo, hi, value] cells")
-    return [(float(lo), float(hi), float(w)) for lo, hi, w in v]
+    check = _as_float("weight entry")
+    return [(check(lo), check(hi), check(w)) for lo, hi, w in v]
+
+
+def _finite(v) -> float | None:
+    """v as a float if it is a finite JSON number, else None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return v if math.isfinite(v) else None
 
 
 def _as_p_list(v):
@@ -134,9 +144,10 @@ def _as_p_list(v):
         raise ConfigError("p_list must be a nonempty list")
     out = []
     for p in v:
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 1:
-            raise ConfigError("every p must be a number > 1")
-        out.append(float(p))
+        p = _finite(p)
+        if p is None or p <= 1:
+            raise ConfigError("every p must be a finite number > 1")
+        out.append(p)
     return out
 
 
@@ -146,9 +157,9 @@ def _as_p(v):
 
 def _as_float(name, low=None):
     def check(v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{name} must be a number")
-        v = float(v)
+        v = _finite(v)
+        if v is None:
+            raise ConfigError(f"{name} must be a finite number")
         if low is not None and v <= low:
             raise ConfigError(f"{name} must exceed {low}")
         return v
@@ -266,11 +277,10 @@ def _load_config(command: str, args) -> dict:
 
 def _describe(value):
     """Config value as it should appear in a report header."""
-    if isinstance(value, PLIntervalForm) or hasattr(value, "to_descriptor"):
+    if hasattr(value, "to_descriptor"):
         return value.to_descriptor()
     if isinstance(value, FoldSchedule):
-        return {"n_min": value.n_min, "n_max": value.n_max,
-                "rel_tol": value.rel_tol, "stall_count": value.stall_count}
+        return dataclasses.asdict(value)
     if isinstance(value, list):
         return [_describe(v) for v in value]
     return value
@@ -358,15 +368,12 @@ def cmd_build_measure(cfg: dict, args, out_dir: Path) -> int:
         print(f"build-measure: non-convergence, trace -> {path}")
         return EXIT_NUMERIC
     exact = reference_measure(form, fn)
-    # compare densities on the common grid refinement
+    # compare densities on the common grid refinement; its cell midpoints
+    # are never nodes of either measure
     grid = np.union1d(built.nodes, exact.nodes)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    dens_built = built.density[
-        np.clip(np.searchsorted(built.nodes, mids) - 1, 0,
-                built.density.size - 1)]
-    dens_exact = exact.density[
-        np.clip(np.searchsorted(exact.nodes, mids) - 1, 0,
-                exact.density.size - 1)]
+    dens_built = step_at(built.nodes, built.density, mids)
+    dens_exact = step_at(exact.nodes, exact.density, mids)
     scale = max(float(dens_exact.max(initial=0.0)), 1e-12)
     sup_gap = float(np.max(np.abs(dens_built - dens_exact))) / scale
     header = _header("build-measure", cfg)

@@ -29,6 +29,8 @@ expose their measures directly by edge decomposition instead.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -119,12 +121,17 @@ class FoldSchedule:
     stall_count: int = 2
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.n_min, self.n_max, self.stall_count)):
+            raise ValueError("n_min, n_max and stall_count must be integers")
         if not (1 <= self.n_min <= self.n_max <= MAX_CUT_LEVEL):
             raise ValueError(
                 f"need 1 <= n_min <= n_max <= {MAX_CUT_LEVEL}, "
                 f"got [{self.n_min}, {self.n_max}]")
         if not (self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError("rel_tol must be finite")
         if self.stall_count < 1:
             raise ValueError("stall_count must be at least 1")
 
@@ -631,16 +638,15 @@ def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,
 
 
 def reflection_gap(form: PLIntervalForm, f: PLFunction, g: PLFunction,
-                   a: float, sched: FoldSchedule = DEFAULT_SCHEDULE,
-                   shrink: float = 1e-9) -> float:
-    """Signed defect of F_f^g(a) + F_f^(-g)(-a-shrink) - E(f).
+                   a: float, sched: FoldSchedule = DEFAULT_SCHEDULE) -> float:
+    """Signed defect of F_f^g(a) + F_f^(-g)(-a-1e-9) - E(f).
 
     The reflected witness counts the strict superlevel set {g > a}; the
-    small shrink keeps the two sublevel sets disjoint when g hits the
+    small shrink 1e-9 keeps the two sublevel sets disjoint when g hits the
     level a on a set of positive measure.
     """
     _require_pl(form)
-    below, above = _cut_run(form, f, [(g, a), (-g, -a - shrink)], sched).values
+    below, above = _cut_run(form, f, [(g, a), (-g, -a - 1e-9)], sched).values
     return float(below + above - form.energy(f))
 
 
@@ -648,17 +654,21 @@ def reflection_gap(form: PLIntervalForm, f: PLFunction, g: PLFunction,
 # outer measure from witness families
 
 
-def canonical_witnesses(target: IntervalSet, ladder_depth: int = 10):
+LADDER_DEPTH = 10
+
+
+def canonical_witnesses(target: IntervalSet):
     """Witness pairs (g, a) with a < 0 and {g <= a} inside the target.
 
     Per component the distance-like hat max(lo - x, x - hi) carries a
-    dyadic ladder of negative levels; components touching the domain ends
-    get one-sided affine witnesses whose sublevel sets reach the boundary.
-    A full-domain target gets the constant -1 at level -1/2, which is
-    exact.  For several components the lattice min of the per-component
-    witnesses joins them, so one level collects every component at once.
-    Levels translate the sublevel sets strictly inside, so the supremum
-    over the ladder approaches the measure from below.
+    dyadic ladder of LADDER_DEPTH negative levels; components touching the
+    domain ends get one-sided affine witnesses whose sublevel sets reach
+    the boundary.  A full-domain target gets the constant -1 at level
+    -1/2, which is exact.  For several components the lattice min of the
+    per-component witnesses joins them, so one level collects every
+    component at once.  Levels translate the sublevel sets strictly
+    inside, so the supremum over the ladder approaches the measure from
+    below.
     """
     pairs = []
     primaries = []  # (witness, level scale) with {g <= -s/2^j} in its comp
@@ -679,14 +689,14 @@ def canonical_witnesses(target: IntervalSet, ladder_depth: int = 10):
             primary = PLFunction([0.0, mid, 1.0],
                                  [lo, -0.5 * width, 1.0 - hi])
         primaries.append((primary, 0.5 * width))
-        for j in range(1, ladder_depth + 1):
+        for j in range(1, LADDER_DEPTH + 1):
             pairs.append((primary, -0.5 * width * 2.0 ** (-j)))
     if len(primaries) > 1:
         joint = primaries[0][0]
         for g, _ in primaries[1:]:
             joint = lattice(joint, g, "min")
         scale = min(s for _, s in primaries)
-        for j in range(1, ladder_depth + 1):
+        for j in range(1, LADDER_DEPTH + 1):
             pairs.append((joint, -scale * 2.0 ** (-j)))
     return pairs
 
@@ -729,12 +739,13 @@ class EnergyMeasure:
 
     Stored as cell masses over a strictly increasing node grid.  Cells are
     taken left-closed; single points carry no mass, so endpoint closure
-    flags of queried interval sets are ignored.
+    flags of queried interval sets are ignored.  A fold limit that does not
+    stall raises ConvergenceError instead of yielding a measure.
     """
 
-    __slots__ = ("nodes", "masses", "levels_used", "converged")
+    __slots__ = ("nodes", "masses", "levels_used")
 
-    def __init__(self, nodes, masses, levels_used=(), converged=True):
+    def __init__(self, nodes, masses, levels_used=()):
         nodes = np.asarray(nodes, dtype=float)
         masses = np.asarray(masses, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
@@ -746,7 +757,6 @@ class EnergyMeasure:
         self.nodes = nodes
         self.masses = masses
         self.levels_used = tuple(levels_used)
-        self.converged = bool(converged)
 
     @property
     def density(self) -> np.ndarray:
@@ -822,7 +832,7 @@ def energy_measure(form: PLIntervalForm, f: PLFunction, resolution: int = 512,
     a_grid = _density_grid(form, f, resolution)
     e_ref = form.energy(f)
     if e_ref == 0.0:
-        return EnergyMeasure(a_grid, np.zeros(a_grid.size - 1), (), True)
+        return EnergyMeasure(a_grid, np.zeros(a_grid.size - 1))
 
     run = _identity_run(form, f, a_grid, sched)
     masses = np.diff(run.limits())
@@ -838,14 +848,14 @@ def energy_measure(form: PLIntervalForm, f: PLFunction, resolution: int = 512,
         raise ConvergenceError(
             f"total mass {total:.9e} vs energy {e_ref:.9e} beyond "
             f"slack {slack:.1e}", run.trace(a_grid.size - 1))
-    return EnergyMeasure(a_grid, masses, run.levels, True)
+    return EnergyMeasure(a_grid, masses, run.levels)
 
 
 def reference_measure(form: PLIntervalForm, f: PLFunction) -> EnergyMeasure:
     """The exact measure with density w |f'|^p, bypassing the fold limit."""
     _require_pl(form)
     grid, dens = form.density_cells(f)
-    return EnergyMeasure(grid, dens * np.diff(grid), (), True)
+    return EnergyMeasure(grid, dens * np.diff(grid))
 
 
 def covering_check(form: PLIntervalForm, f: PLFunction, g: PLFunction,

@@ -32,6 +32,8 @@ audit used by ``validate-form``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,15 @@ from .pl import (
     lattice,
     triangle_fold,
 )
+
+
+def _check_p(p) -> float:
+    """p as a float, rejected unless it is a finite number above 1."""
+    if not p > 1.0:
+        raise ValueError("p must be > 1")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
+    return float(p)
 
 
 def _signed_power(s: np.ndarray, e: float) -> np.ndarray:
@@ -71,9 +82,7 @@ class PLIntervalForm:
     """
 
     def __init__(self, p: float, weight=None):
-        if not p > 1.0:
-            raise ValueError("p must be > 1")
-        self.p = float(p)
+        self.p = _check_p(p)
         if weight is None:
             bounds = np.array([0.0, 1.0])
             vals = np.array([1.0])
@@ -81,6 +90,8 @@ class PLIntervalForm:
             cells = sorted((float(lo), float(hi), float(w)) for lo, hi, w in weight)
             bounds = np.array([c[0] for c in cells] + [cells[-1][1]])
             vals = np.array([c[2] for c in cells])
+            if not (np.all(np.isfinite(bounds)) and np.all(np.isfinite(vals))):
+                raise ValueError("weight cells must be finite numbers")
             if abs(bounds[0]) > GEOM_TOL or abs(bounds[-1] - 1.0) > GEOM_TOL:
                 raise ValueError("weight cells must cover [0, 1]")
             if np.any(np.diff(bounds) <= 0):
@@ -251,9 +262,7 @@ class GraphForm:
     """
 
     def __init__(self, n_vertices: int, edges, p: float, vertex_weights=None):
-        if not p > 1.0:
-            raise ValueError("p must be > 1")
-        self.p = float(p)
+        self.p = _check_p(p)
         self.n_vertices = int(n_vertices)
         es, cs = [], []
         for i, j, c in edges:
@@ -261,6 +270,8 @@ class GraphForm:
                 raise ValueError(f"bad edge ({i}, {j})")
             if c < 0:
                 raise ValueError("conductances must be nonnegative")
+            if not math.isfinite(c):
+                raise ValueError("conductances must be finite")
             es.append((int(i), int(j)))
             cs.append(float(c))
         self.edges = tuple(es)
@@ -269,6 +280,8 @@ class GraphForm:
                                else np.asarray(vertex_weights, dtype=float))
         if self.vertex_weights.size != self.n_vertices:
             raise ValueError("vertex weight length mismatch")
+        if not np.all(np.isfinite(self.vertex_weights)):
+            raise ValueError("vertex weights must be finite")
         self._check_connected()
         self._ei = np.array([e[0] for e in self.edges], dtype=int)
         self._ej = np.array([e[1] for e in self.edges], dtype=int)
@@ -341,12 +354,11 @@ class SGForm:
 
     def __init__(self, level: int, p: float, rho: float | None = None):
         from . import gasket  # local import to keep module load light
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        if not p > 1.0:
-            raise ValueError("p must be > 1")
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral) \
+                or level < 0:
+            raise ValueError("level must be an integer >= 0")
         self.level = int(level)
-        self.p = float(p)
+        self.p = _check_p(p)
         if rho is None:
             if p == 2.0:
                 rho = 5.0 / 3.0
@@ -354,6 +366,8 @@ class SGForm:
                 raise ValueError("rho is required for p != 2; use SGForm.build")
         if not rho > 1.0:
             raise ValueError("renormalisation factor must exceed 1")
+        if not math.isfinite(rho):
+            raise ValueError("renormalisation factor must be finite")
         self.rho = float(rho)
         self.graph = gasket.build_gasket(self.level)
 
@@ -441,12 +455,18 @@ def _clarkson_slacks(p: float, fu: float, fv: float, fplus: float,
     return out
 
 
-def check_clarkson(form, sampler, trials: int = 64,
-                   tolerance: float = 1e-9) -> ClarksonReport:
+# Roundoff lines of the sampled Clarkson audit and of the fold identity,
+# and the number of triangle folds the fold identity applies.
+CLARKSON_TOL = 1e-9
+FOLD_IDENTITY_TOL = 1e-9
+FOLD_LEVELS = 8
+
+
+def check_clarkson(form, sampler, trials: int = 64) -> ClarksonReport:
     """Sample function pairs and track the worst slack of each inequality.
 
     Slacks are normalised by the p-th power scale of the pair so that the
-    tolerance is meaningful across magnitudes.
+    tolerance CLARKSON_TOL is meaningful across magnitudes.
     """
     worst: dict = {}
     worst_idx = None
@@ -460,11 +480,11 @@ def check_clarkson(form, sampler, trials: int = 64,
             rel = slack / scale
             if name not in worst or rel < worst[name]:
                 worst[name] = rel
-                if rel < -tolerance:
+                if rel < -CLARKSON_TOL:
                     worst_idx = k
     slacks = {name: worst.get(name) for name in ("CI1", "CI2", "CI3", "CI4")}
-    passed = all(s >= -tolerance for s in worst.values())
-    return ClarksonReport(form.p, trials, sampler.seed, slacks, tolerance,
+    passed = all(s >= -CLARKSON_TOL for s in worst.values())
+    return ClarksonReport(form.p, trials, sampler.seed, slacks, CLARKSON_TOL,
                           passed, worst_idx)
 
 
@@ -596,8 +616,7 @@ class FoldIdentityReport:
 
 
 def check_fold_identity(form: PLIntervalForm, f: PLFunction, phi: PLMap,
-                        partition, tolerance: float = 1e-9,
-                        fold_levels: int = 8) -> FoldIdentityReport:
+                        partition) -> FoldIdentityReport:
     """Verify the cut decomposition of E(phi o f) for piecewise-affine phi.
 
     ``partition`` must list the kink positions of phi (including the ends of
@@ -605,7 +624,7 @@ def check_fold_identity(form: PLIntervalForm, f: PLFunction, phi: PLMap,
     composition then equals the sum over partition cells of
     ``Lip(phi on cell)^p * E(double cut of f at the cell)``.  As a companion,
     the energy invariance of the triangle fold, E(T_n o f) = E(f), is checked
-    for n = 1 .. fold_levels.
+    for n = 1 .. FOLD_LEVELS.  Both gaps must stay within FOLD_IDENTITY_TOL.
     """
     part = np.asarray(partition, dtype=float)
     if part.ndim != 1 or part.size < 2 or np.any(np.diff(part) <= 0):
@@ -629,7 +648,8 @@ def check_fold_identity(form: PLIntervalForm, f: PLFunction, phi: PLMap,
 
     ef = form.energy(f)
     inv_gap = max(abs(form.energy(triangle_fold(f, n)) - ef) / max(ef, 1e-30)
-                  for n in range(1, fold_levels + 1))
-    passed = rel_gap <= tolerance and inv_gap <= tolerance
+                  for n in range(1, FOLD_LEVELS + 1))
+    passed = rel_gap <= FOLD_IDENTITY_TOL and inv_gap <= FOLD_IDENTITY_TOL
     return FoldIdentityReport(form.to_descriptor(), tuple(part), lips,
-                              lhs, rhs, rel_gap, inv_gap, tolerance, passed)
+                              lhs, rhs, rel_gap, inv_gap, FOLD_IDENTITY_TOL,
+                              passed)

@@ -267,17 +267,17 @@ class MinExtension:
     gradient_norm: float
 
 
-def min_extension_energy(p: float, boundary_values,
-                         tol: float = 1e-15) -> MinExtension:
+def min_extension_energy(p: float, boundary_values) -> MinExtension:
     """Minimal level-1 energy over the three midpoint values.
 
     The three corner cells of the subdivided triangle contribute
     ``triangle_energy`` each and the removed middle triangle contributes
-    nothing, so this is ``harmonic_extension`` on the level-1 graph.  The
-    midpoints come in (m01, m02, m12) order.
+    nothing, so this is ``harmonic_extension`` on the level-1 graph, run
+    to a duality gap of 1e-15 times the energy.  The midpoints come in
+    (m01, m02, m12) order.
     """
     graph = build_gasket(1)
-    ext = harmonic_extension(graph, p, boundary_values, tol=tol)
+    ext = harmonic_extension(graph, p, boundary_values, tol=1e-15)
     # builder order: cells[0] = (u0, m01, m02) and cells[1] = (u1, m01, m12)
     mids = ext.values[graph.cells[[0, 0, 1], [1, 2, 2]]]
     return MinExtension(ext.energy, mids, ext.gradient_norm)

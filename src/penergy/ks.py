@@ -37,6 +37,10 @@ RESOLUTION_FACTOR = 3.0
 # Sobolev-type profiles flatten out
 DIVERGENCE_SLOPE = -0.5
 
+# the last SCAN_WINDOW scales of a scan (all of them, if fewer) give its
+# liminf estimate and its log-log slope
+SCAN_WINDOW = 4
+
 
 class SampledSpace:
     """A finite quadrature model (points, metric, weights) of (X, d, m).
@@ -117,6 +121,8 @@ class KSKernel:
             raise ValueError("kernel scale r must be positive")
         if not self.p > 1.0:
             raise ValueError("exponent p must exceed 1")
+        if not (math.isfinite(self.r) and math.isfinite(self.p)):
+            raise ValueError("kernel scale r and exponent p must be finite")
 
 
 def ball_measure(space: SampledSpace, x, r: float) -> float:
@@ -314,8 +320,8 @@ def _linear_r_extrapolation(r: np.ndarray, j: np.ndarray) -> float:
 
 
 def ks_limit_scan(space: SampledSpace, u, p: float,
-                  r_sequence, restriction: IntervalSet | None = None,
-                  window: int = 4) -> KSScanReport:
+                  r_sequence, restriction: IntervalSet | None = None
+                  ) -> KSScanReport:
     """J_{p,r} along a decreasing r-sequence, with limit diagnostics.
 
     The sequence must be strictly decreasing and stay at or above the
@@ -341,7 +347,7 @@ def ks_limit_scan(space: SampledSpace, u, p: float,
         j_values = _torus_energies(space, u, r_values.tolist(), p,
                                    restriction)
     running_sup = np.maximum.accumulate(j_values)
-    window = min(max(window, 2), r_values.size)
+    window = min(SCAN_WINDOW, r_values.size)
     tail_r = r_values[-window:]
     tail_j = j_values[-window:]
     liminf_estimate = float(tail_j.min())

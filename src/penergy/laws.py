@@ -77,6 +77,16 @@ DERIVATIVE_STEPS = (1e-2, 5e-3, 2.5e-3)
 # Levels below 30 can never be quiet at this tolerance, so skip them.
 ATOM_TOL = 1e-8
 ATOM_SCHEDULE = FoldSchedule(n_min=30, n_max=40, rel_tol=1e-9)
+# Widest half-width of an atom probe's window, before it shrinks to keep
+# the other critical values out.
+ATOM_WINDOW = 1e-4
+
+# Interpolation grids split every merged cell this many times: products
+# for the Leibniz rule, |f|^q for the functional identity, and phi(g) for
+# the multivariable chain rule.
+PRODUCT_REFINE = 8
+POWER_REFINE = 16
+POLY_REFINE = 16
 
 # p in (1, 2) makes |u'|^{p-2} blow up near flat pieces; derivative checks
 # there use slope-floored samples and a wider budget.
@@ -132,7 +142,10 @@ class _Worst:
         self.case = None
 
     def push(self, slack: float, **case):
-        if slack < self.slack:
+        # NaN compares false either way, so it is taken as the worst slack
+        # outright; the first NaN keeps its witness
+        if slack < self.slack or (math.isnan(slack)
+                                  and not math.isnan(self.slack)):
             self.slack = float(slack)
             self.case = case or None
 
@@ -586,13 +599,14 @@ def _cell_masses(form, jobs, route, sched) -> list[np.ndarray]:
     return [np.diff(run.limits()) for run in runs]
 
 
-def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
+def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                    trials: int = 12, route: str = "construction", sets=None,
                    sched: FoldSchedule = MEASURE_SCHEDULE,
                    derivative_trials: int = 2) -> LawReport:
     """Cell-wise density identity mu_{phi o f} = |phi' o f|^p mu_f.
 
-    Cells merge f's breakpoints with preimages of each map's kinks, so both
+    The maps phi are :func:`default_map_family` on f's value range.  Cells
+    merge f's breakpoints with preimages of each map's kinks, so both
     sides are single-slope per cell; flat cells of f sitting exactly on a
     kink are excluded (phi' undefined there).  Relative gaps use a floor of
     1% of the largest cell mass so near-empty cells are judged absolutely.
@@ -611,15 +625,8 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler, map_family=None,
     drawn = []  # per trial: f and, per map, phi, its cells and phi o f
     for k in range(trials):
         f = sampler.nonzero_pl(k)
-        lo, hi = f.value_range()
-        if map_family is None:
-            maps = default_map_family(lo, hi)
-        elif callable(map_family):
-            maps = tuple(map_family(lo, hi))
-        else:
-            maps = tuple(map_family)
         per_map = []
-        for phi in maps:
+        for phi in default_map_family(*f.value_range()):
             # f's preimages of phi's kinks make phi o f affine per cell
             kinks, _ = _with_level_crossings(f, phi.breakpoints[1:-1])
             per_map.append((phi, Cells(form, f, nodes=(kinks,)),
@@ -684,7 +691,7 @@ def _chain_weighted_masses(form, f, phi, v, targets) -> np.ndarray:
 
 
 def law_leibniz(form: PLIntervalForm, sampler: PLSampler, trials: int = 16,
-                refine: int = 8, sets=None) -> LawReport:
+                sets=None) -> LawReport:
     """Setwise nu_{f;gh}(A) = int_A w sp(f') (g h' + h g') dx, products PL.
 
     The left side evaluates nu_{f;P} for the interpolant P = pl_product(g,h);
@@ -698,8 +705,8 @@ def law_leibniz(form: PLIntervalForm, sampler: PLSampler, trials: int = 16,
     for k in range(trials):
         f, g = sampler.pl_pair(k)
         h = sampler.pl(10_000 + k)
-        prod = pl_product(g, h, refine)
-        budget = _product_pairing_budget(form, f, g, h, refine)
+        prod = pl_product(g, h, PRODUCT_REFINE)
+        budget = _product_pairing_budget(form, f, g, h)
         scale = max(_pairing_scale(form, f, g, h), 1e-12)
         allowed = ORACLE_TOL + budget / scale
         lhs = _signed_masses(form, f, prod.fn, sets)
@@ -710,7 +717,7 @@ def law_leibniz(form: PLIntervalForm, sampler: PLSampler, trials: int = 16,
     return _report("leibniz", form, sampler.seed, trials, worst, ORACLE_TOL)
 
 
-def _product_pairing_budget(form, f, g, h, refine: int) -> float:
+def _product_pairing_budget(form, f, g, h) -> float:
     """Bound on |nu_{f;P} - nu_{f;gh}| from interpolant slope error.
 
     On a refined cell of width c inside a piece where g and h are affine,
@@ -718,7 +725,7 @@ def _product_pairing_budget(form, f, g, h, refine: int) -> float:
     """
     base, _ = refined_grid((g.breakpoints, h.breakpoints), 1)
     cells = Cells(form, f, g, h)
-    cell = step_at(base, np.diff(base), cells.mid) / refine
+    cell = step_at(base, np.diff(base), cells.mid) / PRODUCT_REFINE
     err = np.abs(cells.slope(g) * cells.slope(h)) * cell
     return float(cells.integrate(np.abs(cells.flux(f)) * err
                                  * cells.width)[0])
@@ -734,7 +741,7 @@ def _pairing_scale(form, f, g, h) -> float:
 
 
 def law_functional_identity(form: PLIntervalForm, sampler: PLSampler,
-                            trials: int = 16, refine: int = 16) -> LawReport:
+                            trials: int = 16) -> LawReport:
     """int g dmu_f = E(f;fg) - ((p-1)/p)^{p-1} E(|f|^{p/(p-1)};g).
 
     E(f;fg) expands exactly through the pairing (fg)' = f'g + fg', and the
@@ -753,7 +760,7 @@ def law_functional_identity(form: PLIntervalForm, sampler: PLSampler,
         lhs = _density_pairing(form, f, g)
         term1 = _pairing(form, f, [(g, f), (f, g)], None)
         term2_exact = q ** (p - 1.0) * _pairing(form, f, [(f, g)], None)
-        power = pl_power_interp(f, q, refine)
+        power = pl_power_interp(f, q, POWER_REFINE)
         term2 = form.energy_derivative(power.fn, g)
         scale = max(form.energy(f) * max(1.0,
                                          float(np.max(np.abs(g.values)))),
@@ -778,7 +785,7 @@ class PolyMap:
     Simpson quadrature.
     """
 
-    def __init__(self, coeffs: dict, _origin_check: bool = True):
+    def __init__(self, coeffs: dict):
         items = sorted(coeffs.items())
         if not items:
             raise ValueError("polynomial needs at least one term")
@@ -792,7 +799,7 @@ class PolyMap:
                 raise ValueError("exponents must be nonnegative integers")
             if sum(expo) > 3:
                 raise ValueError("total degree above 3 is not supported")
-            if _origin_check and sum(expo) == 0:
+            if sum(expo) == 0:
                 raise ValueError("constant term breaks phi(0) = 0")
         self.coeffs = {tuple(int(e) for e in expo): float(c)
                        for expo, c in items if c != 0.0}
@@ -837,11 +844,11 @@ DEFAULT_POLY = PolyMap({(1, 1, 0): 1.0, (3, 0, 0): 1.0, (0, 1, 2): -0.5})
 
 
 def law_multivariable_chain(form: PLIntervalForm, sampler: PLSampler,
-                            phi: PolyMap = DEFAULT_POLY, trials: int = 12,
-                            refine: int = 16, sets=None) -> LawReport:
+                            trials: int = 12, phi: PolyMap = DEFAULT_POLY,
+                            sets=None) -> LawReport:
     """Setwise nu_{f; phi(g_1..g_n)}(A) = sum_i int_A d_i phi(g) dnu_{f;g_i}.
 
-    The composition phi(g) is PL-interpolated on a refine-fold grid; the
+    The composition phi(g) is PL-interpolated on a POLY_REFINE-fold grid; the
     right side integrates w sp(f') sum_i d_i phi(g(x)) g_i'(x) by Simpson,
     exact for the degree involved.  The interpolation budget bounds the
     slope error from the (piecewise linear-in-x) second derivative.
@@ -854,9 +861,9 @@ def law_multivariable_chain(form: PLIntervalForm, sampler: PLSampler,
     for k in range(trials):
         f = sampler.pl(k)
         gs = [sampler.pl(20_000 + n * k + j) for j in range(n)]
-        base, grid = refined_grid([g.breakpoints for g in gs], refine)
+        base, grid = refined_grid([g.breakpoints for g in gs], POLY_REFINE)
         comp = PLFunction(grid, phi.value([g.evaluate(grid) for g in gs]))
-        budget = _poly_pairing_budget(form, f, phi, gs, base, refine)
+        budget = _poly_pairing_budget(form, f, phi, gs, base)
         scale = max(form.energy(f) + sum(form.energy(g) for g in gs), 1e-12)
         allowed = ORACLE_TOL + budget / scale
         lhs = _signed_masses(form, f, comp, sets)
@@ -888,7 +895,7 @@ def _poly_chain_rhs(form, f, partials, gs, targets) -> np.ndarray:
     return cells.integrate(cells.flux(f) * simpson * cells.width, targets)
 
 
-def _poly_pairing_budget(form, f, phi, gs, base, refine: int) -> float:
+def _poly_pairing_budget(form, f, phi, gs, base) -> float:
     """Bound |nu_{f;interp} - nu_{f;phi(g)}| from second-derivative size.
 
     Per refined cell, (phi o g)'' is linear in x (degree <= 3), so its
@@ -906,7 +913,7 @@ def _poly_pairing_budget(form, f, phi, gs, base, refine: int) -> float:
             left += at[:-1] * slopes[i] * slopes[j]
             right += at[1:] * slopes[i] * slopes[j]
     worst_err = float(np.max(np.maximum(np.abs(left), np.abs(right))
-                             * (np.diff(base) / refine) / 2.0,
+                             * (np.diff(base) / POLY_REFINE) / 2.0,
                              initial=0.0))
     cells = Cells(form, f)
     return worst_err * float(cells.integrate(np.abs(cells.flux(f))
@@ -1022,17 +1029,17 @@ def pushforward_density(form: PLIntervalForm, f: PLFunction,
 
 def law_image_density(form: PLIntervalForm, sampler: PLSampler,
                       trials: int = 12, probes: int = 50,
-                      route: str = "oracle", delta: float = 1e-4,
+                      route: str = "oracle",
                       sched: FoldSchedule = ATOM_SCHEDULE) -> LawReport:
     """The pushforward of mu_f under f carries no atoms, probed pointwise.
 
     Each sampled f is rescaled to unit energy (atoms scale with the measure
     and the tolerance is absolute).  Probes take every distinct critical
     value (node and weight-bound images, flat-piece values included), then
-    pad with value-range quantiles.  Each probe shrinks its half-width until
-    every other critical value stays out of the window, so the second
-    difference 2 m(d/2) - m(d) cancels the locally linear mass exactly and
-    the residue estimates the atom.
+    pad with value-range quantiles.  Each probe shrinks its half-width from
+    ATOM_WINDOW until every other critical value stays out of the window,
+    so the second difference 2 m(d/2) - m(d) cancels the locally linear
+    mass exactly and the residue estimates the atom.
     """
     _check_route(route)
     _require_pl(form)
@@ -1056,7 +1063,7 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
             others = crit[np.abs(crit - t) > 1e-12]
             dmin = float(np.min(np.abs(others - t))) if others.size \
                 else math.inf
-            widths.append(float(np.clip(0.4 * dmin, 1e-10, delta)))
+            widths.append(float(np.clip(0.4 * dmin, 1e-10, ATOM_WINDOW)))
         levels = targets[:, None] + np.array(widths)[:, None] * np.array(
             [-1.0, -0.5, 0.5, 1.0])
         m = _sublevel_masses(form, f, levels.ravel(), route,
@@ -1161,8 +1168,9 @@ def heavier_form(form: PLIntervalForm, bump: float = 1.0,
     return PLIntervalForm(form.p, weight=weight)
 
 
-# Registry entries share the signature (form, sampler, trials); laws whose
-# third parameter is something else get keyword shims.
+# Registry entries share the signature (form, sampler, trials), which every
+# sampled law has itself.  Only domination, which needs a second form, and
+# minimal_dominant, which samples nothing, go through shims.
 ALL_LAWS = {
     "total_mass": law_total_mass,
     "homogeneity_shift": law_homogeneity_shift,
@@ -1171,12 +1179,10 @@ ALL_LAWS = {
     "locality": law_locality,
     "minmax_bound": law_minmax_bound,
     "two_variable": law_two_variable,
-    "chain_rule": lambda form, sampler, trials: law_chain_rule(
-        form, sampler, trials=trials),
+    "chain_rule": law_chain_rule,
     "leibniz": law_leibniz,
     "functional_identity": law_functional_identity,
-    "multivariable_chain": lambda form, sampler, trials:
-        law_multivariable_chain(form, sampler, trials=trials),
+    "multivariable_chain": law_multivariable_chain,
     "domination": lambda form, sampler, trials: law_domination(
         form, heavier_form(form), sampler, trials),
     "minimal_dominant": lambda form, sampler, trials: law_minimal_dominant(

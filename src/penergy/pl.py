@@ -550,8 +550,9 @@ class IntervalSet:
         return cls([(lo, hi, True, True)])
 
     @classmethod
-    def from_pairs(cls, pairs, closed: bool = True) -> "IntervalSet":
-        return cls([(lo, hi, closed, closed) for lo, hi in pairs])
+    def from_pairs(cls, pairs) -> "IntervalSet":
+        """The union of the closed intervals [lo, hi] of the given pairs."""
+        return cls([(lo, hi, True, True) for lo, hi in pairs])
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalSet":
@@ -607,21 +608,22 @@ class IntervalSet:
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(list(self.components) + list(other.components))
 
-    def issubset(self, other: "IntervalSet", tol: float = GEOM_TOL) -> bool:
+    def issubset(self, other: "IntervalSet") -> bool:
         """Measure-based inclusion plus endpoint membership for closed ends.
 
         Adequate for the covering checks used here: a failure by more than a
-        zero-measure boundary set is always detected.
+        zero-measure boundary set is always detected.  Measures are
+        compared up to GEOM_TOL.
         """
         for lo, hi, lc, hc in self.components:
             inter = other.intersect(IntervalSet([(lo, hi, lc, hc)]))
-            if inter.measure() < (hi - lo) - tol:
+            if inter.measure() < (hi - lo) - GEOM_TOL:
                 return False
             if lc and not other.contains(lo):
                 return False
             if hc and not other.contains(hi):
                 return False
-            if hi - lo > tol and not other.contains(0.5 * (lo + hi)):
+            if hi - lo > GEOM_TOL and not other.contains(0.5 * (lo + hi)):
                 return False
         return True
 

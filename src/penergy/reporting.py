@@ -106,9 +106,9 @@ class _Axis:
 
 
 def svg_chart(series, *, title: str, x_label: str, y_label: str,
-              log_x: bool = False, log_y: bool = False,
-              width: int = 720, height: int = 460) -> str:
+              log_x: bool = False, log_y: bool = False) -> str:
     """Static polyline chart; series is a list of (label, xs, ys)."""
+    width, height = 720, 460
     ml, mr, mt, mb = 72, 24, 48, 56
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])

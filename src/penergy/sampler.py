@@ -2,11 +2,11 @@
 
 Every draw is a pure function of ``(seed, index)``, so reports can cite the
 pair and any single case can be replayed in isolation.  Functions produced
-here have breakpoints separated by at least ``min_gap``, values inside
-``[-2, 2]`` and slopes bounded by ``max_slope``; profiles with a minimum
-absolute slope (used by differentiation-based checks, where flat pieces are
-legitimate but uninformative) and profiles with deliberate flat pieces are
-both available.
+here have breakpoints separated by at least ``MIN_GAP``, values inside
+``[-2, 2]`` and slopes bounded by ``MAX_SLOPE``.  A sampler without a slope
+floor makes a piece flat with probability ``FLAT_PROB``; one with a floor
+(:meth:`PLSampler.with_slope_floor`, for differentiation-based checks, where
+flat pieces are legitimate but uninformative) makes none flat.
 """
 
 from __future__ import annotations
@@ -15,21 +15,24 @@ import numpy as np
 
 from .pl import PLFunction, IntervalSet
 
+MIN_GAP = 0.04
+MAX_SLOPE = 4.0
+FLAT_PROB = 0.15
+# interval unions have 2 to MAX_COMPONENTS components
+MAX_COMPONENTS = 4
+
 
 class PLSampler:
     """Deterministic stream of PL functions and related fixtures."""
 
-    def __init__(self, seed: int, max_breaks: int = 12, min_gap: float = 0.04,
-                 max_slope: float = 4.0, min_slope: float = 0.0,
-                 flat_prob: float = 0.15):
+    def __init__(self, seed: int, max_breaks: int = 12,
+                 min_slope: float = 0.0):
         if max_breaks < 2:
             raise ValueError("need at least two breakpoints")
         self.seed = int(seed)
         self.max_breaks = int(max_breaks)
-        self.min_gap = float(min_gap)
-        self.max_slope = float(max_slope)
         self.min_slope = float(min_slope)
-        self.flat_prob = float(flat_prob)
+        self.flat_prob = FLAT_PROB if self.min_slope == 0.0 else 0.0
 
     def _rng(self, index: int, tag: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, int(index), tag])
@@ -41,7 +44,7 @@ class PLSampler:
         for _ in range(64):
             pts = np.sort(rng.uniform(0.0, 1.0, size=n_interior))
             grid = np.concatenate(([0.0], pts, [1.0]))
-            if np.all(np.diff(grid) >= self.min_gap):
+            if np.all(np.diff(grid) >= MIN_GAP):
                 return grid
             n_interior = max(1, n_interior - 1)
         return np.linspace(0.0, 1.0, n_interior + 2)
@@ -57,7 +60,7 @@ class PLSampler:
             if flat_ok and rng.uniform() < self.flat_prob:
                 s = 0.0
             else:
-                mag = rng.uniform(max(self.min_slope, 1e-3), self.max_slope)
+                mag = rng.uniform(max(self.min_slope, 1e-3), MAX_SLOPE)
                 s = mag if rng.uniform() < 0.5 else -mag
             v = vals[i] + s * dx
             if abs(v) > 2.0:
@@ -109,13 +112,12 @@ class PLSampler:
 
     # -- sets ---------------------------------------------------------------
 
-    def interval_union(self, index: int, max_components: int = 4) -> IntervalSet:
+    def interval_union(self, index: int) -> IntervalSet:
         rng = self._rng(index, tag=5)
-        k = int(rng.integers(2, max_components + 1))
+        k = int(rng.integers(2, MAX_COMPONENTS + 1))
         cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * k))
         return IntervalSet.from_pairs(zip(cuts[0::2], cuts[1::2]))
 
     def with_slope_floor(self, min_slope: float) -> "PLSampler":
         """A copy of this sampler whose draws avoid slopes below min_slope."""
-        return PLSampler(self.seed, self.max_breaks, self.min_gap,
-                         self.max_slope, min_slope, flat_prob=0.0)
+        return PLSampler(self.seed, self.max_breaks, min_slope)

@@ -318,6 +318,47 @@ def test_sg_renorm_empty_p_list(tmp_path):
     assert main(["--config", cfg, "sg-renorm"]) == EXIT_CONFIG
 
 
+# -- non-finite and non-integral numbers --------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+NON_FINITE = {
+    "ks-energy p": ("ks-energy", {"p": INF}),
+    "ks-energy r_list": ("ks-energy", {"r_list": [INF, 0.05]}),
+    "ks-energy p beyond the float range": ("ks-energy", {"p": 10 ** 400}),
+    "check-laws domination_weight": (
+        "check-laws", {"seed": 1, "laws": ["domination"],
+                       "domination_weight": [[0, 1, NAN]]}),
+    "build-measure NaN weight": (
+        "build-measure", {"seed": 1, "form": {"kind": "pl", "p": 2.0,
+                                              "weight": [[0, 1, NAN]]}}),
+    "build-measure infinite weight": (
+        "build-measure", {"seed": 1, "form": {"kind": "pl", "p": 2.0,
+                                              "weight": [[0, 1, INF]]}}),
+    "build-measure rel_tol": (
+        "build-measure", {"seed": 1, "schedule": {"rel_tol": INF}}),
+    "build-measure stall_count": (
+        "build-measure", {"seed": 1, "schedule": {"stall_count": 2.5}}),
+    "sg-renorm tol": ("sg-renorm", {"seed": 1, "p_list": [2.0], "tol": INF}),
+    "validate-form graph conductance": (
+        "validate-form", {"seed": 1, "form": {
+            "kind": "graph", "p": 2.0, "vertices": 3,
+            "edges": [[0, 1, 1.0], [1, 2, NAN]]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_or_non_integral_config_is_rejected(tmp_path, capsys,
+                                                      name):
+    command, entries = NON_FINITE[name]
+    cfg = write_config(tmp_path, **entries)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 command]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # -- entry point --------------------------------------------------------------
 
 

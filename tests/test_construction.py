@@ -257,6 +257,15 @@ def test_schedule_validation():
         FoldSchedule(stall_count=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"rel_tol": np.inf}, {"rel_tol": np.nan}, {"n_min": 4.0},
+    {"n_max": 18.5}, {"stall_count": 2.5}, {"stall_count": True},
+])
+def test_schedule_rejects_non_finite_and_non_integral_numbers(fields):
+    with pytest.raises(ValueError):
+        FoldSchedule(**fields)
+
+
 # ---------------------------------------------------------------------------
 # distribution along levels
 

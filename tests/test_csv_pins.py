@@ -4,8 +4,8 @@ Criterion 11 compares two runs of one checkout; these hashes were recorded
 from an earlier build, so a change that moves a single digit of
 ``build_measure.csv``, ``check_laws.csv``, ``ks_energy.csv``,
 ``validate_form.csv`` or ``sg_renorm.csv`` on these small configs fails
-here.  A change that moves them on purpose records the
-new hashes and says why.
+here, and so does one that moves a byte of a ``--plot`` chart.  A change
+that moves them on purpose records the new hashes and says why.
 """
 
 import hashlib
@@ -92,3 +92,29 @@ def test_csv_bytes_match_pinned_hash(tmp_path, name):
                     if not line.startswith(b"# config.out_dir="))
     got = hashlib.sha256(kept).hexdigest()
     assert got == digest, f"{name}: {csv_name} bytes changed"
+
+
+# the --plot charts of the three commands that draw one
+SVG_PINS = {
+    "build-measure": (
+        "build_measure.svg", PINS["build-measure unweighted"][2],
+        "77d8211883ae0f26ab6b6778afaab66f6ebe6f2788d41b316910abbcb71d23c2"),
+    "ks-energy": (
+        "ks_energy.svg", PINS["ks-energy interval r_list"][2],
+        "061deb9da9b466fd28ca571f21df452b11a03db60b73755958451e2226c8bc02"),
+    "sg-renorm": (
+        "sg_renorm.svg", PINS["sg-renorm"][2],
+        "1fefb513af6430c51c6ffa4b85e04a099b1168b1ab4cf1ee8042fba8bfd63cf7"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SVG_PINS))
+def test_svg_bytes_match_pinned_hash(tmp_path, command):
+    svg_name, config, digest = SVG_PINS[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--plot",
+                 command]) == EXIT_PASS
+    got = hashlib.sha256((out / svg_name).read_bytes()).hexdigest()
+    assert got == digest, f"{command}: {svg_name} bytes changed"

@@ -78,6 +78,24 @@ def test_weight_validation():
         PLIntervalForm(1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PLIntervalForm(np.inf),
+    lambda: PLIntervalForm(np.nan),
+    lambda: PLIntervalForm(2.0, weight=[(0.0, 1.0, np.nan)]),
+    lambda: PLIntervalForm(2.0, weight=[(0.0, 0.5, np.inf), (0.5, 1.0, 1.0)]),
+    lambda: GraphForm(2, [(0, 1, 1.0)], np.inf),
+    lambda: GraphForm(2, [(0, 1, np.nan)], 2.0),
+    lambda: GraphForm(2, [(0, 1, np.inf)], 2.0),
+    lambda: GraphForm(2, [(0, 1, 1.0)], 2.0, vertex_weights=[np.nan, 1.0]),
+    lambda: SGForm(1, np.inf),
+    lambda: SGForm(1, 3.0, rho=np.inf),
+    lambda: SGForm(1.5, 2.0),
+])
+def test_forms_reject_non_finite_and_non_integral_numbers(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # directional derivative
 

@@ -173,6 +173,13 @@ def test_kernel_validation():
         KSKernel(0.1, 2.0, kind="heat")
 
 
+def test_kernel_rejects_non_finite_scale_and_exponent():
+    with pytest.raises(ValueError, match="must be finite"):
+        KSKernel(math.inf, 2.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        KSKernel(0.1, math.inf)
+
+
 # -- ks_energy --------------------------------------------------------------
 
 

@@ -569,3 +569,21 @@ def test_run_all_laws_smoke():
     failed = [name for name, rep in reports.items() if not rep.passed]
     assert not failed, failed
     assert all(rep.law == name or rep.law for name, rep in reports.items())
+
+
+def test_registry_calls_every_sampled_law_directly():
+    shims = {name for name, fn in ALL_LAWS.items()
+             if fn is not getattr(laws, f"law_{name}")}
+    assert shims == {"domination", "minimal_dominant"}
+
+
+def test_nan_slack_fails_the_report(monkeypatch):
+    def nan_masses(form, jobs, route, sched=MEASURE_SCHEDULE):
+        return [np.full(len(sets), np.nan) for _, sets in jobs]
+
+    monkeypatch.setattr(laws, "_masses", nan_masses)
+    rep = law_total_mass(UNIFORM2, SAMPLER, trials=2)
+    assert np.isnan(rep.worst_slack)
+    assert not rep.passed
+    assert rep.worst_case == {"trial": 0, "variant": "as_drawn",
+                              "check": "total_mass"}
