@@ -1,27 +1,28 @@
 """Energy measures built from fold limits.
 
 The route from a form to a measure goes through cell functions: fold the
-function with a triangle wave of level n, cap it with a shifted cut of a
-witness, and take energies.  As n grows the energies decrease to a limit
+function with a triangle wave of level n, cap it with a lid made from a
+witness g, and take energies.  As n grows the energies decrease to a limit
 F_f^g(a) that behaves like the measure of the sublevel set {g <= a}.
 Differencing those limits along a grid of levels yields a genuine measure
 with a piecewise-constant density.
 
-The fold has 2^n pieces, so nothing here materialises it.  Where the cap
-sits at or above the fold's peak the energy is the plain energy of f, and
-where it is nonpositive the cap wins outright.  Only the band in between
-needs the fold's nodes, as many as the slope ratio of f to the witness,
-whatever n is.  One ragged kernel, :func:`_band_energy`, integrates the
-bands of a whole batch of thresholds, fed by two producers: the identity
-witness, whose band is the x-interval [a, a + 2^-n], and general lids,
-classified one by one in :func:`_folded_lid_parts`.  One driver,
-:func:`_drive`, runs groups of thresholds through the levels in
-lock-step: each group (one function f with its thresholds) keeps its own
-reference energy and stops once all its thresholds, band residual
-included, are quiet, while the band pieces of every group still running
-go through one kernel call per level.  A group's rows, stop level and
-trace do not depend on the other groups in its batch, so the identity
-witness runs the sampled functions of a whole law as one batch.
+The fold has 2^n pieces, so nothing here materialises it.  Every limit is
+one window lo <= g <= hi on a witness (lo = -inf for a sublevel set): on
+the window the lid sits at the fold's peak and f keeps its plain energy,
+and 2^-n outside it the lid is 0.  Only the bands in between need the
+fold's nodes.  One producer, :func:`_window_runs`, cuts those bands at the
+nodes of f, g and the weight for every witness, and one ragged kernel,
+:func:`_band_energy`, integrates them.  The identity's band is [a, a +
+2^-n] itself.  A general witness's lid is the one :func:`cell_function`
+builds, taken on each affine piece of g: its crossings carry their
+rounding, and a band narrower than GEOM_TOL, whose two ends the PL algebra
+merges, ramps on to the end of the piece and is measured there, never
+dropped.  One level loop, :func:`_drive`, runs groups (one function f with
+its windows) through the levels in lock-step: each group stops once all its
+thresholds, band residual included, are quiet, while the bands of every
+group still running go through one kernel call per level.  A group's rows,
+stop level and trace do not depend on the other groups in its batch.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -45,7 +46,6 @@ from .pl import (
     PieceCapError,
     PLFunction,
     _merge_sorted_grids,
-    _with_level_crossings,
     lattice,
     shifted_cut,
     sublevel_set,
@@ -67,7 +67,6 @@ __all__ = [
     "CoveringReport",
     "EnergyMeasure",
     "cell_function",
-    "folded_lid_energy",
     "F_value",
     "two_sided_cut_limit",
     "distribution",
@@ -217,8 +216,8 @@ def cell_function(f: PLFunction, g: PLFunction, a: float,
                   n: int) -> PLFunction:
     """The capped fold min(T_n o f, S_n^a o g), materialised literally.
 
-    Exponential in n; useful for cross-checks at small levels and as the
-    defining object.  Deep levels go through :func:`folded_lid_energy`.
+    Exponential in n; the defining object, and the cross-check of the
+    fold limits at small levels, which never build it.
     """
     folded = triangle_fold(f, n)
     lid = shifted_cut(g, a, n)
@@ -300,68 +299,6 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
         total += np.bincount(owner[seg], minlength=size,
                              weights=np.where(span > 0.0, energy, 0.0))
     return total
-
-
-def folded_lid_energy(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
-                      n: int) -> float:
-    """E(min(T_n o f, lid)) without materialising the fold."""
-    return float(_lid_energies(form, f, [lid], n)[0][0])
-
-
-def _folded_lid_parts(form: PLIntervalForm, f: PLFunction, lid: PLFunction,
-                      n: int) -> tuple[float, tuple]:
-    """Plain energy and band pieces of min(T_n o f, lid).
-
-    Pieces are classified against the fold's peak height 2^-n after
-    refining the lid at its crossings of 0 and the peak:
-
-    * lid at or above the peak: the fold wins; folding preserves |f'|, so
-      the piece contributes its plain energy in the form.
-    * lid at or below 0: the lid wins outright (the fold is nonnegative).
-    * otherwise: a band piece, returned as :func:`_band_energy` input.
-
-    For a shifted-cut lid the plain sets do not depend on n, so the band
-    energy is an upper bound for the excess over the fold limit.
-    """
-    p = form.p
-    eps = 2.0 ** (-n)
-    lx, lv = _with_level_crossings(lid, (0.0, eps))
-    grid = _merge_sorted_grids(lx, f.breakpoints, form.weight_bounds)
-    fv = f.evaluate(grid)
-    cv = np.interp(grid, lx, lv)
-
-    lens = np.diff(grid)  # positive: merged grids are strictly increasing
-    l0, l1 = cv[:-1], cv[1:]
-    f0, f1 = fv[:-1], fv[1:]
-    w = form.weight_at(0.5 * (grid[:-1] + grid[1:]))
-
-    # crossing nodes reproduce the levels only up to rounding; the clip
-    # arithmetic behind a shifted cut also leaves absolute residues of
-    # order ulp(|a|), which dwarfs 1e-9 * eps once 2^-n nears float
-    # granularity, so keep an absolute floor.  Blurring the classification
-    # by 1e-14 moves at most that much energy between the plain and band
-    # buckets, far below any stall tolerance in use.
-    tol = 1e-9 * eps + 1e-14
-    plateau = np.minimum(l0, l1) >= eps - tol
-    sunk = (np.maximum(l0, l1) <= tol) & ~plateau
-    band = ~plateau & ~sunk
-
-    # the winner's slope: the fold's on the plateau, the lid's where sunk
-    slope = np.where(plateau, f1 - f0, l1 - l0) / lens
-    plain = float(np.sum((w * np.abs(slope) ** p * lens)[~band]))
-    return plain, (grid[:-1][band], grid[1:][band], f0[band], f1[band],
-                   l0[band], l1[band], w[band])
-
-
-def _lid_energies(form: PLIntervalForm, f: PLFunction, lids,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(energy, band residual) of min(T_n o f, lid) for each lid; the
-    band pieces of all the lids go through one kernel call."""
-    plain, parts = zip(*(_folded_lid_parts(form, f, lid, n) for lid in lids))
-    owner = np.repeat(np.arange(len(parts)), [part[0].size for part in parts])
-    pieces = [np.concatenate(column) for column in zip(*parts)]
-    band = _band_energy(pieces, owner, len(parts), n, form.p)
-    return np.array(plain) + band, band
 
 
 # ---------------------------------------------------------------------------
@@ -481,80 +418,284 @@ def _drive(energies_at, groups, sched: FoldSchedule,
     return runs
 
 
-def _cut_run(form: PLIntervalForm, f: PLFunction, pairs,
-             sched: FoldSchedule) -> _LevelRun:
-    """F_f^g(a) for every witness pair (g, a), as one group."""
-    return _drive(lambda n, _: _lid_energies(
-        form, f, [shifted_cut(g, a, n) for g, a in pairs], n),
-        [(np.array([a for _, a in pairs], dtype=float), form.energy(f))],
-        sched, sched.rel_tol)[0]
+def _preimage(x0, x1, s0, s1, level):
+    """Where s, affine from s0 at x0 to s1 at x1, meets the level, clamped
+    to [x0, x1]; a flat s gives x0 below it, x1 above it and NaN on it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.clip(x0 + (level - s0) / (s1 - s0) * (x1 - x0), x0, x1)
+
+
+def _band_rows(h0, h1, c, eps):
+    """(threshold, cell) pairs whose range of h, affine from h0 to h1 on
+    the cell, meets the open band (c, c + eps); by threshold, then cell."""
+    order = np.argsort(c, kind="stable")
+    first = np.searchsorted(c[order] + eps, np.minimum(h0, h1), side="right")
+    cell, pos = _ragged(np.maximum(np.searchsorted(
+        c[order], np.maximum(h0, h1)) - first, 0))
+    t = order[first[cell] + pos]
+    sort = np.lexsort((cell, t))
+    return t[sort], cell[sort]
+
+
+def _literal_lid_pieces(form, fns, rows, eps):
+    """Pieces of min(T_n o f, lid) for the literal lid on pieces of g.
+
+    ``rows`` holds, per (threshold, side, affine piece [P, G] of g), h = g
+    or -g at P and G, the threshold c, the owner, the index of f in
+    ``fns``, and the indices of P and G in ``rows["nodes"]``, the merged
+    grid whose nodes cut the piece further.  The lid is the one
+    pl.shifted_cut builds: nodes P, the crossings N1 <= N2 of the levels
+    c and c + 2^-n strictly inside, and G, with c + 2^-n - h clipped to
+    [0, 2^-n] at each and affine in between.  The PL algebra keeps only
+    the first of two nodes within GEOM_TOL, so a band narrower than that
+    loses N2 and the lid ramps from N1 on to G.  The literal route
+    classified each piece: a lid at the peak (to within 1e-9 2^-n + 1e-14)
+    left f's plain energy, a lid at 0 its own, and the rest were band
+    pieces.  [N1, N2] is always band; [P, N1] and [N2, G] are classified
+    only where the lid at N1 or N2 leaves its level by more than that, or
+    N2 merged, since only there does the literal differ from the plateau.
+    The window's other band lies on the side h <= c; where that side is
+    classified on a piece that holds it, the literal lid is the lattice
+    min of both sides' lids, which this does not model: PieceCapError.
+    Returns the band pieces with their owners, and per owner the plain
+    energy so found less ``rows["own"]``, the plateau's energy on the piece
+    where h <= c, wherever that side was classified.
+    """
+    P, G, hP, hG, c = (rows[k] for k in ("P", "G", "hP", "hG", "c"))
+    on = np.flatnonzero((np.minimum(hP, hG) < c + eps)
+                        & (np.maximum(hP, hG) > c))
+    P, G, hP, hG, c = P[on], G[on], hP[on], hG[on], c[on]
+    up = hG > hP
+    near, far = np.where(up, c, c + eps), np.where(up, c + eps, c)
+    d0, d1, e0, e1 = hP - near, hG - near, hP - far, hG - far
+    has_near, has_far = d0 * d1 < 0.0, e0 * e1 < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = np.where(has_near, P + d0 / (d0 - d1) * (G - P), P)
+        n2 = np.where(has_far, P + e0 / (e0 - e1) * (G - P), n1)
+    merged = has_far & (n2 - n1 <= GEOM_TOL)
+    lx = np.array([P, n1, np.where(merged, n1, n2), G])
+    slope = (hG - hP) / (G - P)  # np.interp's arithmetic on the piece
+    lv = np.clip(c + eps - np.array(
+        [hP, *(np.where(x == P, hP, slope * (x - P) + hP) for x in lx[1:3]),
+         hG]), 0.0, eps)
+    tol = 1e-9 * eps + 1e-14
+    top = np.where(up, eps, 0.0)  # the lid past N1; eps - top past N2
+    pre = has_near & (np.abs(lv[1] - top) > tol)
+    post = merged | has_far & (np.abs(lv[2] - (eps - top)) > tol)
+    peak_side = np.where(up, pre, post)  # h <= c, where the plateau is
+    if np.any(peak_side & (np.minimum(hP, hG) < rows["other"][on])):
+        raise PieceCapError(
+            "the literal lid of a two-sided window is off its level on a "
+            "piece of g that holds its other band: a lattice min of two "
+            "lids, not modelled")
+    x_lo = np.where(has_near & ~pre, lx[1], P)
+    x_hi = np.where(has_far & ~post, lx[2], G)
+
+    # the nodes of each piece: P, the merged grid's inside, G, N1 and N2
+    iP, iG = rows["iP"][on], rows["iG"][on]
+    span = iG - iP + 1
+    inner = (lx[1:3] > lx[:2]) & (lx[1:3] < G)
+    row, pos = _ragged(span + inner.sum(axis=0))
+    x = np.where(pos == 0, P[row], np.where(
+        pos == span[row] - 1, G[row],
+        rows["nodes"][np.minimum(iP[row] + pos, iG[row])]))
+    extra = np.flatnonzero(pos >= span[row])
+    re = row[extra]
+    x[extra] = np.where((pos[extra] == span[re]) & inner[0][re], lx[1][re],
+                        lx[2][re])
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    seg = np.flatnonzero((row[1:] == row[:-1]) & (x[1:] > x[:-1])
+                         & (x[:-1] >= x_lo[row[:-1]])
+                         & (x[1:] <= x_hi[row[:-1]]))
+    r = row[seg]
+    x0, x1 = x[seg], x[seg + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.diff(lv, axis=0) / np.diff(lx, axis=0)
+
+    def lid(v):  # np.interp over the lid's nodes
+        out = lv[3][r]
+        for j in (2, 1, 0):
+            at, val = lx[j][r], lv[j][r]
+            out = np.where(v < lx[j + 1][r], np.where(
+                v == at, val, slopes[j][r] * (v - at) + val), out)
+        return out
+
+    l0, l1 = lid(x0), lid(x1)
+    fn = rows["fn"][on][r]
+    v0, v1 = np.empty(r.size), np.empty(r.size)
+    for k in np.unique(fn):
+        at = fn == k
+        v0[at], v1[at] = fns[k].evaluate(x0[at]), fns[k].evaluate(x1[at])
+    w = form.weight_at(0.5 * (x0 + x1))
+    peak = np.minimum(l0, l1) >= eps - tol
+    band = ~peak & (np.maximum(l0, l1) > tol)
+    slope = np.where(peak, v1 - v0, l1 - l0) / (x1 - x0)
+    plain = w * np.abs(slope) ** form.p * (x1 - x0)
+    owner, size = rows["owner"][on], rows["size"]
+    own = np.where(peak_side, rows["own"][on], 0.0)
+    return (tuple(v[band] for v in (x0, x1, v0, v1, l0, l1, w)),
+            owner[r][band], np.bincount(owner[r][~band], plain[~band], size)
+            - np.bincount(owner, own, size))
+
+
+def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
+                 tol: float) -> list[_LevelRun]:
+    """Fold limits over witness windows for each (f, blocks) group, run in
+    lock-step by :func:`_drive` with stall tolerance ``tol``.
+
+    A block (g, lo, hi) gives one threshold per entry of ``hi``, the window
+    lo <= g <= hi, with ``lo`` None for a one-sided cut and ``g`` None for
+    the identity, whose blocks are one-sided.  The plateau, f's energy on
+    the window, is read once off its cumulative energy.  Only the bands g
+    in (hi, hi + 2^-n) and (lo - 2^-n, lo) need the fold's nodes, and each
+    level sends all of them through one kernel call.  The identity's band
+    is [a, a + 2^-n] with the lid a + 2^-n - x, cut at the cells of f and
+    the weight that meet it at the first level.  A general witness takes
+    the literal lid, by :func:`_literal_lid_pieces`, on each affine piece
+    of g whose range of h = g (for hi) or h = -g (for lo) meets its band
+    at the first level.
+    """
+    eps_max = 2.0 ** (-sched.n_min)
+    fns, drive, plateaus, idents, wits, nodes = [], [], [], [], [], []
+    for f, blocks in groups:
+        grid, cum = form.cumulative_energy(f)
+        his, plateau, ident, wit, xs = [], [], [], [], []
+        start = base = 0  # thresholds, and witnesses' grid nodes, so far
+        for g, lo, hi in blocks:
+            hi = np.asarray(hi, dtype=float)
+            his.append(hi)
+            first, start = start, start + hi.size
+            if g is None:
+                plateau.append(np.interp(hi, grid, cum))
+                t, cell = _band_rows(grid[:-1], grid[1:], hi, eps_max)
+                ident.append((t + first, hi[t], grid[cell], grid[cell + 1]))
+                continue
+            lo = np.broadcast_to(np.asarray(-np.inf if lo is None else lo,
+                                            dtype=float), hi.shape)
+            x = _merge_sorted_grids(grid, g.breakpoints)
+            gx = g.evaluate(x)
+            # the plateau: f's energy where lo <= g <= hi, cell by cell (a
+            # flat cell all or nothing)
+            ga, gb, top, bottom = gx[:-1], gx[1:], hi[:, None], lo[:, None]
+            p0, p1 = (_preimage(x[:-1], x[1:], ga, gb, v)
+                      for v in (bottom, top))
+            a0 = np.where(ga == gb, x[:-1], np.minimum(p0, p1))
+            a1 = np.where(ga == gb, np.where((bottom <= ga) & (ga <= top),
+                                             x[1:], x[:-1]),
+                          np.maximum(p0, p1))
+            plateau.append(np.sum(np.where(a1 > a0, np.interp(
+                a1, grid, cum) - np.interp(a0, grid, cum), 0.0), axis=1))
+            # rows (threshold, side, piece of g), each piece's ends on x,
+            # the energy on it where h <= c, and the window's other bound
+            P, G = g.breakpoints[:-1], g.breakpoints[1:]
+            node = np.searchsorted(x, g.breakpoints, side="right") - 1
+            for q, c, other in ((1.0, hi, lo), (-1.0, -lo, -hi)):
+                h = q * g.values
+                t, j = _band_rows(h[:-1], h[1:], c, eps_max)
+                h0, h1, cut = h[j], h[j + 1], _preimage(
+                    P[j], G[j], h[j], h[j + 1], c[t])
+                s0, s1 = np.where(h1 > h0, P[j], cut), np.where(
+                    h1 > h0, cut, G[j])
+                own = np.where((h0 != h1) & (s1 > s0), np.interp(
+                    s1, grid, cum) - np.interp(s0, grid, cum), 0.0)
+                wit.append((t + first, c[t], P[j], G[j], h0, h1,
+                            node[j] + base, node[j + 1] + base, own,
+                            other[t]))
+            xs.append(x)
+            base += x.size
+        fns.append(f)
+        drive.append((_cat(his), float(cum[-1])))
+        plateaus.append(_cat(plateau))
+        idents.append([_cat(col) for col in zip(*ident)] if ident else None)
+        wits.append(dict(zip(("owner", "c", "P", "G", "hP", "hG", "iP", "iG",
+                              "own", "other"),
+                             (_cat(col) for col in zip(*wit))))
+                    if wit else None)
+        nodes.append(_cat(xs) if xs else None)
+    batch = {}
+
+    def energies_at(n, active):
+        if batch.get("active") != active:
+            at = np.cumsum([0] + [drive[g][0].size for g in active])
+            ids = [(idents[g], off) for g, off in zip(active, at)
+                   if idents[g] is not None]
+            cols = [(p[0] + off, *p[1:]) for p, off in ids] or [
+                (np.empty(0, dtype=int),) + (np.empty(0),) * 3]
+            owner, c, xa, xb = (_cat(list(col)) for col in zip(*cols))
+            batch.update(active=active, owner=owner, c=c, xa=xa, xb=xb,
+                         size=int(at[-1]),
+                         plateau=_cat([plateaus[g] for g in active]),
+                         ends=np.cumsum([0 if idents[g] is None
+                                         else idents[g][0].size
+                                         for g in active]), rows=None)
+            held = [(g, off) for g, off in zip(active, at)
+                    if wits[g] is not None]
+            if held:
+                base = np.cumsum([0] + [nodes[g].size for g, _ in held])
+                rows = {k: _cat([wits[g][k] for g, _ in held]) for k in
+                        ("c", "P", "G", "hP", "hG", "own", "other")}
+                rows.update(
+                    {k: _cat([wits[g][k] + o for (g, _), o in zip(held, base)])
+                     for k in ("iP", "iG")},
+                    owner=_cat([wits[g]["owner"] + off for g, off in held]),
+                    fn=_cat([np.full(wits[g]["c"].size, g) for g, _ in held]),
+                    nodes=_cat([nodes[g] for g, _ in held]),
+                    size=int(at[-1]))
+                batch["rows"] = rows
+        b = batch
+        eps = 2.0 ** (-n)
+        c, xa, xb = b["c"], b["xa"], b["xb"]
+        x0, x1 = np.clip(c, xa, xb), np.clip(c + eps, xa, xb)
+        keep = np.flatnonzero(x1 > x0)
+        x0, x1, c = x0[keep], x1[keep], c[keep]
+        # each group's pairs follow one another
+        cut = np.searchsorted(keep, b["ends"]).tolist()
+        v0, v1 = (_cat([fns[g].evaluate(x[i:j]) for g, i, j
+                        in zip(active, [0] + cut, cut)]) for x in (x0, x1))
+        pieces = (x0, x1, v0, v1, c + eps - x0, c + eps - x1,
+                  form.weight_at(0.5 * (x0 + x1)))
+        owner, energy = b["owner"][keep], b["plateau"]
+        if b["rows"] is not None:
+            extra, extra_owner, plain = _literal_lid_pieces(
+                form, fns, b["rows"], eps)
+            owner = np.concatenate((owner, extra_owner))
+            order = np.argsort(owner, kind="stable")
+            owner = owner[order]
+            pieces = tuple(np.concatenate(v)[order]
+                           for v in zip(pieces, extra))
+            energy = energy + plain
+        band = _band_energy(pieces, owner, b["size"], n, form.p)
+        return energy + band, band
+
+    return _drive(energies_at, drive, sched, tol)
 
 
 def _identity_runs(form: PLIntervalForm, groups,
                    sched: FoldSchedule) -> list[_LevelRun]:
-    """F_f^id at every threshold of each (f, a_vec) group, in lock-step.
-
-    The identity lid is the ramp a + 2^-n - x clipped to [0, 2^-n]: below
-    a the fold is the minimum, read off the cumulative energy of f, and
-    past a + 2^-n the lid is 0.  Only the band between goes to the kernel,
-    cut where f or the weight changes slope.  Per level each running group
-    locates its band ends in its own grid and evaluates its own f at its
-    band nodes; the bands of all of them are assembled side by side and go
-    through one kernel call.  A quarter of rel_tol as the stall tolerance
-    keeps the band residual inside the cell-mass slack.
-    """
-    fns, grids, cols, drive = [], [], [], []
-    for f, a_vec in groups:
-        a_vec = np.asarray(a_vec, dtype=float)
-        grid, cum = form.cumulative_energy(f)
-        fns.append(f)
-        grids.append(grid)
-        cols.append((a_vec, np.interp(a_vec, grid, cum)))  # a and plateau
-        drive.append((a_vec, float(cum[-1])))
-    batch = {}  # the running groups' columns side by side, per active set
-
-    def energies_at(n, active):
-        if batch.get("active") != active:
-            at = np.cumsum([0] + [cols[g][0].size for g in active])
-            nodes = np.cumsum([0] + [grids[g].size for g in active]).tolist()
-            spans = list(zip(active, at.tolist(), at[1:].tolist(), nodes))
-            a, plateau = map(_cat, zip(*(cols[g] for g in active)))
-            batch.update(active=active, spans=spans, a=a, plateau=plateau,
-                         at=at, grid=_cat([grids[g] for g in active]))
-        b = batch
-        eps = 2.0 ** (-n)
-        lo = np.clip(b["a"], 0.0, 1.0)
-        hi = np.clip(b["a"] + eps, 0.0, 1.0)
-        # per group, as indices into the grids side by side: the first node
-        # past lo and the first node at or past hi
-        first = _cat([np.searchsorted(grids[g], lo[i:j], side="right") + off
-                      for g, i, j, off in b["spans"]])
-        inside = _cat([np.searchsorted(grids[g], hi[i:j], side="left") + off
-                       for g, i, j, off in b["spans"]]) - first
-        # band nodes per threshold: lo, the grid nodes strictly inside, hi
-        row, pos = _ragged(np.where(hi > lo, inside + 2, 0))
-        end = pos == inside[row] + 1
-        x = b["grid"][np.clip(first[row] + pos - 1, 0, b["grid"].size - 1)]
-        x = np.where(pos == 0, lo[row], np.where(end, hi[row], x))
-        # each group's nodes follow one another, as its thresholds do
-        ends = np.searchsorted(row, b["at"][1:]).tolist()
-        v = _cat([fns[g].evaluate(x[i:j]) for g, i, j
-                  in zip(active, [0] + ends, ends)])
-        lid = b["a"][row] + eps - x
-        left = np.nonzero(~end)[0]
-        right = left + 1
-        pieces = (x[left], x[right], v[left], v[right], lid[left], lid[right],
-                  form.weight_at(0.5 * (x[left] + x[right])))
-        band = _band_energy(pieces, row[left], hi.size, n, form.p)
-        return b["plateau"] + band, band
-
-    return _drive(energies_at, drive, sched, 0.25 * sched.rel_tol)
+    """F_f^id at every threshold of each (f, a_vec) group, in lock-step; a
+    stall tolerance of rel_tol / 4 keeps the band inside the mass slack."""
+    return _window_runs(form, [(f, [(None, None, a)]) for f, a in groups],
+                        sched, 0.25 * sched.rel_tol)
 
 
 def _identity_run(form: PLIntervalForm, f: PLFunction, a_vec,
                   sched: FoldSchedule) -> _LevelRun:
     """F_f^id at every threshold of a_vec: the one-group batch."""
     return _identity_runs(form, [(f, a_vec)], sched)[0]
+
+
+def _cut_run(form: PLIntervalForm, f: PLFunction, pairs,
+             sched: FoldSchedule) -> _LevelRun:
+    """F_f^g(a) for every witness pair (g, a), as one group; consecutive
+    pairs with the same witness share a block."""
+    blocks = []
+    for g, a in pairs:
+        if blocks and blocks[-1][0] is g:
+            blocks[-1][2].append(a)
+        else:
+            blocks.append((g, None, [a]))
+    return _window_runs(form, [(f, blocks)], sched, sched.rel_tol)[0]
 
 
 def F_value(form: PLIntervalForm, f: PLFunction, g: PLFunction, a: float,
@@ -584,16 +725,17 @@ def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
                         ) -> ConvergenceTrace:
     """Limit energy of the fold capped on both sides of a witness band.
 
-    The cap is min(S_n^high o g, S_n^(-low) o (-g)): it opens only where
-    low < g <= high, so the limit is a capacity-style upper bound for the
-    measure of that slab, compared against F(high) - F(low) in tests.
+    The cap is min(S_n^high o g, S_n^(-low) o (-g)), at the peak only where
+    low <= g <= high (finite bounds), so the limit is a capacity-style upper
+    bound for the slab's measure, compared against F(high) - F(low) in tests.
+    Raises PieceCapError where both bands lie on one piece of g steep enough
+    that the literal cap, a lattice min of the two sides, is off its levels.
     """
     _require_pl(form)
-    neg_g = -g
-    return _drive(lambda n, _: _lid_energies(form, f, [lattice(
-        shifted_cut(g, high, n), shifted_cut(neg_g, -low, n), "min")], n),
-        [(np.array([high], dtype=float), form.energy(f))], sched,
-        sched.rel_tol)[0].trace(0)
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise ValueError(f"need finite low <= high, got [{low:g}, {high:g}]")
+    return _window_runs(form, [(f, [(g, [low], [high])])], sched,
+                        sched.rel_tol)[0].trace(0)
 
 
 def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,
@@ -613,7 +755,8 @@ def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     if np.any(np.diff(a_grid) <= 0.0):
         raise ValueError("level grid must be strictly increasing")
     e_ref = form.energy(f)
-    run = _cut_run(form, f, [(g, a) for a in a_grid], sched)
+    run = _window_runs(form, [(f, [(g, None, a_grid)])], sched,
+                       sched.rel_tol)[0]
     vals = run.limits()
 
     slack = sched.rel_tol * max(e_ref, 1e-300)

@@ -37,6 +37,8 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
+from .forms import _check_p
+
 TWO_PI = 2.0 * np.pi
 
 # orthonormal basis of the zero-sum plane in R^3 (both rows sum to 0)
@@ -188,8 +190,7 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
     ``x0`` holds one finite value per vertex in builder order; its boundary
     entries are ignored.
     """
-    if not p > 1.0:
-        raise ValueError("p must be > 1")
+    _check_p(p)
     bv = np.asarray(boundary_values, dtype=float)
     if bv.size != 3:
         raise ValueError("need exactly 3 boundary values")
@@ -447,8 +448,7 @@ def renormalization_constant(p: float, grid_size: int = 256,
     residual is the relative sup-norm change of the table in the last sweep,
     and ``rho`` is the last normaliser.
     """
-    if not p > 1.0:
-        raise ValueError("p must be > 1")
+    _check_p(p)
     theta = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
     u = np.cos(theta)[:, None] * _E1 + np.sin(theta)[:, None] * _E2
 

@@ -35,9 +35,9 @@ import numpy as np
 from .construction import (
     FoldSchedule,
     MEASURE_SCHEDULE,
-    _cut_run,
     _identity_runs,
     _require_pl,
+    _window_runs,
 )
 from .forms import (
     Cells,
@@ -1039,16 +1039,17 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
     pad with value-range quantiles.  Each probe shrinks its half-width from
     ATOM_WINDOW until every other critical value stays out of the window,
     so the second difference 2 m(d/2) - m(d) cancels the locally linear
-    mass exactly and the residue estimates the atom.
+    mass exactly and the residue estimates the atom.  Every trial is drawn
+    first, so the construction route runs all their levels as one batch.
     """
     _check_route(route)
     _require_pl(form)
-    worst = _Worst()
+    drawn = []  # (trial, f, probe values, half-widths, levels) per trial
     for k in range(trials):
         f0 = sampler.pl(k)
         e = form.energy(f0)
         if e == 0.0:
-            worst.push(0.0, trial=k, note="zero energy, zero measure")
+            drawn.append((k, None, None, None, None))
             continue
         f = f0 * e ** (-1.0 / form.p)
         crit = np.unique(np.concatenate((f.values,
@@ -1066,8 +1067,16 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
             widths.append(float(np.clip(0.4 * dmin, 1e-10, ATOM_WINDOW)))
         levels = targets[:, None] + np.array(widths)[:, None] * np.array(
             [-1.0, -0.5, 0.5, 1.0])
-        m = _sublevel_masses(form, f, levels.ravel(), route,
-                             sched).reshape(levels.shape)
+        drawn.append((k, f, targets, widths, levels))
+    jobs = [(f, levels.ravel()) for _, f, _, _, levels in drawn
+            if f is not None]
+    masses = iter(_sublevel_masses(form, jobs, route, sched))
+    worst = _Worst()
+    for k, f, targets, widths, levels in drawn:
+        if f is None:
+            worst.push(0.0, trial=k, note="zero energy, zero measure")
+            continue
+        m = next(masses).reshape(levels.shape)
         atoms = 2.0 * (m[:, 2] - m[:, 1]) - (m[:, 3] - m[:, 0])
         for t, d, atom in zip(targets, widths, atoms):
             worst.push(-abs(float(atom)), trial=k, value=float(t), width=d)
@@ -1075,16 +1084,22 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
                    ATOM_TOL)
 
 
-def _sublevel_masses(form, f, levels: np.ndarray, route: str,
-                     sched: FoldSchedule) -> np.ndarray:
-    """mu_f({f <= s}) for every s in levels, through the requested route.
+def _sublevel_masses(form, jobs, route: str,
+                     sched: FoldSchedule) -> list[np.ndarray]:
+    """mu_f({f <= s}) for every level s of each (f, levels) job, through the
+    requested route.
 
-    The construction route runs all levels through one batched fold limit.
+    The construction route runs the levels of all the jobs as one
+    lock-step batch and reads the limits in job order, so a batch that did
+    not stall raises for the first job whose limits did not.
     """
     if route == "construction":
-        return _cut_run(form, f, [(f, s) for s in levels], sched).limits()
-    return _masses(form, [(f, [sublevel_set(f, s) for s in levels])],
-                   route)[0]
+        runs = _window_runs(form, [(f, [(f, None, levels)])
+                                   for f, levels in jobs], sched,
+                            sched.rel_tol)
+        return [run.limits() for run in runs]
+    return _masses(form, [(f, [sublevel_set(f, s) for s in levels])
+                          for f, levels in jobs], route)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from penergy.construction import (
     covering_check,
     distribution,
     energy_measure,
-    folded_lid_energy,
     outer_measure_lb,
     reference_measure,
     reflection_gap,
@@ -35,7 +34,9 @@ from penergy.construction import (
 from penergy.construction import _identity_run
 from penergy.forms import PLIntervalForm
 from penergy.laws import set_mass_oracle, set_masses
-from penergy.pl import IntervalSet, PLFunction, shifted_cut, triangle_wave
+from penergy.pl import (IntervalSet, PieceCapError, PLFunction, lattice,
+                        shifted_cut, sublevel_set, triangle_fold,
+                        triangle_wave)
 from penergy.sampler import PLSampler
 
 SAMPLER = PLSampler(seed=137)
@@ -58,17 +59,53 @@ def test_cell_function_small_level_grid_oracle():
     assert np.all(cell.evaluate(x[x >= 0.5 + 0.125 + 1e-9]) == 0.0)
 
 
+def _one_level(form, f, g, lo, hi, n):
+    """Level-n energy of the window lo <= g <= hi (one-sided for lo None):
+    a single-level run of the fold-limit producer."""
+    sched = FoldSchedule(n, n)
+    if lo is None:
+        return F_value(form, f, g, hi, sched).energies[0]
+    return two_sided_cut_limit(form, f, g, lo, hi, sched).energies[0]
+
+
+def _literal(form, f, g, lo, hi, n):
+    """The same energy from the materialised cell function."""
+    if lo is None:
+        return form.energy(cell_function(f, g, hi, n))
+    lid = lattice(shifted_cut(g, hi, n), shifted_cut(-g, -lo, n), "min")
+    return form.energy(lattice(triangle_fold(f, n), lid, "min"))
+
+
+# a witness flat at 0.4 on [0.25, 0.6]
+FLAT = PLFunction([0.0, 0.25, 0.6, 1.0], [-0.3, 0.4, 0.4, 1.1])
+
+
+def _windows(f, g, n):
+    """(witness, lo, hi) windows: g one- and two-sided, g = f, -g, and a
+    flat piece at the threshold, inside the band and under a two-sided
+    window of zero width."""
+    glo, ghi = g.value_range()
+    flo, fhi = f.value_range()
+    eps = 2.0 ** (-n)
+    return [(g, None, glo + 0.25 * (ghi - glo)),
+            (g, None, glo + 0.7 * (ghi - glo)),
+            (g, glo + 0.25 * (ghi - glo), glo + 0.7 * (ghi - glo)),
+            (f, None, flo + 0.4 * (fhi - flo)),
+            (-g, None, -glo - 0.6 * (ghi - glo)),
+            (FLAT, None, 0.4),
+            (FLAT, None, 0.4 - 0.5 * eps),
+            (FLAT, 0.4, 0.4)]
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_folded_energy_matches_materialized(p):
     form = PLIntervalForm(p, weight=[(0.0, 0.35, 0.5), (0.35, 1.0, 2.5)])
     for k in range(4):
         f, g = SAMPLER.pl_pair(k)
-        glo, ghi = g.value_range()
-        for a in (glo + 0.25 * (ghi - glo), glo + 0.7 * (ghi - glo)):
-            for n in (5, 8, 11):
-                lid = shifted_cut(g, a, n)
-                fast = folded_lid_energy(form, f, lid, n)
-                literal = form.energy(cell_function(f, g, a, n))
+        for n in (5, 8, 11):
+            for w, lo, hi in _windows(f, g, n):
+                fast = _one_level(form, f, w, lo, hi, n)
+                literal = _literal(form, f, w, lo, hi, n)
                 assert fast == pytest.approx(literal, rel=1e-12, abs=1e-13)
 
 
@@ -82,9 +119,52 @@ def test_batched_identity_rows_match_general():
             # rows are the plateau energy plus a nonnegative band residual
             assert np.all(rows >= np.interp(a, *form.cumulative_energy(f)))
             for j in (0, 1, 7, 16, 31, 32):
-                lid = shifted_cut(IDENT, float(a[j]), n)
-                want = folded_lid_energy(form, f, lid, n)
+                # the identity as a general witness, not the exact ramp
+                want = _one_level(form, f, IDENT, None, float(a[j]), n)
                 assert rows[j] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_identity_keeps_bands_narrower_than_geom_tol():
+    # at n = 44 the band [a, a + 2^-44] is narrower than GEOM_TOL, yet the
+    # identity's exact ramp still carries its energy, within the bound
+    # w max(1, |f'|)^p 2^-n that the stall rule relies on
+    form = PLIntervalForm(2.0)
+    f = SAMPLER.pl(21, allow_flat=False)
+    a = np.array([0.25, 0.5, 0.75])
+    rows = _identity_run(form, f, a, FoldSchedule(44, 44)).energies[0]
+    band = rows - np.interp(a, *form.cumulative_energy(f))
+    bound = max(1.0, float(np.max(np.abs(f.slopes)))) ** 2 * 2.0 ** -44
+    assert np.all(band > 0.0) and np.all(band <= bound)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_witness_band_narrower_than_geom_tol_is_measured(n):
+    # each witness rises (or falls) by 5 over 1e-10, so at these levels its
+    # band is narrower than GEOM_TOL: the PL algebra merges the band's ends
+    # and the literal lid ramps on to the end of the piece, and the level
+    # carries that ramp's energy, not just the plateau
+    form = PLIntervalForm(2.0, weight=[(0.0, 0.35, 0.5), (0.35, 1.0, 2.5)])
+    f, g = SAMPLER.pl_pair(13)
+    a = float(np.mean(g.value_range()))
+    for block in (PLFunction([0.0, 0.5, 0.5 + 1e-10, 1.0], [0, 0, 5, 5]),
+                  PLFunction([0.0, 0.5 - 1e-10, 0.5, 1.0], [5, 5, 0, 0])):
+        w = g + block
+        plateau = sum(form.energy_between(f, lo, hi)
+                      for lo, hi, _, _ in sublevel_set(w, a).components)
+        fast = _one_level(form, f, w, None, a, n)
+        literal = _literal(form, f, w, None, a, n)
+        assert fast - plateau > 1e-3 * plateau
+        assert fast == pytest.approx(literal, rel=2e-5)
+
+
+def test_unresolved_band_raises_instead_of_converging():
+    # a nearly flat f with the identity as a general witness: from n = 40
+    # the band is below GEOM_TOL and the literal lid ramps over the rest of
+    # [0, 1], which would need more fold nodes than the piece cap
+    bump = PLFunction([0.0, 0.5, 1.0], [0.0, 1e-4, 0.0])
+    for a in (0.3, 0.5, 0.7):
+        with pytest.raises(PieceCapError):
+            F_value(PLIntervalForm(2.0), bump, IDENT, a, MEASURE_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +214,11 @@ def test_kernel_matches_literal_steep_weighted(slope, p, cells):
             literal = form.energy(cell_function(f, IDENT, aj, n))
             assert rows[j] == pytest.approx(literal, rel=rel)
             ag = glo + aj * (ghi - glo)
-            literal = form.energy(cell_function(f, g, ag, n))
-            fast = folded_lid_energy(form, f, shifted_cut(g, ag, n), n)
-            assert fast == pytest.approx(literal, rel=rel)
+            for w, lo, hi in [(g, None, ag), (g, glo, ag), (-g, None, -ag),
+                              (f, None, f(aj))]:
+                literal = _literal(form, f, w, lo, hi, n)
+                fast = _one_level(form, f, w, lo, hi, n)
+                assert fast == pytest.approx(literal, rel=rel)
 
 
 @pytest.mark.parametrize("slope,p,cells", STEEP_CASES)
@@ -415,6 +497,31 @@ def test_two_sided_cut_capacity_bound():
         fa = F_value(form, f, g, a, LAW_SCHEDULE).final
         fb = F_value(form, f, g, b, LAW_SCHEDULE).final
         assert cap.final <= fb - fa + 4e-5 * max(form.energy(f), 1.0)
+
+
+def test_two_sided_window_on_one_steep_piece_raises():
+    # g rises by 1 over 1e-10, so at n = 8 both bands of [0.3, 0.6] are
+    # narrower than GEOM_TOL on one piece of g, and the lower band's merged
+    # lid ramps over the upper one: the literal lid is the lattice min of
+    # the two, which the producer does not model
+    form = PLIntervalForm(2.0)
+    f = SAMPLER.pl(3)
+    g = PLFunction([0.0, 0.5, 0.5 + 1e-10, 1.0], [0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(PieceCapError, match="lattice min"):
+        two_sided_cut_limit(form, f, g, 0.3, 0.6, FoldSchedule(8, 8))
+    for a in (0.3, 0.6):  # each side alone is the literal lid
+        fast = _one_level(form, f, g, None, a, 8)
+        assert fast == pytest.approx(_literal(form, f, g, None, a, 8),
+                                     rel=2e-5)
+
+
+@pytest.mark.parametrize("low,high", [(0.6, 0.4), (-np.inf, 0.5),
+                                      (0.2, np.inf), (np.nan, 0.5)])
+def test_two_sided_cut_rejects_malformed_window(low, high):
+    form = PLIntervalForm(2.0)
+    f, g = SAMPLER.pl_pair(14)
+    with pytest.raises(ValueError, match="finite low <= high"):
+        two_sided_cut_limit(form, f, g, low, high, LAW_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gasket geometry, p-harmonic extension, and renormalisation checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -236,6 +237,18 @@ def test_renormalization_grid_consistency():
 def test_renormalization_rejects_bad_p():
     with pytest.raises(ValueError):
         gasket.renormalization_constant(1.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_renormalization_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="p must be"):
+        gasket.renormalization_constant(p)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_harmonic_extension_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="p must be"):
+        gasket.harmonic_extension(gasket.build_gasket(1), p, (1.0, 0.0, 0.0))
 
 
 def test_renormalized_level_energy_is_stable_p2():

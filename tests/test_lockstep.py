@@ -17,9 +17,11 @@ from penergy.construction import (
     FoldSchedule,
     _identity_run,
     _identity_runs,
+    _window_runs,
 )
 from penergy.forms import PLIntervalForm
-from penergy.laws import dyadic_sets, law_measure_clarkson, set_masses
+from penergy.laws import (ATOM_SCHEDULE, dyadic_sets, law_image_density,
+                          law_measure_clarkson, set_masses)
 from penergy.pl import PLFunction
 from penergy.sampler import PLSampler
 
@@ -140,3 +142,67 @@ def test_law_runs_one_kernel_call_per_level(monkeypatch):
     assert rep.passed
     assert 0 < len(calls) <= len(MEASURE_SCHEDULE.levels)
     assert len(set(calls)) == len(calls)  # one call per level
+
+
+def _mixed_groups():
+    """Identity, g = f, sampler witnesses with flat pieces (thresholds on
+    the flats included), a two-sided window, a witness so steep that its
+    band falls below GEOM_TOL, a zero-energy f and a nearly flat f that
+    exhausts SCHED."""
+    sampler = PLSampler(seed=3)
+    a = np.linspace(-0.1, 1.1, 23)
+    flat2, flat12, flat16 = sampler.pl(2), sampler.pl(12), sampler.pl(16)
+    on_flats = np.array([flat16.values[1], flat16.values[3], 0.0, 0.3])
+    f0, f1, f4 = sampler.pl(1), sampler.pl(5), sampler.pl(6)
+    return [
+        (f0, [(None, None, a[::2])]),
+        (f1, [(f1, None, np.linspace(*f1.value_range(), 9))]),
+        (f4, [(flat2, None, np.sort(np.append(a[1::3], flat2.values[5]))),
+              (flat12, None, [float(flat12.values[3]), 0.95])]),
+        (f0, [(flat16, None, on_flats), (-flat16, None, -on_flats)]),
+        (f1, [(flat2, np.array([-0.2, flat2.values[5]]),
+               np.array([0.3, flat2.values[5]]))]),
+        (f4, [(flat2 + PLFunction([0.0, 0.5, 0.5 + 1e-10, 1.0],
+                                  [0.0, 0.0, 5.0, 5.0]), None, a[4:20:3])]),
+        (PLFunction.constant(0.3), [(flat2, None, a[::4])]),
+        (PLFunction([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0]),
+         [(flat16, None, on_flats)]),
+    ]
+
+
+def test_mixed_witness_batch_matches_lone_runs_field_for_field():
+    groups = _mixed_groups()
+    tol = SCHED.rel_tol
+    batch = _window_runs(FORM, groups, SCHED, tol)
+    for group, run in zip(groups, batch):
+        lone = _window_runs(FORM, [group], SCHED, tol)[0]
+        _assert_same_run(run, lone)
+        if not lone.converged:
+            with pytest.raises(ConvergenceError) as alone:
+                lone.limits()
+            with pytest.raises(ConvergenceError) as batched:
+                run.limits()
+            assert str(batched.value) == str(alone.value)
+            assert batched.value.trace == alone.value.trace
+    stops = [run.levels[-1] for run in batch]
+    assert len(set(stops)) >= 3, stops
+    zero, flat = batch[-2], batch[-1]
+    assert zero.levels == (SCHED.n_min,) and not np.any(zero.energies)
+    assert flat.levels[-1] == SCHED.n_max and not flat.converged
+
+
+def test_image_density_runs_one_kernel_call_per_level(monkeypatch):
+    # every trial's levels share one band kernel call per level
+    calls = []
+    kernel = construction._band_energy
+
+    def counting(*args):
+        calls.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(construction, "_band_energy", counting)
+    rep = law_image_density(PLIntervalForm(2.0), PLSampler(seed=11),
+                            trials=4, probes=20, route="construction")
+    assert rep.passed
+    assert 0 < len(calls) <= len(ATOM_SCHEDULE.levels)
+    assert len(set(calls)) == len(calls)
