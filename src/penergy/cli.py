@@ -93,9 +93,22 @@ _FUNCTION_KINDS = {"identity", "tent", "constant", "sample", "points"}
 
 
 def _as_function(v):
+    """The spec as given, once its kind, keys and number types check out."""
     if not isinstance(v, dict) or v.get("kind") not in _FUNCTION_KINDS:
         raise ConfigError(
             f"function.kind must be one of {sorted(_FUNCTION_KINDS)}")
+    numeric = ("peak", "height", "value", "breakpoints", "values")
+    extra = set(v) - {"kind", "index", *numeric}
+    if extra:
+        raise ConfigError(f"unknown function keys: {sorted(extra)}")
+    for key in numeric:
+        given = v.get(key)
+        if given is not None and any(_finite(x) is None for x in (
+                given if isinstance(given, list) else [given])):
+            raise ConfigError(f"function.{key} must hold finite numbers")
+    index = v.get("index", 0)
+    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+        raise ConfigError("function.index must be an integer >= 0")
     return v
 
 
@@ -300,10 +313,6 @@ def _header(command: str, cfg: dict) -> dict:
 
 def _build_function(spec: dict, seed: int) -> PLFunction:
     kind = spec["kind"]
-    extra = set(spec) - {"kind", "peak", "height", "value", "index",
-                         "breakpoints", "values"}
-    if extra:
-        raise ConfigError(f"unknown function keys: {sorted(extra)}")
     try:
         if kind == "identity":
             return PLFunction.identity()
@@ -313,7 +322,7 @@ def _build_function(spec: dict, seed: int) -> PLFunction:
         if kind == "constant":
             return PLFunction.constant(spec.get("value", 0.0))
         if kind == "sample":
-            return PLSampler(seed).nonzero_pl(int(spec.get("index", 0)))
+            return PLSampler(seed).nonzero_pl(spec.get("index", 0))
         return PLFunction(spec["breakpoints"], spec["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad function spec: {exc}") from exc

@@ -20,9 +20,9 @@ rounding, and a band narrower than GEOM_TOL, whose two ends the PL algebra
 merges, ramps on to the end of the piece and is measured there, never
 dropped.  One level loop, :func:`_drive`, runs groups (one function f with
 its windows) through the levels in lock-step: each group stops once all its
-thresholds, band residual included, are quiet, while the bands of every
-group still running go through one kernel call per level.  A group's rows,
-stop level and trace do not depend on the other groups in its batch.
+thresholds, band residual included, are quiet, and its rows, numbered once
+per batch, are then masked out of the one kernel call per level.  A group's
+rows, stop level and trace do not depend on the other groups in its batch.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -351,44 +351,39 @@ def _drive(energies_at, groups, sched: FoldSchedule,
            tol: float) -> list[_LevelRun]:
     """Run groups of fold limits through levels n_min..n_max in lock-step.
 
-    ``groups`` holds one (thresholds, reference) pair per group, and
-    ``energies_at(n, active)`` gives (energy, band residual or None) for
-    the thresholds of the groups listed in ``active``, side by side in that
-    order.  A step is quiet when the energy change and the band residual,
-    which bounds the distance left to the limit, are both at most ``tol``
-    times the largest of the two energies and the group's ``reference``.
-    A group stops once every one of its thresholds has had ``stall_count``
-    quiet steps in a row; it is then frozen and leaves the active set, so
-    its run is the one it would have had alone.
+    ``groups`` holds one (thresholds, reference) pair per group, and all
+    thresholds are numbered once, group after group.  ``energies_at(n,
+    running)`` gives (energy, band residual or None) for all of them; the
+    rows of groups not flagged in ``running`` need not be worked out.  A
+    step is quiet when the energy change and the band residual, which
+    bounds the distance left to the limit, are both at most ``tol`` times
+    the largest of the two energies and the group's ``reference``.  A
+    group stops once all its thresholds have had ``stall_count`` quiet
+    steps in a row; its run, sliced out of the full rows, is the one it
+    would have had alone.
 
     A zero ``reference`` is E(f) = 0, and 0 <= F_f^g(a) <= E(f) forces
     every limit to be exactly 0: the group returns zeros, converged, at
     the first level, without running any.
     """
-    runs = [None] * len(groups)
-    active = []
-    for g, (thresholds, reference) in enumerate(groups):
-        if reference == 0.0 or thresholds.size == 0:
-            runs[g] = _LevelRun(thresholds, (sched.n_min,),
-                                np.zeros((1, thresholds.size)),
-                                np.full(thresholds.size, sched.stall_count),
-                                np.zeros(thresholds.size), True)
-        else:
-            active.append(g)
-    active = tuple(active)
-    sizes = np.array([groups[g][0].size for g in active], dtype=int)
+    sizes = np.array([t.size for t, _ in groups], dtype=int)
     starts = np.cumsum(sizes) - sizes
-    spans = list(zip(active, starts.tolist(), sizes.tolist()))
-    floor = np.repeat([max(groups[g][1], 1e-300) for g in active], sizes)
+    reference = np.array([r for _, r in groups], dtype=float)
+    running = (reference != 0.0) & (sizes > 0)
+    runs = [None if run else _LevelRun(
+        t, (sched.n_min,), np.zeros((1, t.size)),
+        np.full(t.size, sched.stall_count), np.zeros(t.size), True)
+        for (t, _), run in zip(groups, running)]
+    filled = sizes > 0  # reduceat reads one entry past an empty group
+    heads, quiet = starts[filled], np.zeros(len(groups), dtype=bool)
+    floor = np.repeat(np.maximum(reference, 1e-300), sizes)
     quiet_run = np.zeros(floor.size, dtype=int)
     miss = np.full(floor.size, np.inf)
-    rows = {g: [] for g in active}
-    prev = None
-    levels = sched.levels
+    rows, prev, levels = [], None, sched.levels
     for i, n in enumerate(levels):
-        if not active:
+        if not running.any():
             break
-        e, band = energies_at(n, active)
+        e, band = energies_at(n, running)
         if prev is not None:
             limit = tol * np.maximum(np.maximum(e, prev), floor)
             step = np.abs(e - prev)
@@ -397,25 +392,40 @@ def _drive(energies_at, groups, sched: FoldSchedule,
             miss = step / limit
             quiet_run = np.where(step <= limit, quiet_run + 1, 0)
         prev = e
-        for g, s, k in spans:
-            rows[g].append(e[s:s + k])
-        done = np.minimum.reduceat(quiet_run, starts) >= sched.stall_count
-        last = i + 1 == len(levels)
-        if last or done.any():
-            for (g, s, k), stop in zip(spans, done):
-                if stop or last:
-                    runs[g] = _LevelRun(groups[g][0], tuple(levels[:i + 1]),
-                                        np.array(rows.pop(g)),
-                                        quiet_run[s:s + k], miss[s:s + k],
-                                        bool(stop))
-            keep = np.repeat(~done, sizes)
-            prev, floor = prev[keep], floor[keep]
-            quiet_run, miss = quiet_run[keep], miss[keep]
-            active = tuple(g for g, stop in zip(active, done) if not stop)
-            sizes = sizes[~done]
-            starts = np.cumsum(sizes) - sizes
-            spans = list(zip(active, starts.tolist(), sizes.tolist()))
+        rows.append(e)
+        quiet[filled] = (np.minimum.reduceat(quiet_run, heads)
+                         >= sched.stall_count)
+        stop = running & quiet if i + 1 < len(levels) else running
+        if stop.any():
+            for g in np.flatnonzero(stop):
+                s, k = starts[g], sizes[g]
+                runs[g] = _LevelRun(groups[g][0], tuple(levels[:i + 1]),
+                                    np.array([r[s:s + k] for r in rows]),
+                                    quiet_run[s:s + k], miss[s:s + k],
+                                    bool(quiet[g]))
+            running = running & ~stop
     return runs
+
+
+def _evaluate(fns, fn: np.ndarray, *xs) -> list:
+    """fns[k] at each x entry, k = fn there (sorted): one call per run of k."""
+    if fn.size == 0 or fn[0] == fn[-1]:
+        return [fns[fn[0] if fn.size else 0].evaluate(x) for x in xs]
+    ends = (np.flatnonzero(fn[1:] != fn[:-1]) + 1).tolist() + [fn.size]
+    runs = list(zip(fn[[0] + ends[:-1]].tolist(), [0] + ends[:-1], ends))
+    return [np.concatenate([fns[k].evaluate(x[i:j]) for k, i, j in runs])
+            for x in xs]
+
+
+def _columns(rows: list, names: tuple) -> dict | None:
+    """One array per named column over all the row tuples; None if none."""
+    return dict(zip(names, map(_cat, zip(*rows)))) if rows else None
+
+
+def _live(table: dict, running: np.ndarray) -> dict:
+    """The rows whose group still runs: the table itself while all do."""
+    keep = running[table["group"]]
+    return table if keep.all() else {k: v[keep] for k, v in table.items()}
 
 
 def _preimage(x0, x1, s0, s1, level):
@@ -437,29 +447,29 @@ def _band_rows(h0, h1, c, eps):
     return t[sort], cell[sort]
 
 
-def _literal_lid_pieces(form, fns, rows, eps):
+def _literal_lid_pieces(form, fns, rows, nodes, eps, size):
     """Pieces of min(T_n o f, lid) for the literal lid on pieces of g.
 
     ``rows`` holds, per (threshold, side, affine piece [P, G] of g), h = g
-    or -g at P and G, the threshold c, the owner, the index of f in
-    ``fns``, and the indices of P and G in ``rows["nodes"]``, the merged
-    grid whose nodes cut the piece further.  The lid is the one
-    pl.shifted_cut builds: nodes P, the crossings N1 <= N2 of the levels
-    c and c + 2^-n strictly inside, and G, with c + 2^-n - h clipped to
-    [0, 2^-n] at each and affine in between.  The PL algebra keeps only
-    the first of two nodes within GEOM_TOL, so a band narrower than that
-    loses N2 and the lid ramps from N1 on to G.  The literal route
-    classified each piece: a lid at the peak (to within 1e-9 2^-n + 1e-14)
-    left f's plain energy, a lid at 0 its own, and the rest were band
-    pieces.  [N1, N2] is always band; [P, N1] and [N2, G] are classified
-    only where the lid at N1 or N2 leaves its level by more than that, or
-    N2 merged, since only there does the literal differ from the plateau.
-    The window's other band lies on the side h <= c; where that side is
-    classified on a piece that holds it, the literal lid is the lattice
-    min of both sides' lids, which this does not model: PieceCapError.
-    Returns the band pieces with their owners, and per owner the plain
-    energy so found less ``rows["own"]``, the plateau's energy on the piece
-    where h <= c, wherever that side was classified.
+    or -g at P and G, the threshold c, the owner among ``size``
+    thresholds, the group, whose f is in ``fns``, and the indices of P and
+    G in ``nodes``, the merged grids whose nodes cut the piece further.
+    The lid is the one pl.shifted_cut builds: nodes P, the crossings
+    N1 <= N2 of the levels c and c + 2^-n strictly inside, and G, with
+    c + 2^-n - h clipped to [0, 2^-n] at each and affine in between.  The
+    PL algebra keeps only the first of two nodes within GEOM_TOL, so a
+    band narrower than that loses N2 and the lid ramps from N1 on to G.
+    The literal route classified each piece: a lid at the peak (to within
+    1e-9 2^-n + 1e-14) left f's plain energy, a lid at 0 its own, and the
+    rest were band pieces.  [N1, N2] is always band; [P, N1] and [N2, G]
+    are classified only where the lid at N1 or N2 leaves its level by
+    more than that, or N2 merged, since only there does the literal differ
+    from the plateau.  The window's other band lies on the side h <= c;
+    where that side is classified on a piece that holds it, the literal
+    lid is the lattice min of both sides' lids, which this does not model:
+    PieceCapError.  Returns the band pieces with their owners, and per
+    owner the plain energy so found less ``rows["own"]``, the plateau's
+    energy on the piece where h <= c, wherever that side was classified.
     """
     P, G, hP, hG, c = (rows[k] for k in ("P", "G", "hP", "hG", "c"))
     on = np.flatnonzero((np.minimum(hP, hG) < c + eps)
@@ -498,7 +508,7 @@ def _literal_lid_pieces(form, fns, rows, eps):
     row, pos = _ragged(span + inner.sum(axis=0))
     x = np.where(pos == 0, P[row], np.where(
         pos == span[row] - 1, G[row],
-        rows["nodes"][np.minimum(iP[row] + pos, iG[row])]))
+        nodes[np.minimum(iP[row] + pos, iG[row])]))
     extra = np.flatnonzero(pos >= span[row])
     re = row[extra]
     x[extra] = np.where((pos[extra] == span[re]) & inner[0][re], lx[1][re],
@@ -522,17 +532,13 @@ def _literal_lid_pieces(form, fns, rows, eps):
         return out
 
     l0, l1 = lid(x0), lid(x1)
-    fn = rows["fn"][on][r]
-    v0, v1 = np.empty(r.size), np.empty(r.size)
-    for k in np.unique(fn):
-        at = fn == k
-        v0[at], v1[at] = fns[k].evaluate(x0[at]), fns[k].evaluate(x1[at])
+    v0, v1 = _evaluate(fns, rows["group"][on][r], x0, x1)
     w = form.weight_at(0.5 * (x0 + x1))
     peak = np.minimum(l0, l1) >= eps - tol
     band = ~peak & (np.maximum(l0, l1) > tol)
     slope = np.where(peak, v1 - v0, l1 - l0) / (x1 - x0)
     plain = w * np.abs(slope) ** form.p * (x1 - x0)
-    owner, size = rows["owner"][on], rows["size"]
+    owner = rows["owner"][on]
     own = np.where(peak_side, rows["own"][on], 0.0)
     return (tuple(v[band] for v in (x0, x1, v0, v1, l0, l1, w)),
             owner[r][band], np.bincount(owner[r][~band], plain[~band], size)
@@ -546,33 +552,38 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
 
     A block (g, lo, hi) gives one threshold per entry of ``hi``, the window
     lo <= g <= hi, with ``lo`` None for a one-sided cut and ``g`` None for
-    the identity, whose blocks are one-sided.  The plateau, f's energy on
-    the window, is read once off its cumulative energy.  Only the bands g
-    in (hi, hi + 2^-n) and (lo - 2^-n, lo) need the fold's nodes, and each
-    level sends all of them through one kernel call.  The identity's band
-    is [a, a + 2^-n] with the lid a + 2^-n - x, cut at the cells of f and
-    the weight that meet it at the first level.  A general witness takes
-    the literal lid, by :func:`_literal_lid_pieces`, on each affine piece
-    of g whose range of h = g (for hi) or h = -g (for lo) meets its band
-    at the first level.
+    the identity, whose blocks are one-sided; a NaN bound is rejected.  The
+    plateau, f's energy on the window, is read once off its cumulative
+    energy.  Only the bands g in (hi, hi + 2^-n) and (lo - 2^-n, lo) need
+    the fold's nodes, and each level sends all of them through one kernel
+    call.  The identity's band is [a, a + 2^-n] with the lid a + 2^-n - x,
+    cut at the cells of f and the weight that meet it at the first level.
+    A general witness takes the literal lid, by :func:`_literal_lid_pieces`,
+    on each affine piece of g whose range of h = g (for hi) or h = -g (for
+    lo) meets its band at the first level.  Thresholds, identity pairs and
+    witness rows are numbered once, with their group's index, when the
+    batch is built; a stopped group's rows are masked out.
     """
     eps_max = 2.0 ** (-sched.n_min)
-    fns, drive, plateaus, idents, wits, nodes = [], [], [], [], [], []
-    for f, blocks in groups:
+    fns, drive, plateau, ident, wit, nodes = [], [], [], [], [], []
+    start = base = 0  # thresholds, and witnesses' grid nodes, so far
+    for k, (f, blocks) in enumerate(groups):
         grid, cum = form.cumulative_energy(f)
-        his, plateau, ident, wit, xs = [], [], [], [], []
-        start = base = 0  # thresholds, and witnesses' grid nodes, so far
+        his = []
         for g, lo, hi in blocks:
             hi = np.asarray(hi, dtype=float)
+            lo = np.broadcast_to(np.asarray(-np.inf if lo is None else lo,
+                                            dtype=float), hi.shape)
+            if np.isnan(hi).any() or np.isnan(lo).any():
+                raise ValueError("fold-limit thresholds must not be NaN")
             his.append(hi)
             first, start = start, start + hi.size
             if g is None:
                 plateau.append(np.interp(hi, grid, cum))
                 t, cell = _band_rows(grid[:-1], grid[1:], hi, eps_max)
-                ident.append((t + first, hi[t], grid[cell], grid[cell + 1]))
+                ident.append((t + first, np.full(t.size, k), hi[t],
+                              grid[cell], grid[cell + 1]))
                 continue
-            lo = np.broadcast_to(np.asarray(-np.inf if lo is None else lo,
-                                            dtype=float), hi.shape)
             x = _merge_sorted_grids(grid, g.breakpoints)
             gx = g.evaluate(x)
             # the plateau: f's energy where lo <= g <= hi, cell by cell (a
@@ -599,73 +610,50 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                     h1 > h0, cut, G[j])
                 own = np.where((h0 != h1) & (s1 > s0), np.interp(
                     s1, grid, cum) - np.interp(s0, grid, cum), 0.0)
-                wit.append((t + first, c[t], P[j], G[j], h0, h1,
-                            node[j] + base, node[j + 1] + base, own,
+                wit.append((t + first, np.full(t.size, k), c[t], P[j], G[j],
+                            h0, h1, node[j] + base, node[j + 1] + base, own,
                             other[t]))
-            xs.append(x)
+            nodes.append(x)
             base += x.size
         fns.append(f)
         drive.append((_cat(his), float(cum[-1])))
-        plateaus.append(_cat(plateau))
-        idents.append([_cat(col) for col in zip(*ident)] if ident else None)
-        wits.append(dict(zip(("owner", "c", "P", "G", "hP", "hG", "iP", "iG",
-                              "own", "other"),
-                             (_cat(col) for col in zip(*wit))))
-                    if wit else None)
-        nodes.append(_cat(xs) if xs else None)
-    batch = {}
+    plateau, size = _cat(plateau), start
+    ident = _columns(ident, ("owner", "group", "c", "xa", "xb"))
+    wit = _columns(wit, ("owner", "group", "c", "P", "G", "hP", "hG", "iP",
+                         "iG", "own", "other"))
+    nodes = _cat(nodes) if nodes else None
+    live = {}
 
-    def energies_at(n, active):
-        if batch.get("active") != active:
-            at = np.cumsum([0] + [drive[g][0].size for g in active])
-            ids = [(idents[g], off) for g, off in zip(active, at)
-                   if idents[g] is not None]
-            cols = [(p[0] + off, *p[1:]) for p, off in ids] or [
-                (np.empty(0, dtype=int),) + (np.empty(0),) * 3]
-            owner, c, xa, xb = (_cat(list(col)) for col in zip(*cols))
-            batch.update(active=active, owner=owner, c=c, xa=xa, xb=xb,
-                         size=int(at[-1]),
-                         plateau=_cat([plateaus[g] for g in active]),
-                         ends=np.cumsum([0 if idents[g] is None
-                                         else idents[g][0].size
-                                         for g in active]), rows=None)
-            held = [(g, off) for g, off in zip(active, at)
-                    if wits[g] is not None]
-            if held:
-                base = np.cumsum([0] + [nodes[g].size for g, _ in held])
-                rows = {k: _cat([wits[g][k] for g, _ in held]) for k in
-                        ("c", "P", "G", "hP", "hG", "own", "other")}
-                rows.update(
-                    {k: _cat([wits[g][k] + o for (g, _), o in zip(held, base)])
-                     for k in ("iP", "iG")},
-                    owner=_cat([wits[g]["owner"] + off for g, off in held]),
-                    fn=_cat([np.full(wits[g]["c"].size, g) for g, _ in held]),
-                    nodes=_cat([nodes[g] for g, _ in held]),
-                    size=int(at[-1]))
-                batch["rows"] = rows
-        b = batch
+    def energies_at(n, running):
+        if live.get("key") != running.tobytes():
+            live.update(key=running.tobytes(), **{
+                name: _live(table, running) for name, table
+                in (("ident", ident), ("wit", wit)) if table is not None})
         eps = 2.0 ** (-n)
-        c, xa, xb = b["c"], b["xa"], b["xb"]
-        x0, x1 = np.clip(c, xa, xb), np.clip(c + eps, xa, xb)
-        keep = np.flatnonzero(x1 > x0)
-        x0, x1, c = x0[keep], x1[keep], c[keep]
-        # each group's pairs follow one another
-        cut = np.searchsorted(keep, b["ends"]).tolist()
-        v0, v1 = (_cat([fns[g].evaluate(x[i:j]) for g, i, j
-                        in zip(active, [0] + cut, cut)]) for x in (x0, x1))
-        pieces = (x0, x1, v0, v1, c + eps - x0, c + eps - x1,
-                  form.weight_at(0.5 * (x0 + x1)))
-        owner, energy = b["owner"][keep], b["plateau"]
-        if b["rows"] is not None:
-            extra, extra_owner, plain = _literal_lid_pieces(
-                form, fns, b["rows"], eps)
-            owner = np.concatenate((owner, extra_owner))
-            order = np.argsort(owner, kind="stable")
-            owner = owner[order]
-            pieces = tuple(np.concatenate(v)[order]
-                           for v in zip(pieces, extra))
+        energy, parts, owners = plateau, [], []
+        if ident is not None:
+            r = live["ident"]
+            x0, x1 = (np.clip(c, r["xa"], r["xb"])
+                      for c in (r["c"], r["c"] + eps))
+            keep = np.flatnonzero(x1 > x0)
+            x0, x1, c = x0[keep], x1[keep], r["c"][keep]
+            v0, v1 = _evaluate(fns, r["group"][keep], x0, x1)
+            parts.append((x0, x1, v0, v1, c + eps - x0, c + eps - x1,
+                          form.weight_at(0.5 * (x0 + x1))))
+            owners.append(r["owner"][keep])
+        if wit is not None:
+            extra, owner, plain = _literal_lid_pieces(
+                form, fns, live["wit"], nodes, eps, size)
+            parts.append(extra)
+            owners.append(owner)
             energy = energy + plain
-        band = _band_energy(pieces, owner, b["size"], n, form.p)
+        owner = _cat(owners)
+        pieces = parts[0] if len(parts) == 1 else tuple(
+            map(np.concatenate, zip(*parts)))
+        if wit is not None:  # witness rows go by side, not by owner
+            order = np.argsort(owner, kind="stable")
+            owner, pieces = owner[order], tuple(v[order] for v in pieces)
+        band = _band_energy(pieces, owner, size, n, form.p)
         return energy + band, band
 
     return _drive(energies_at, drive, sched, tol)
@@ -691,10 +679,9 @@ def _cut_run(form: PLIntervalForm, f: PLFunction, pairs,
     pairs with the same witness share a block."""
     blocks = []
     for g, a in pairs:
-        if blocks and blocks[-1][0] is g:
-            blocks[-1][2].append(a)
-        else:
-            blocks.append((g, None, [a]))
+        if not blocks or blocks[-1][0] is not g:
+            blocks.append((g, None, []))
+        blocks[-1][2].append(a)
     return _window_runs(form, [(f, blocks)], sched, sched.rel_tol)[0]
 
 
@@ -752,7 +739,7 @@ def distribution(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     a_grid = np.asarray(a_values, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise ValueError("need a one-dimensional, nonempty level grid")
-    if np.any(np.diff(a_grid) <= 0.0):
+    if not np.all(np.diff(a_grid) > 0.0):  # a NaN fails this too
         raise ValueError("level grid must be strictly increasing")
     e_ref = form.energy(f)
     run = _window_runs(form, [(f, [(g, None, a_grid)])], sched,
@@ -970,8 +957,9 @@ def energy_measure(form: PLIntervalForm, f: PLFunction, resolution: int = 512,
     ConvergenceError.
     """
     _require_pl(form)
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    if (not isinstance(resolution, numbers.Integral)
+            or isinstance(resolution, bool) or resolution < 1):
+        raise ValueError("resolution must be an integer of at least 1")
     a_grid = _density_grid(form, f, resolution)
     e_ref = form.energy(f)
     if e_ref == 0.0:

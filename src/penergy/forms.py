@@ -154,13 +154,15 @@ def step_at(bounds: np.ndarray, values: np.ndarray, x) -> np.ndarray:
 def spans(targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner, lo, hi): every component of every target, clipped to [0, 1].
 
-    A target is an IntervalSet or a bare (lo, hi) pair; ``owner`` is the
-    index of each component's target.  Components empty after clipping
-    are dropped, the rest keep their order.
+    A target is an IntervalSet or a bare (lo, hi) pair, whose ends must
+    not be NaN; ``owner`` is the index of each component's target.
+    Components empty after clipping are dropped, the rest keep their order.
     """
     raw = np.array([(i, c[0], c[1]) for i, t in enumerate(targets)
                     for c in (t.components if isinstance(t, IntervalSet)
                               else (t,))], dtype=float).reshape(-1, 3)
+    if np.isnan(raw).any():
+        raise ValueError("a target's ends must not be NaN")
     lo, hi = np.maximum(raw[:, 1], 0.0), np.minimum(raw[:, 2], 1.0)
     keep = hi > lo
     return raw[keep, 0].astype(int), lo[keep], hi[keep]

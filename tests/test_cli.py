@@ -340,6 +340,35 @@ NON_FINITE = {
     "build-measure stall_count": (
         "build-measure", {"seed": 1, "schedule": {"stall_count": 2.5}}),
     "sg-renorm tol": ("sg-renorm", {"seed": 1, "p_list": [2.0], "tol": INF}),
+    "build-measure fractional sample index": (
+        "build-measure", {"seed": 1, "function": {"kind": "sample",
+                                                  "index": 1.5}}),
+    "build-measure bool sample index": (
+        "build-measure", {"seed": 1, "function": {"kind": "sample",
+                                                  "index": True}}),
+    "build-measure string sample index": (
+        "build-measure", {"seed": 1, "function": {"kind": "sample",
+                                                  "index": "3"}}),
+    "build-measure negative sample index": (
+        "build-measure", {"seed": 1, "function": {"kind": "sample",
+                                                  "index": -1}}),
+    "build-measure string constant value": (
+        "build-measure", {"seed": 1, "function": {"kind": "constant",
+                                                  "value": "0.3"}}),
+    "build-measure NaN constant value": (
+        "build-measure", {"seed": 1, "function": {"kind": "constant",
+                                                  "value": NAN}}),
+    "build-measure bool tent height": (
+        "build-measure", {"seed": 1, "function": {"kind": "tent",
+                                                  "height": True}}),
+    "build-measure string breakpoint": (
+        "build-measure", {"seed": 1, "function": {
+            "kind": "points", "breakpoints": [0, "0.5", 1],
+            "values": [0, 1, 0]}}),
+    "build-measure bool point value": (
+        "build-measure", {"seed": 1, "function": {
+            "kind": "points", "breakpoints": [0, 0.5, 1],
+            "values": [0, True, 0]}}),
     "validate-form graph conductance": (
         "validate-form", {"seed": 1, "form": {
             "kind": "graph", "p": 2.0, "vertices": 3,

@@ -371,6 +371,8 @@ def test_distribution_rejects_bad_grid():
     f, g = SAMPLER.pl_pair(6)
     with pytest.raises(ValueError):
         distribution(form, f, g, [0.5, 0.4], LAW_SCHEDULE)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        distribution(form, f, g, [0.1, np.nan, 0.3], LAW_SCHEDULE)
 
 
 def test_reflection_identity():
@@ -524,6 +526,25 @@ def test_two_sided_cut_rejects_malformed_window(low, high):
         two_sided_cut_limit(form, f, g, low, high, LAW_SCHEDULE)
 
 
+@pytest.mark.parametrize("call", [
+    lambda form, f: F_value(form, f, IDENT, np.nan),
+    lambda form, f: reflection_gap(form, f, IDENT, np.nan),
+    lambda form, f: set_masses(form, f, [(0.2, np.nan)]),
+    lambda form, f: set_mass_oracle(form, f, (np.nan, 0.5)),
+], ids=["F_value", "reflection_gap", "set_masses", "set_mass_oracle"])
+def test_nan_thresholds_are_rejected_not_read_as_empty(call):
+    # a NaN threshold used to give F = 0, converged, and a NaN set end an
+    # empty set of mass 0
+    with pytest.raises(ValueError, match="NaN"):
+        call(PLIntervalForm(2.0), PLFunction.tent())
+
+
+def test_infinite_thresholds_give_the_limits_at_the_ends():
+    form, f = PLIntervalForm(2.0), PLFunction.tent()
+    assert F_value(form, f, IDENT, np.inf).final == form.energy(f)
+    assert F_value(form, f, IDENT, -np.inf).final == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the energy measure
 
@@ -640,6 +661,9 @@ def test_energy_measure_validation():
         EnergyMeasure([0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         EnergyMeasure([0.0, 1.0], [1.0, 2.0])
+    for resolution in (0, 2.5, True):  # 2.5 gave nodes past 1
+        with pytest.raises(ValueError, match="resolution"):
+            energy_measure(PLIntervalForm(2.0), PLFunction.tent(), resolution)
     with pytest.raises(TypeError):
         from penergy.forms import GraphForm
         g = GraphForm(2, [(0, 1, 1.0)], p=2.0)

@@ -36,7 +36,10 @@ def _groups():
     fns += [PLFunction.constant(0.3),                  # zero energy
             PLFunction([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0])]  # exhausts SCHED
     a = np.linspace(-0.1, 1.1, 23)
-    return [(f, a[k % 3::2]) for k, f in enumerate(fns)]
+    groups = [(f, a[k % 3::2]) for k, f in enumerate(fns)]
+    # no thresholds, between running groups: a zero-width group
+    groups.insert(3, (sampler.pl(9), np.empty(0)))
+    return groups
 
 
 def _assert_same_run(got, want):
@@ -101,6 +104,37 @@ def test_kernel_chunks_never_split_a_threshold(monkeypatch, chunk):
     assert max(pieces) > chunk  # so a level runs in several chunks
     for run, want in zip(batch, lone):
         _assert_same_run(run, want)
+
+
+@pytest.mark.parametrize("make,batch", [
+    (_groups, lambda groups: _identity_runs(FORM, groups, SCHED)),
+    (lambda: _mixed_groups(),
+     lambda groups: _window_runs(FORM, groups, SCHED, SCHED.rel_tol)),
+], ids=["identity", "mixed"])
+def test_stopped_groups_send_no_pieces_to_the_kernel(monkeypatch, make,
+                                                     batch):
+    # a stopped group's rows must leave the kernel's work, not only its
+    # results: at each level the batch sends exactly the pieces that the
+    # lone runs of the groups still running there send
+    sent = []
+    kernel = construction._band_energy
+
+    def counting(pieces, owner, size, n, p):
+        sent.append((n, owner.size))
+        return kernel(pieces, owner, size, n, p)
+
+    monkeypatch.setattr(construction, "_band_energy", counting)
+    want = {}
+    for group in make():
+        sent.clear()
+        batch([group])
+        for n, count in sent:
+            want[n] = want.get(n, 0) + count
+    sent.clear()
+    runs = batch(make())
+    assert dict(sent) == want and len(sent) == len(want)
+    stops = {run.levels[-1] for run in runs}
+    assert len(stops) >= 3, stops  # so groups stop at several levels
 
 
 def test_law_raises_for_first_failing_function_in_draw_order():
