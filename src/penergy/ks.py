@@ -41,6 +41,9 @@ DIVERGENCE_SLOPE = -0.5
 # liminf estimate and its log-log slope
 SCAN_WINDOW = 4
 
+# grid sizes each space supports: points of the interval, side of the torus
+GRID_SIZES = {"interval": (1, 100_000), "torus": (2, 512)}
+
 
 class SampledSpace:
     """A finite quadrature model (points, metric, weights) of (X, d, m).
@@ -71,8 +74,9 @@ class SampledSpace:
     @classmethod
     def interval(cls, n: int) -> "SampledSpace":
         """Uniform midpoint grid of n cells on [0, 1], total mass 1."""
-        if not 1 <= n <= 100_000:
-            raise ValueError("interval grid supports 1 to 1e5 points")
+        low, high = GRID_SIZES["interval"]
+        if not low <= n <= high:
+            raise ValueError(f"interval grid supports {low} to {high} points")
         h = 1.0 / n
         pts = (np.arange(n) + 0.5) * h
         return cls("interval", pts, np.full(n, h), h)
@@ -80,8 +84,9 @@ class SampledSpace:
     @classmethod
     def torus(cls, side: int) -> "SampledSpace":
         """side x side grid on the flat unit 2-torus, total mass 1."""
-        if not 2 <= side <= 512:
-            raise ValueError("torus grid supports sides 2 to 512")
+        low, high = GRID_SIZES["torus"]
+        if not low <= side <= high:
+            raise ValueError(f"torus grid supports sides {low} to {high}")
         h = 1.0 / side
         axis = (np.arange(side) + 0.5) * h
         xx, yy = np.meshgrid(axis, axis, indexing="ij")

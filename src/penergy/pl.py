@@ -632,8 +632,10 @@ def sublevel_set(g: PLFunction, a: float) -> IntervalSet:
     """The exact sublevel set {x : g(x) <= a}, as closed components.
 
     Crossings are solved from the line segments; isolated touching points
-    come out as degenerate closed components.
+    come out as degenerate closed components; a NaN level is an error.
     """
+    if np.isnan(a):
+        raise ValueError("a sublevel set's level must not be NaN")
     grid, vals = _with_level_crossings(g, (a,))
     comps = []
     # inserted crossing nodes reproduce the level only up to rounding

@@ -16,8 +16,10 @@ from penergy.cli import (
     EXIT_LAW_FAILURE,
     EXIT_NUMERIC,
     EXIT_PASS,
+    SCHEMAS,
     main,
 )
+from penergy.forms import GraphForm, PLIntervalForm, SGForm
 from penergy.pl import PLFunction
 
 
@@ -318,9 +320,11 @@ def test_sg_renorm_empty_p_list(tmp_path):
     assert main(["--config", cfg, "sg-renorm"]) == EXIT_CONFIG
 
 
-# -- non-finite and non-integral numbers --------------------------------------
+# -- config errors: every one exits 2 at load, before --out is made -----------
 
 NAN, INF = float("nan"), float("inf")
+GRAPH = {"kind": "graph", "p": 2.0, "vertices": 3,
+         "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
 
 NON_FINITE = {
     "ks-energy p": ("ks-energy", {"p": INF}),
@@ -373,6 +377,41 @@ NON_FINITE = {
         "validate-form", {"seed": 1, "form": {
             "kind": "graph", "p": 2.0, "vertices": 3,
             "edges": [[0, 1, 1.0], [1, 2, NAN]]}}),
+    "build-measure string weights": (
+        "build-measure", {"seed": 1, "form": {
+            "kind": "pl", "p": 2.0,
+            "weight": [["0", "0.5", "1"], ["0.5", "1", "2"]]}}),
+    "build-measure bool weight": (
+        "build-measure", {"seed": 1, "form": {"kind": "pl", "p": 2.0,
+                                              "weight": [[0, 1, True]]}}),
+    "build-measure misspelled weight key": (
+        "build-measure", {"seed": 1, "form": {"kind": "pl", "p": 2.0,
+                                              "wieght": [[0, 1, 2.0]]}}),
+    "build-measure empty weight": (
+        "build-measure", {"seed": 1, "form": {"kind": "pl", "p": 2.0,
+                                              "weight": []}}),
+    "check-laws empty domination_weight": (
+        "check-laws", {"seed": 1, "laws": ["domination"],
+                       "domination_weight": []}),
+    "validate-form bool vertex count": (
+        "validate-form", {"seed": 1, "form": {**GRAPH, "vertices": True,
+                                              "edges": []}}),
+    "validate-form fractional edge end": (
+        "validate-form", {"seed": 1, "form": {
+            **GRAPH, "edges": [[0, 1.7, 1], [1, 2, 1]]}}),
+    "build-measure bool rel_tol": (
+        "build-measure", {"seed": 1, "schedule": {"rel_tol": True}}),
+    "build-measure tent with values": (
+        "build-measure", {"seed": 1, "function": {"kind": "tent",
+                                                  "values": [1, 2]}}),
+    "ks-energy n beyond the interval grid": ("ks-energy", {"n": 200_000}),
+    "ks-energy file profile without a path": (
+        "ks-energy", {"profile": "file"}),
+    "ks-energy file profile on the torus": (
+        "ks-energy", {"space": "torus", "n": 16, "profile": "file",
+                      "profile_file": "profile.json"}),
+    "build-measure graph form": ("build-measure", {"seed": 1, "form": GRAPH}),
+    "check-laws graph form": ("check-laws", {"seed": 1, "form": GRAPH}),
 }
 
 
@@ -386,6 +425,55 @@ def test_non_finite_or_non_integral_config_is_rejected(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_null_means_absent_in_nested_objects(tmp_path):
+    outputs = []
+    for name, schedule in (("absent", {}), ("null", {"rel_tol": None})):
+        cfg = write_config(tmp_path, f"{name}.json", seed=5, resolution=16,
+                           function={"kind": "tent", "peak": None},
+                           schedule=schedule)
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out), "build-measure"]) \
+            == EXIT_PASS
+        outputs.append([line for line in (out / "build_measure.csv")
+                        .read_text().splitlines()
+                        if not line.startswith("# config.out_dir=")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("form", [
+    PLIntervalForm(3.0,weight=[(0.0, 0.3, 1.0), (0.3, 1.0, 2.5)]),
+    GraphForm(3, [(0, 1, 1.0), (1, 2, 0.5)], 2.5, vertex_weights=[1, 2, 3]),
+    SGForm(2, 3.0, rho=1.9),
+], ids=["pl", "graph", "sg"])
+def test_form_descriptor_reads_back_through_the_cli(form):
+    # the format LawReport.form and the CSV headers carry
+    desc = json.loads(json.dumps(form.to_descriptor()))
+    read = SCHEMAS["validate-form"]["form"][1]
+    assert read(desc).to_descriptor() == desc
+
+
+# -- float overflow -----------------------------------------------------------
+
+OVERFLOW = {
+    "validate-form p=350": (
+        "validate-form", {"seed": 7, "form": {"kind": "pl", "p": 350}}),
+    "ks-energy p=200": ("ks-energy", {"n": 2000, "p": 200,
+                                      "profile": "tent"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW))
+def test_float_overflow_exits_numeric_without_traceback(tmp_path, capsys,
+                                                       name):
+    command, entries = OVERFLOW[name]
+    cfg = write_config(tmp_path, **entries)
+    assert main(["--config", cfg, "--out", str(tmp_path), command]) \
+        == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: the arithmetic overflowed")
+    assert "Traceback" not in err
 
 
 # -- entry point --------------------------------------------------------------
