@@ -353,7 +353,7 @@ def _drive(energies_at, groups, sched: FoldSchedule,
 
     ``groups`` holds one (thresholds, reference) pair per group, and all
     thresholds are numbered once, group after group.  ``energies_at(n,
-    running)`` gives (energy, band residual or None) for all of them; the
+    running)`` gives (energy, band residual) for all of them; the
     rows of groups not flagged in ``running`` need not be worked out.  A
     step is quiet when the energy change and the band residual, which
     bounds the distance left to the limit, are both at most ``tol`` times
@@ -386,9 +386,7 @@ def _drive(energies_at, groups, sched: FoldSchedule,
         e, band = energies_at(n, running)
         if prev is not None:
             limit = tol * np.maximum(np.maximum(e, prev), floor)
-            step = np.abs(e - prev)
-            if band is not None:
-                step = np.maximum(step, band)
+            step = np.maximum(np.abs(e - prev), band)
             miss = step / limit
             quiet_run = np.where(step <= limit, quiet_run + 1, 0)
         prev = e
@@ -686,24 +684,15 @@ def _cut_run(form: PLIntervalForm, f: PLFunction, pairs,
 
 
 def F_value(form: PLIntervalForm, f: PLFunction, g: PLFunction, a: float,
-            sched: FoldSchedule = DEFAULT_SCHEDULE,
-            materialized: bool = False) -> ConvergenceTrace:
+            sched: FoldSchedule = DEFAULT_SCHEDULE) -> ConvergenceTrace:
     """The fold limit F_f^g(a), with its level trace.
 
     Runs levels n_min..n_max until the stall rule fires.  A trace that
     exhausts the budget comes back with ``converged=False``; callers that
-    need a hard value decide whether to raise.  With ``materialized=True``
-    the cell function is built literally at every level (cross-check path,
-    exponential in n).
+    need a hard value decide whether to raise.
     """
     _require_pl(form)
-    if not materialized:
-        return _cut_run(form, f, [(g, a)], sched).trace(0)
-
-    def literal(n, _):  # no plain/band split to certify against
-        return np.array([form.energy(cell_function(f, g, a, n))]), None
-    return _drive(literal, [(np.array([a], dtype=float), form.energy(f))],
-                  sched, sched.rel_tol)[0].trace(0)
+    return _cut_run(form, f, [(g, a)], sched).trace(0)
 
 
 def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
@@ -802,7 +791,7 @@ def canonical_witnesses(target: IntervalSet):
     """
     pairs = []
     primaries = []  # (witness, level scale) with {g <= -s/2^j} in its comp
-    for lo, hi, _, _ in target.components:
+    for lo, hi in target.components:
         width = hi - lo
         if width <= GEOM_TOL:
             continue  # no room for a nonempty strict sublevel set
@@ -867,10 +856,9 @@ def outer_measure_lb(form: PLIntervalForm, f: PLFunction,
 class EnergyMeasure:
     """A measure on [0, 1] with piecewise-constant density.
 
-    Stored as cell masses over a strictly increasing node grid.  Cells are
-    taken left-closed; single points carry no mass, so endpoint closure
-    flags of queried interval sets are ignored.  A fold limit that does not
-    stall raises ConvergenceError instead of yielding a measure.
+    Stored as cell masses over a strictly increasing node grid; single
+    points carry no mass.  A fold limit that does not stall raises
+    ConvergenceError instead of yielding a measure.
     """
 
     __slots__ = ("nodes", "masses", "levels_used")
@@ -902,10 +890,8 @@ class EnergyMeasure:
         lie on the node grid and for any target once the density is
         constant on the straddled cells.
         """
-        if isinstance(target, IntervalSet):
-            comps = [(lo, hi) for lo, hi, _, _ in target.components]
-        else:
-            comps = [tuple(target)]
+        comps = target.components if isinstance(target, IntervalSet) \
+            else [tuple(target)]
         dens = self.density
         total = 0.0
         for lo, hi in comps:

@@ -551,10 +551,9 @@ def check_assumptions(form, sampler, trials: int = 32) -> AssumptionsReport:
         fold_in("triangle",
                 (su + sv - form.seminorm(u + v)) / scale, 1e-9)
         c = 0.5 + 1.5 * (k % 5) / 4.0
-        eu = form.energy(u)
-        escale = max(eu, 1e-30)
+        target = c ** p * form.energy(u)
         fold_in("homogeneity",
-                -abs(form.energy(u * -c) - c ** p * eu) / escale,
+                -abs(form.energy(u * -c) - target) / max(target, 1e-30),
                 1e-9)
 
     clk = check_clarkson(form, sampler, trials)

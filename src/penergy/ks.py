@@ -1,8 +1,9 @@
 """Korevaar-Schoen functionals on sampled metric-measure spaces.
 
 J_{p,r}(u) is the double integral of |u(x) - u(y)|^p against the scale-r
-PI kernel 1_{B(x,r)}(y) 1_U(x) / (r^p m(B(x,r))), with open balls.  On the
-bundled uniform grids the inner integral collapses to a band of lattice
+PI kernel 1_{B(x,r)}(y) 1_U(x) / (r^p m(B(x,r))), with open balls and U a
+finite union of closed intervals (the whole space when unrestricted).  On
+the bundled uniform grids the inner integral collapses to a band of lattice
 offsets, so one evaluation costs O(N * r / spacing) instead of O(N^2).
 A scan evaluates every radius in one pass over the offsets of the largest:
 each offset's |u(x + k) - u(x)|^p is taken once and shared by every radius
@@ -112,16 +113,14 @@ class SampledSpace:
 
 @dataclass(frozen=True)
 class KSKernel:
-    """The scale-r PI kernel, optionally restricted to a set in the x slot."""
+    """The scale-r PI kernel, optionally restricted in the x slot to a
+    closed set U, an IntervalSet of the interval grid."""
 
     r: float
     p: float
     restriction: IntervalSet | None = None
-    kind: str = "pi_kernel"
 
     def __post_init__(self):
-        if self.kind != "pi_kernel":
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.r > 0.0:
             raise ValueError("kernel scale r must be positive")
         if not self.p > 1.0:
@@ -150,8 +149,8 @@ def _membership(space: SampledSpace, restriction) -> np.ndarray:
     x = space.points
     inside = np.zeros(x.shape, dtype=bool)
     # the test of IntervalSet.contains, one component at a time
-    for lo, hi, lc, hc in restriction.components:
-        inside |= ((lo < x) & (x < hi)) | ((x == lo) & lc) | ((x == hi) & hc)
+    for lo, hi in restriction.components:
+        inside |= (lo <= x) & (x <= hi)
     return inside.astype(float)
 
 

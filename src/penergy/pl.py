@@ -17,7 +17,10 @@ Conventions used throughout:
 * the piece cap is a fixed policy, not a per-call option: every operation
   that can grow the breakpoint count checks the module constant
   ``PIECE_CAP`` and raises :class:`PieceCapError` instead of allocating an
-  oversized representation.
+  oversized representation;
+* an ``IntervalSet`` is a union of closed intervals, stored as sorted,
+  merged ``(lo, hi)`` pairs: the energy measures have densities, so an
+  endpoint never carries mass and open ends would change nothing.
 
 ``PLMap`` is the companion type for piecewise-linear maps defined on an
 arbitrary interval of the real line; it is what gets composed with functions
@@ -494,77 +497,42 @@ def pl_power_interp(f: PLFunction, q: float, refine: int = 16) -> ProductApprox:
 # interval sets
 
 
-_BRACKETS = {(True, True): "[]", (True, False): "[)",
-             (False, True): "(]", (False, False): "()"}
-_BRACKETS_INV = {v: k for k, v in _BRACKETS.items()}
-
-
 class IntervalSet:
-    """A finite union of disjoint subintervals of [0, 1].
+    """A finite union of disjoint closed subintervals of [0, 1].
 
-    Components are stored sorted as (lo, hi, lo_closed, hi_closed) tuples;
-    degenerate closed components [x, x] are allowed.  Components that touch
-    and together cover the touching point are merged on construction.
+    Components are stored sorted as (lo, hi) pairs, each the closed
+    interval [lo, hi]; degenerate points [x, x] are allowed.  Pairs that
+    overlap or lie within GEOM_TOL of each other are merged on
+    construction, so the gaps between components are wider than GEOM_TOL.
     """
 
     __slots__ = ("components",)
 
-    def __init__(self, components):
-        comps = []
-        for lo, hi, lc, hc in components:
-            lo, hi = float(lo), float(hi)
+    def __init__(self, pairs=()):
+        merged: list[tuple[float, float]] = []
+        for lo, hi in sorted((float(lo), float(hi)) for lo, hi in pairs):
             if not (0.0 - GEOM_TOL <= lo <= hi <= 1.0 + GEOM_TOL):
                 raise ValueError(f"component [{lo}, {hi}] outside [0, 1]")
             lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
-            if hi - lo < GEOM_TOL and not (lc and hc):
-                continue  # degenerate open/half-open component is empty
-            comps.append((lo, hi, bool(lc), bool(hc)))
-        comps.sort()
-        merged: list[tuple[float, float, bool, bool]] = []
-        for c in comps:
-            if merged:
-                lo, hi, lc, hc = merged[-1]
-                nlo, nhi, nlc, nhc = c
-                touching = nlo <= hi + GEOM_TOL and (nlo < hi - GEOM_TOL
-                                                     or hc or nlc)
-                if touching:
-                    if nhi > hi or (nhi == hi and nhc):
-                        merged[-1] = (lo, max(hi, nhi), lc,
-                                      nhc if nhi >= hi else hc)
-                    continue
-            merged.append(c)
+            if merged and lo <= merged[-1][1] + GEOM_TOL:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
         self.components = tuple(merged)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls([])
+        return cls()
 
     @classmethod
     def full(cls) -> "IntervalSet":
-        return cls([(0.0, 1.0, True, True)])
+        return cls([(0.0, 1.0)])
 
     @classmethod
     def closed(cls, lo: float, hi: float) -> "IntervalSet":
-        return cls([(lo, hi, True, True)])
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalSet":
-        """The union of the closed intervals [lo, hi] of the given pairs."""
-        return cls([(lo, hi, True, True) for lo, hi in pairs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntervalSet":
-        comps = []
-        for lo, hi, kind in json.loads(text):
-            lc, hc = _BRACKETS_INV[kind]
-            comps.append((lo, hi, lc, hc))
-        return cls(comps)
-
-    def to_json(self) -> str:
-        return json.dumps([[lo, hi, _BRACKETS[(lc, hc)]]
-                           for lo, hi, lc, hc in self.components])
+        return cls([(lo, hi)])
 
     # -- queries -----------------------------------------------------------
 
@@ -578,78 +546,36 @@ class IntervalSet:
         return len(self.components)
 
     def __repr__(self):
-        parts = ", ".join(f"{_BRACKETS[(lc, hc)][0]}{lo:g}, {hi:g}{_BRACKETS[(lc, hc)][1]}"
-                          for lo, hi, lc, hc in self.components)
+        parts = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in self.components)
         return f"IntervalSet({parts})"
 
     def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi, _, _ in self.components))
+        return float(sum(hi - lo for lo, hi in self.components))
 
     def contains(self, x: float) -> bool:
-        for lo, hi, lc, hc in self.components:
-            if (lo < x < hi) or (x == lo and lc) or (x == hi and hc):
-                return True
-        return False
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for alo, ahi, alc, ahc in self.components:
-            for blo, bhi, blc, bhc in other.components:
-                lo = max(alo, blo)
-                hi = min(ahi, bhi)
-                if lo > hi:
-                    continue
-                lc = (alc if alo == lo else True) and (blc if blo == lo else True)
-                hc = (ahc if ahi == hi else True) and (bhc if bhi == hi else True)
-                if lo < hi or (lc and hc):
-                    out.append((lo, hi, lc, hc))
-        return IntervalSet(out)
+        return any(lo <= x <= hi for lo, hi in self.components)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(list(self.components) + list(other.components))
+        return IntervalSet(self.components + other.components)
 
     def issubset(self, other: "IntervalSet") -> bool:
-        """Measure-based inclusion plus endpoint membership for closed ends.
-
-        Adequate for the covering checks used here: a failure by more than a
-        zero-measure boundary set is always detected.  Measures are
-        compared up to GEOM_TOL.
-        """
-        for lo, hi, lc, hc in self.components:
-            inter = other.intersect(IntervalSet([(lo, hi, lc, hc)]))
-            if inter.measure() < (hi - lo) - GEOM_TOL:
-                return False
-            if lc and not other.contains(lo):
-                return False
-            if hc and not other.contains(hi):
-                return False
-            if hi - lo > GEOM_TOL and not other.contains(0.5 * (lo + hi)):
-                return False
-        return True
+        """Exact inclusion: each component lies inside one of ``other``'s."""
+        return all(any(olo <= lo and hi <= ohi
+                       for olo, ohi in other.components)
+                   for lo, hi in self.components)
 
 
 def sublevel_set(g: PLFunction, a: float) -> IntervalSet:
     """The exact sublevel set {x : g(x) <= a}, as closed components.
 
     Crossings are solved from the line segments; isolated touching points
-    come out as degenerate closed components; a NaN level is an error.
+    come out as degenerate components; a NaN level is an error.
     """
     if np.isnan(a):
         raise ValueError("a sublevel set's level must not be NaN")
     grid, vals = _with_level_crossings(g, (a,))
-    comps = []
     # inserted crossing nodes reproduce the level only up to rounding
     tol = GEOM_TOL * max(1.0, abs(a), float(np.max(np.abs(vals))))
-    below = vals <= a + tol
-    i = 0
-    n = grid.size
-    while i < n:
-        if below[i]:
-            j = i
-            while j + 1 < n and below[j + 1]:
-                j += 1
-            comps.append((grid[i], grid[j], True, True))
-            i = j + 1
-        else:
-            i += 1
-    return IntervalSet(comps)
+    # +1 where a run of nodes at or below the level starts, -1 past its end
+    step = np.diff((vals <= a + tol).astype(np.int8), prepend=0, append=0)
+    return IntervalSet(zip(grid[step[:-1] == 1], grid[step[1:] == -1]))

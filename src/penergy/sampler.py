@@ -116,7 +116,7 @@ class PLSampler:
         rng = self._rng(index, tag=5)
         k = int(rng.integers(2, MAX_COMPONENTS + 1))
         cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * k))
-        return IntervalSet.from_pairs(zip(cuts[0::2], cuts[1::2]))
+        return IntervalSet(zip(cuts[0::2], cuts[1::2]))
 
     def with_slope_floor(self, min_slope: float) -> "PLSampler":
         """A copy of this sampler whose draws avoid slopes below min_slope."""

@@ -52,8 +52,8 @@ def _near_breakpoint_sets(nodes):
         for d in (3e-11, 1e-13):
             out.append(IntervalSet.closed(b + d, min(b + 0.2, 1.0)))
             out.append(IntervalSet.closed(max(b - 0.2, 0.0), b - d))
-            out.append(IntervalSet.from_pairs([(max(b - 0.1, 0.0), b - d),
-                                               (b + d, min(b + 0.1, 1.0))]))
+            out.append(IntervalSet([(max(b - 0.1, 0.0), b - d),
+                                    (b + d, min(b + 0.1, 1.0))]))
     return out
 
 
@@ -214,7 +214,7 @@ def test_poly_chain_rhs_matches_per_component_sums():
 
 
 def test_spans_clip_drop_and_keep_order():
-    owner, lo, hi = spans([IntervalSet.from_pairs([(0.1, 0.2), (0.5, 0.7)]),
+    owner, lo, hi = spans([IntervalSet([(0.1, 0.2), (0.5, 0.7)]),
                            IntervalSet.empty(), (-0.5, 0.3), (1.2, 1.5),
                            (0.9, 0.4), (0.6, 1.8)])
     assert owner.tolist() == [0, 0, 2, 5]

@@ -476,6 +476,22 @@ def test_float_overflow_exits_numeric_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_validate_form_passes_at_large_p_until_energies_overflow(tmp_path,
+                                                                 capsys):
+    # p = 40: E(c u) and c^p E(u) agree to rounding, measured against
+    # c^p E(u); p = 300: the energies leave the float range, which is a
+    # numeric error, not a failed audit
+    for p, code in ((40, EXIT_PASS), (300, EXIT_NUMERIC)):
+        cfg = write_config(tmp_path, seed=7, form={"kind": "pl", "p": p})
+        out = tmp_path / f"p{p}"
+        assert main(["--config", cfg, "--out", str(out),
+                     "validate-form"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (out / "validate_form.csv").exists() == (code == EXIT_PASS)
+    assert err.startswith("error: the arithmetic overflowed")
+
+
 # -- entry point --------------------------------------------------------------
 
 

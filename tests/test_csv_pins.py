@@ -34,7 +34,7 @@ PINS = {
         {"seed": 7, "trials": 2,
          "laws": ["total_mass", "measure_clarkson", "measure_triangle",
                   "minmax_bound", "domination"]},
-        "b3d3d15f0293af309b12f59d37fda05e166ed9c29a5382376ac3d469980107b5"),
+        "dccb9381571d90c50e6b53727a5757cf5552dcd61bfbcb3687d4f333b50a51b7"),
     "ks-energy interval default radii": (
         "ks-energy", "ks_energy.csv",
         {"seed": 7, "space": "interval", "n": 2000, "p": 3.0,
@@ -57,21 +57,21 @@ PINS = {
         "4d24fb0a40ed3ab56ab1b1b4b8d0280e511a820b92a335ed111edf0a714e6745"),
     "validate-form default": (
         "validate-form", "validate_form.csv", {"seed": 7},
-        "522608d1897cf4631debd60b85c8bab4656b4ce1dacb10cb23965ba0e7790987"),
+        "56ada38ed72ddfb582fd93ef6edaced4e0df687d9e2db4c34f1fc3a5e74f609b"),
     "validate-form 3-cell weight": (
         "validate-form", "validate_form.csv",
         {"seed": 7, "form": {"kind": "pl", "p": 3.0, "weight": WEIGHT3}},
-        "9b1d3abecf9deae8c9ae25043d6bab159274ffbda56ebbae7a38dbd661bdf1ef"),
+        "b8aa38e29d08c23c46e95055509b368fb082240e862579f82b72a070ee0b21cf"),
     "validate-form graph": (
         "validate-form", "validate_form.csv",
         {"seed": 7, "form": {"kind": "graph", "p": 1.5, "vertices": 4,
                              "edges": [[0, 1, 1.0], [1, 2, 0.5], [2, 3, 2.0],
                                        [3, 0, 1.0], [0, 2, 0.25]]}},
-        "571b11c839410b4874330376caeceba75f177f3d9ecf0af7767590612615e23c"),
+        "2b83b6f4f64f13d329a45ea4616c8892437064533f69c912c6fd16de0f0f77cd"),
     "validate-form sg": (
         "validate-form", "validate_form.csv",
         {"seed": 7, "form": {"kind": "sg", "p": 2.0, "level": 3}},
-        "9981f218b6f73f41d67526b0957a29dce48627762bdda96f786959e625fd4dab"),
+        "e601a00a71abe5830ec53f417c37528cd4cbc54d580b5024f6787d14566347bc"),
     "sg-renorm": (
         "sg-renorm", "sg_renorm.csv", {"seed": 7, "p_list": [2.0, 3.0]},
         "1305936cb865ef8a2b0d953f06148bf6ec4a0590f0552e1660988aa423c58627"),

@@ -169,8 +169,6 @@ def test_kernel_validation():
         KSKernel(0.0, 2.0)
     with pytest.raises(ValueError):
         KSKernel(0.1, 1.0)
-    with pytest.raises(ValueError):
-        KSKernel(0.1, 2.0, kind="heat")
 
 
 def test_kernel_rejects_non_finite_scale_and_exponent():
@@ -292,9 +290,8 @@ def test_scan_validation():
         ks_limit_scan(GRID, LINEAR, 2.0, [0.05, 1e-4])
 
 
-MIXED = IntervalSet([(0.05, 0.2, True, True), (0.3, 0.45, False, False),
-                     (0.5, 0.62, True, False), (0.7, 0.81, False, True),
-                     (0.9, 0.9, True, True)])
+MIXED = IntervalSet([(0.05, 0.2), (0.3, 0.45), (0.5, 0.62), (0.7, 0.81),
+                     (0.9, 0.9)])
 
 BATCHED_SCANS = {
     "interval": (SampledSpace.interval(700), 2.5, [0.08, 0.05, 0.031, 0.02,
@@ -349,19 +346,16 @@ def test_scan_input_errors_match_ks_energy():
 def test_membership_matches_pointwise_contains():
     space = SampledSpace.interval(40)
     x = space.points
-    # ends on grid points, with every bracket kind and a closed point
-    on_grid = IntervalSet([(x[2], x[6], True, True),
-                           (x[9], x[13], False, False),
-                           (x[16], x[20], True, False),
-                           (x[23], x[27], False, True),
-                           (x[31], x[31], True, True)])
+    # ends on grid points, and a single point
+    on_grid = IntervalSet([(x[2], x[6]), (x[9], x[13]), (x[16], x[20]),
+                           (x[23], x[27]), (x[31], x[31])])
     for restriction in (on_grid, MIXED, IntervalSet.empty(),
                         IntervalSet.full()):
         want = [1.0 if restriction.contains(float(t)) else 0.0 for t in x]
         got = _membership(space, restriction)
         assert got.tobytes() == np.array(want).tobytes()
     assert _membership(space, on_grid)[[2, 6, 9, 13, 16, 20, 23, 27, 31]] \
-        .tolist() == [1, 1, 0, 0, 1, 0, 0, 1, 1]
+        .tolist() == [1, 1, 1, 1, 1, 1, 1, 1, 1]
     assert np.all(_membership(space, None) == 1.0)
     with pytest.raises(ValueError):
         _membership(SampledSpace.torus(4), on_grid)

@@ -113,7 +113,7 @@ def _reflection_gap():
 
 
 def _outer_measure_lb():
-    target = IntervalSet.from_pairs([(0.1, 0.25), (0.4, 0.55), (0.8, 0.95)])
+    target = IntervalSet([(0.1, 0.25), (0.4, 0.55), (0.8, 0.95)])
     return outer_measure_lb(PLIntervalForm(3.0), PLSampler(seed=11).pl(10),
                             target, sched=LAW_SCHEDULE)
 

@@ -7,6 +7,7 @@ acceptance module; trial counts here are kept small.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def test_set_masses_of_constant_are_zero():
 
 
 def test_set_mass_oracle_splits_components():
-    A = IntervalSet.from_pairs([(0.0, 0.25), (0.5, 1.0)])
+    A = IntervalSet([(0.0, 0.25), (0.5, 1.0)])
     whole = set_mass_oracle(UNIFORM2, IDENT, A)
     assert whole == pytest.approx(0.75, abs=1e-15)
 
@@ -223,6 +224,14 @@ def test_law_total_mass(route):
     assert rep.form["p"] == 2.0
 
 
+def test_exact_zero_slack_reads_positive_zero():
+    # every total_mass residual at seed 7 is exactly 0; the slack -0.0 would
+    # print as "-0.0" in check_laws.csv
+    rep = law_total_mass(UNIFORM2, PLSampler(7), trials=2)
+    assert rep.worst_slack == 0.0
+    assert math.copysign(1.0, rep.worst_slack) == 1.0
+
+
 def test_law_homogeneity_density_example():
     # a = 3, p = 2.5, f = id: the scaled measure has density 3^2.5
     form = PLIntervalForm(2.5)
@@ -248,7 +257,7 @@ def test_law_locality(route):
 
 
 def test_locality_constant_on_set_gives_zero_mass():
-    A = IntervalSet.from_pairs([(0.1, 0.3), (0.6, 0.8)])
+    A = IntervalSet([(0.1, 0.3), (0.6, 0.8)])
     f = PLFunction([0.0, 0.1, 0.3, 0.45, 0.6, 0.8, 1.0],
                    [0.5, 1.0, 1.0, -0.2, 0.7, 0.7, 0.1])
     # constant on (0.1, 0.3) and (0.6, 0.8) separately: zero density there
@@ -272,7 +281,7 @@ def _support_complement(f):
     idx = np.nonzero(flat)[0]
     if idx.size == 0:
         return IntervalSet.empty()
-    return IntervalSet.from_pairs((x[i], x[i + 1]) for i in idx)
+    return IntervalSet((x[i], x[i + 1]) for i in idx)
 
 
 # ---------------------------------------------------------------------------

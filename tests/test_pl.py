@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +20,7 @@ from penergy.pl import (
     sublevel_set,
     triangle_fold,
     triangle_wave,
+    _with_level_crossings,
 )
 from penergy.sampler import PLSampler
 
@@ -186,9 +185,41 @@ def test_power_interp_tracks_truth():
 def test_sublevel_simple_ramp():
     s = sublevel_set(PLFunction.identity(), 0.25)
     assert len(s) == 1
-    lo, hi, lc, hc = s.components[0]
-    assert (lo, hi, lc, hc) == (0.0, 0.25, True, True)
+    assert s.components[0] == (0.0, 0.25)
     assert s.measure() == pytest.approx(0.25)
+
+
+def _sublevel_reference(g, a):
+    """{g <= a} by a node-by-node scan for runs of nodes at or below the
+    level: the loop that sublevel_set's run search replaced."""
+    grid, vals = _with_level_crossings(g, (a,))
+    tol = GEOM_TOL * max(1.0, abs(a), float(np.max(np.abs(vals))))
+    below = vals <= a + tol
+    comps, i, n = [], 0, grid.size
+    while i < n:
+        if below[i]:
+            j = i
+            while j + 1 < n and below[j + 1]:
+                j += 1
+            comps.append((grid[i], grid[j]))
+            i = j + 1
+        else:
+            i += 1
+    return IntervalSet(comps)
+
+
+@pytest.mark.parametrize("idx", range(40))
+def test_sublevel_matches_run_scan_reference(idx):
+    g = SAMPLER.pl(idx)
+    lo, hi = g.value_range()
+    # levels across the range and beyond it, and levels exactly on the
+    # values at breakpoints, where runs start and end on a node
+    levels = np.concatenate((np.linspace(lo - 0.1, hi + 0.1, 9),
+                             g.values[np.linspace(0, g.values.size - 1, 4)
+                                      .astype(int)]))
+    for a in levels:
+        assert sublevel_set(g, a).components \
+            == _sublevel_reference(g, a).components
 
 
 def test_sublevel_touching_point():
@@ -228,25 +259,16 @@ def test_cell_identity(idx):
 # interval sets
 
 
-def test_intervalset_json_roundtrip():
-    s = IntervalSet([(0.0, 0.25, True, False), (0.5, 0.5, True, True),
-                     (0.7, 1.0, False, True)])
-    t = IntervalSet.from_json(s.to_json())
-    assert t.components == s.components
-    assert json.loads(s.to_json())[0][2] == "[)"
-
-
 def test_intervalset_merge_and_measure():
-    s = IntervalSet([(0.0, 0.5, True, True), (0.5, 0.8, True, False),
-                     (0.9, 1.0, True, True)])
+    s = IntervalSet([(0.0, 0.5), (0.5, 0.8), (0.9, 1.0)])
     assert len(s) == 2
     assert s.measure() == pytest.approx(0.9)
 
 
 def test_intervalset_ops():
-    a = IntervalSet.from_pairs([(0.0, 0.5)])
-    b = IntervalSet.from_pairs([(0.25, 0.75)])
-    inter = a.intersect(b)
+    a = IntervalSet([(0.0, 0.5)])
+    b = IntervalSet([(0.25, 0.75)])
+    inter = IntervalSet.closed(0.25, 0.5)
     assert inter.measure() == pytest.approx(0.25)
     assert a.union(b).measure() == pytest.approx(0.75)
     assert inter.issubset(a) and inter.issubset(b)
@@ -254,9 +276,7 @@ def test_intervalset_ops():
 
 
 def test_intervalset_open_components_drop_points():
-    s = IntervalSet([(0.3, 0.3, False, False)])
-    assert not s
-    p = IntervalSet([(0.3, 0.3, True, True)])
+    p = IntervalSet([(0.3, 0.3)])
     assert p.contains(0.3) and p.measure() == 0.0
 
 
@@ -336,3 +356,65 @@ def test_lattice_commutes_property(idx):
     pts = np.linspace(0, 1, 257)
     assert np.max(np.abs(lattice(f, g, "min").evaluate(pts)
                          - lattice(g, f, "min").evaluate(pts))) <= 1e-12
+
+
+@st.composite
+def _pairs(draw):
+    """Pairs in [-GEOM_TOL, 1 + GEOM_TOL], in any order: overlapping,
+    degenerate, narrower than GEOM_TOL, or starting at most GEOM_TOL past
+    the previous pair's end."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if pairs and draw(st.booleans()):
+            lo = pairs[-1][1] + draw(st.floats(0.0, GEOM_TOL))
+        else:
+            lo = draw(st.floats(-GEOM_TOL, 1.0 + GEOM_TOL))
+        width = draw(st.one_of(st.just(0.0), st.floats(0.0, 2 * GEOM_TOL),
+                               st.floats(0.0, 0.4)))
+        lo = min(lo, 1.0 + GEOM_TOL)
+        pairs.append((lo, min(lo + width, 1.0 + GEOM_TOL)))
+    return draw(st.permutations(pairs))
+
+
+def _in_pairs(pairs, x):
+    """Membership of each x in the union of the closed pairs."""
+    inside = np.zeros(x.shape, dtype=bool)
+    for lo, hi in pairs:
+        inside |= (lo <= x) & (x <= hi)
+    return inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs(), _pairs())
+def test_intervalset_canonical_and_exact_property(a_pairs, b_pairs):
+    a, b = IntervalSet(a_pairs), IntervalSet(b_pairs)
+    for s, pairs in ((a, a_pairs), (b, b_pairs)):
+        ends = [e for c in s.components for e in c]
+        # sorted, inside [0, 1], and gaps wider than GEOM_TOL
+        assert ends == sorted(ends) and all(0.0 <= e <= 1.0 for e in ends)
+        assert all(nxt[0] > prev[1] + GEOM_TOL for prev, nxt
+                   in zip(s.components, s.components[1:]))
+        # merging bridges gaps of at most GEOM_TOL, one per input pair
+        assert s.measure() <= sum(hi - lo for lo, hi in pairs) \
+            + len(pairs) * GEOM_TOL
+    # a fine grid with every end of both sets and the midpoints between
+    # consecutive ends, so every gap of one set inside the other shows
+    ends = np.unique([e for s in (a, b) for c in s.components for e in c]
+                     + [0.0, 1.0])
+    x = np.unique(np.concatenate((np.linspace(0.0, 1.0, 1001), ends,
+                                  0.5 * (ends[:-1] + ends[1:]))))
+    for s, pairs in ((a, a_pairs), (b, b_pairs)):
+        inside = np.array([s.contains(float(t)) for t in x])
+        assert np.array_equal(inside, _in_pairs(s.components, x))
+        # every input point is in, and every point in lies within GEOM_TOL
+        # of an input pair
+        clamped = np.clip(np.asarray(pairs, dtype=float).reshape(-1, 2),
+                          0.0, 1.0)
+        assert np.all(inside[_in_pairs(clamped, x)])
+        near = _in_pairs([(lo - GEOM_TOL, hi + GEOM_TOL)
+                          for lo, hi in clamped], x)
+        assert np.all(near[inside])
+    in_a, in_b = _in_pairs(a.components, x), _in_pairs(b.components, x)
+    assert a.issubset(b) == bool(np.all(in_b[in_a]))
+    assert b.issubset(a) == bool(np.all(in_a[in_b]))
+    assert a.issubset(a.union(b)) and b.issubset(a.union(b))
