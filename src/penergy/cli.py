@@ -320,6 +320,11 @@ def _header(command: str, cfg: dict) -> dict:
 # commands
 
 
+def _by_column(rows: list, width: int) -> list:
+    """The columns of a list of row tuples, each cell as it was."""
+    return [list(c) for c in zip(*rows)] if rows else [[]] * width
+
+
 def _build_function(spec: dict, seed: int) -> PLFunction:
     spec = {key: v for key, v in spec.items() if v is not None}
     kind = spec["kind"]
@@ -365,7 +370,7 @@ def cmd_validate_form(cfg: dict, args, out_dir: Path) -> int:
     header["passed"] = passed
     path = reporting.write_csv(out_dir / "validate_form.csv",
                                ("check", "worst_slack", "tolerance",
-                                "status"), rows, header)
+                                "status"), _by_column(rows, 4), header)
     print(f"validate-form: {len(rows)} checks, "
           f"{'PASS' if passed else 'FAIL'} -> {path}")
     return EXIT_PASS if passed else EXIT_LAW_FAILURE
@@ -381,7 +386,7 @@ def cmd_build_measure(cfg: dict, args, out_dir: Path) -> int:
         rows = trace.to_rows() if trace is not None else []
         path = reporting.write_csv(
             out_dir / "build_measure_trace.csv",
-            ("level", "energy", "inf_so_far"), rows,
+            ("level", "energy", "inf_so_far"), _by_column(rows, 3),
             _header("build-measure", cfg))
         print(f"error: {exc}", file=sys.stderr)
         print(f"build-measure: non-convergence, trace -> {path}")
@@ -400,10 +405,11 @@ def cmd_build_measure(cfg: dict, args, out_dir: Path) -> int:
     header["total_mass"] = built.total_mass()
     header["energy"] = form.energy(fn)
     header["levels_used"] = list(built.levels_used)
-    rows = list(zip(grid[:-1], grid[1:], dens_built, dens_exact))
     path = reporting.write_csv(out_dir / "build_measure.csv",
                                ("cell_lo", "cell_hi", "density_fold",
-                                "density_exact"), rows, header)
+                                "density_exact"),
+                               (grid[:-1], grid[1:], dens_built, dens_exact),
+                               header)
     print(f"build-measure: sup relative density gap {sup_gap:.3e} "
           f"-> {path}")
     if args.plot:
@@ -438,7 +444,7 @@ def cmd_check_laws(cfg: dict, args, out_dir: Path) -> int:
     header["failed"] = len(failed)
     path = reporting.write_csv(out_dir / "check_laws.csv",
                                ("law", "trials", "worst_slack", "tolerance",
-                                "status"), rows, header)
+                                "status"), _by_column(rows, 5), header)
     status = "PASS" if not failed else f"FAIL ({', '.join(failed)})"
     print(f"check-laws: {len(rows)} laws, {status} -> {path}")
     return EXIT_PASS if not failed else EXIT_LAW_FAILURE
@@ -472,8 +478,9 @@ def cmd_ks_energy(cfg: dict, args, out_dir: Path) -> int:
     header["divergent"] = scan.divergent
     header["subsequence_gap"] = scan.subsequence_gap
     path = reporting.write_csv(out_dir / "ks_energy.csv",
-                               ("r", "J", "sup_so_far"), scan.to_rows(),
-                               header)
+                               ("r", "J", "sup_so_far"),
+                               (scan.r_values, scan.j_values,
+                                scan.running_sup), header)
     verdict = "divergent" if scan.divergent \
         else f"extrapolated {scan.extrapolated:.6g}"
     print(f"ks-energy: {scan.r_values.size} scales, {verdict} -> {path}")
@@ -484,6 +491,12 @@ def cmd_ks_energy(cfg: dict, args, out_dir: Path) -> int:
             title="Korevaar-Schoen scan", x_label="r", y_label="J",
             log_x=True, log_y=True)
         reporting.write_svg(out_dir / "ks_energy.svg", chart)
+    if not 0.0 <= scan.extrapolated < math.inf:
+        # an energy limit is finite and nonnegative; at a large p the J
+        # values leave the float's range and the extrapolation with them
+        print(f"error: extrapolated limit {scan.extrapolated!r} is negative "
+              "or not finite", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_PASS
 
 
@@ -496,7 +509,7 @@ def cmd_sg_renorm(cfg: dict, args, out_dir: Path) -> int:
     header = _header("sg-renorm", cfg)
     path = reporting.write_csv(out_dir / "sg_renorm.csv",
                                ("p", "rho", "residual", "iterations",
-                                "converged"), rows, header)
+                                "converged"), _by_column(rows, 5), header)
     stalled = [res.p for res in results if not res.converged]
     print(f"sg-renorm: {len(rows)} exponents"
           + (f", stalled at p={stalled}" if stalled else "")

@@ -24,6 +24,15 @@ thresholds, band residual included, are quiet, and its rows, numbered once
 per batch, are then masked out of the one kernel call per level.  A group's
 rows, stop level and trace do not depend on the other groups in its batch.
 
+An identity threshold need not run the early levels, which mostly confirm
+the 2^-n decay of its band.  When the batch is built, :func:`_first_levels`
+bounds each band from the cells it crosses, rounding included
+(:func:`_band_bounds`), and gives a group's thresholds a later first level
+where the bounds prove that the run from there has the same values, stop
+level, quiet steps and misses as the run from n_min.  The levels listed
+stay n_min..stop, and a trace runs a late threshold's skipped levels when
+it is asked for.
+
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
 """
@@ -33,7 +42,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -308,8 +318,15 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
 @dataclass(frozen=True)
 class _LevelRun:
     """One group of fold limits: one energy row per level, one column per
-    threshold, each threshold's trailing quiet steps, and its last step's
-    change or band residual, whichever is larger, over the tolerance."""
+    threshold, each threshold's first level, its trailing quiet steps, and
+    its last step's change or band residual, whichever is larger, over the
+    tolerance.
+
+    A threshold that starts past the first level holds inf at the levels
+    before its own; its running minimum is certified to lie among the
+    levels it ran, so :attr:`values` need not look at the others, and
+    :meth:`trace` runs them, threshold j alone, by ``rerun(j, levels)``.
+    """
 
     thresholds: np.ndarray
     levels: tuple
@@ -317,10 +334,17 @@ class _LevelRun:
     quiet_run: np.ndarray
     miss: np.ndarray
     converged: bool
+    first: np.ndarray
+    rerun: Callable | None = field(default=None, compare=False, repr=False)
 
     def trace(self, j: int) -> ConvergenceTrace:
+        """Every level's energy of threshold j, skipped levels included."""
+        e = self.energies[:, j]
+        late = int(self.first[j]) - self.levels[0]
+        if late > 0:
+            e = np.concatenate((self.rerun(j, self.levels[:late]), e[late:]))
         return ConvergenceTrace(
-            self.levels, tuple(self.energies[:, j].tolist()), self.converged,
+            self.levels, tuple(e.tolist()), self.converged,
             self.levels[-1] if self.converged else None)
 
     @property
@@ -347,20 +371,21 @@ def _cat(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _drive(energies_at, groups, sched: FoldSchedule,
+def _drive(energies_at, groups, first: np.ndarray, sched: FoldSchedule,
            tol: float) -> list[_LevelRun]:
     """Run groups of fold limits through levels n_min..n_max in lock-step.
 
     ``groups`` holds one (thresholds, reference) pair per group, and all
-    thresholds are numbered once, group after group.  ``energies_at(n,
-    running)`` gives (energy, band residual) for all of them; the
-    rows of groups not flagged in ``running`` need not be worked out.  A
+    thresholds are numbered once, group after group; ``first`` gives each
+    threshold's first level.  ``energies_at(n, live)`` gives (energy, band
+    residual) for all of them; only the rows flagged in ``live``, those of
+    running groups whose first level is at most n, need be worked out.  A
     step is quiet when the energy change and the band residual, which
     bounds the distance left to the limit, are both at most ``tol`` times
-    the largest of the two energies and the group's ``reference``.  A
-    group stops once all its thresholds have had ``stall_count`` quiet
-    steps in a row; its run, sliced out of the full rows, is the one it
-    would have had alone.
+    the largest of the two energies and the group's ``reference``; a
+    threshold's first level is no step.  A group stops once all its
+    thresholds have had ``stall_count`` quiet steps in a row; its run,
+    sliced out of the full rows, is the one it would have had alone.
 
     A zero ``reference`` is E(f) = 0, and 0 <= F_f^g(a) <= E(f) forces
     every limit to be exactly 0: the group returns zeros, converged, at
@@ -372,36 +397,47 @@ def _drive(energies_at, groups, sched: FoldSchedule,
     running = (reference != 0.0) & (sizes > 0)
     runs = [None if run else _LevelRun(
         t, (sched.n_min,), np.zeros((1, t.size)),
-        np.full(t.size, sched.stall_count), np.zeros(t.size), True)
-        for (t, _), run in zip(groups, running)]
+        np.full(t.size, sched.stall_count), np.zeros(t.size), True,
+        first[s:s + t.size])
+        for (t, _), run, s in zip(groups, running, starts)]
     filled = sizes > 0  # reduceat reads one entry past an empty group
     heads, quiet = starts[filled], np.zeros(len(groups), dtype=bool)
     floor = np.repeat(np.maximum(reference, 1e-300), sizes)
     quiet_run = np.zeros(floor.size, dtype=int)
     miss = np.full(floor.size, np.inf)
     rows, prev, levels = [], None, sched.levels
+
+    def rerun(row, at):
+        live = np.zeros(floor.size, dtype=bool)
+        live[row] = True
+        return [energies_at(n, live)[0][row] for n in at]
+
     for i, n in enumerate(levels):
         if not running.any():
             break
-        e, band = energies_at(n, running)
+        live = np.repeat(running, sizes) & (first <= n)
+        e, band = energies_at(n, live)
         if prev is not None:
             limit = tol * np.maximum(np.maximum(e, prev), floor)
             step = np.maximum(np.abs(e - prev), band)
-            miss = step / limit
-            quiet_run = np.where(step <= limit, quiet_run + 1, 0)
+            miss = step / limit  # read only once a threshold has run a step
+            still = (step <= limit) & (first < n)  # a first level is no step
+            quiet_run = np.where(still, quiet_run + 1, 0)
         prev = e
         rows.append(e)
         quiet[filled] = (np.minimum.reduceat(quiet_run, heads)
                          >= sched.stall_count)
         stop = running & quiet if i + 1 < len(levels) else running
-        if stop.any():
-            for g in np.flatnonzero(stop):
-                s, k = starts[g], sizes[g]
-                runs[g] = _LevelRun(groups[g][0], tuple(levels[:i + 1]),
-                                    np.array([r[s:s + k] for r in rows]),
-                                    quiet_run[s:s + k], miss[s:s + k],
-                                    bool(quiet[g]))
-            running = running & ~stop
+        for g in np.flatnonzero(stop):
+            s, k = starts[g], sizes[g]
+            energies = np.array([r[s:s + k] for r in rows])
+            # a late threshold's levels before its first hold inf
+            energies[np.less.outer(levels[:i + 1], first[s:s + k])] = np.inf
+            runs[g] = _LevelRun(
+                groups[g][0], tuple(levels[:i + 1]), energies,
+                quiet_run[s:s + k], miss[s:s + k], bool(quiet[g]),
+                first[s:s + k], lambda j, at, s=s: rerun(s + j, at))
+        running = running & ~stop
     return runs
 
 
@@ -420,9 +456,9 @@ def _columns(rows: list, names: tuple) -> dict | None:
     return dict(zip(names, map(_cat, zip(*rows)))) if rows else None
 
 
-def _live(table: dict, running: np.ndarray) -> dict:
-    """The rows whose group still runs: the table itself while all do."""
-    keep = running[table["group"]]
+def _live(table: dict, live: np.ndarray) -> dict:
+    """The rows of live thresholds: the table itself while all are."""
+    keep = live[table["owner"]]
     return table if keep.all() else {k: v[keep] for k, v in table.items()}
 
 
@@ -543,6 +579,172 @@ def _literal_lid_pieces(form, fns, rows, nodes, eps, size):
             - np.bincount(owner, own, size))
 
 
+#: The kernel's rounding, as bounds on what it reads.  A slope of f taken
+#: from two interpolated values is off by at most _RHO (|f'| + max|f| /
+#: width) of the piece; the lid's slope is exactly -1 where the threshold
+#: is at least twice the widest band, and off by at most _RHO (1 + (2^-n_min
+#: + 2^-52) / width) below that; nodes between a piece's ends overshoot
+#: them by at most 2^-51 each, within _PAD for both; and the products and
+#: sums of a band, up to 2^22 terms, stay within a factor 1 +- _KAPPA.  A
+#: piece no wider than _PAD may take the weight of the next cell, so its
+#: energy is bounded by nothing finite.
+_RHO, _PAD, _KAPPA = 2.0 ** -48, 2.0 ** -49, 2.0 ** -30
+#: (pair, level) entries per bounds call in the search for late starts
+_BOUND_CHUNK = 1 << 15
+#: the columns of an identity pair that its bounds read
+_RATES = ("c", "xa", "xb", "x0", "w", "S", "q")
+
+
+def _cell_rates(form: PLIntervalForm, f: PLFunction, grid: np.ndarray):
+    """Per cell of the grid: its weight w, S = |f'|^p and q = _RHO p max|f|
+    / |f'| (0 where f is flat).  A cell with a node of f or of the weight
+    strictly inside, one that the grid merged into a neighbour, has no
+    single slope: it gets q = inf."""
+    bp, wb = f.breakpoints, form.weight_bounds
+    jf, jw = (np.searchsorted(v, grid[:-1], side="right") for v in (bp, wb))
+    mixed = (jf != np.searchsorted(bp, grid[1:], side="left")) \
+        | (jw != np.searchsorted(wb, grid[1:], side="left"))
+    slope = np.abs(f.slopes)[np.clip(jf - 1, 0, bp.size - 2)]
+    q = np.divide(_RHO * form.p * np.abs(f.values).max(), slope,
+                  out=np.zeros_like(slope), where=slope > 0.0)
+    q[mixed] = np.inf
+    return (form.weight_values[np.clip(jw - 1, 0, wb.size - 2)],
+            slope ** form.p, q)
+
+
+def _band_bounds(form: PLIntervalForm, r: dict, level: np.ndarray,
+                 owner: np.ndarray, size: int, eps_max: float):
+    """L <= band <= U, rounding included, for the band energy the kernel
+    gives the identity pairs of table ``r`` at the levels of the matching
+    row of ``level`` (shape (pairs or 1, k)); each is summed per ``owner``
+    of ``size`` and level column, shape (size, k).
+
+    On each stretch of a piece the fold, of weight w |f'|^p, or the lid,
+    of slope -1 and weight w, is the lower, so the piece carries between
+    w min(1, |f'|^p) and w max(1, |f'|^p) times its width; the slopes the
+    kernel reads are off by the margins above, relative ones t with (1 -
+    t)^p >= 1 - p t and, while p t <= 1, (1 + t)^p <= 1 + 2 p t.  L never
+    grows with the level: each pair's term only shrinks with its width.
+    """
+    rho, k = _RHO * form.p, level.shape[1]
+    c, xa, xb, x0, w, S, q = (r[name][:, None] for name in _RATES)
+    span = np.minimum(np.maximum(c + np.ldexp(1.0, -level), xa), xb) - x0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / span
+        fold = rho + q * inv  # p t for f's slope, then the lid's
+        lid = rho + np.where(c < 2.0 * eps_max,
+                             rho * (eps_max + 2.0 ** -52), 0.0) * inv
+        loose = (np.maximum(fold, lid) > 1.0) | (span <= _PAD)
+        lo = w * span * np.minimum(1.0 - lid, S * (1.0 - fold))
+        hi = w * (span + _PAD) * np.maximum(1.0 + 2.0 * lid,
+                                            S * (1.0 + 2.0 * fold))
+    at = (owner[:, None] * k + np.arange(k)).ravel()
+    return (np.bincount(at, np.where(loose, 0.0, lo).ravel(), size * k)
+            .reshape(size, k) * (1.0 - _KAPPA),
+            np.bincount(at, np.where(span > 0.0, np.where(
+                loose, np.inf, hi), 0.0).ravel(), size * k)
+            .reshape(size, k) * (1.0 + _KAPPA))
+
+
+def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
+                  is_ident: np.ndarray, drive, sched: FoldSchedule,
+                  tol: float) -> np.ndarray:
+    """Each threshold's first level: n_min, or a later level s chosen per
+    group from the bounds of :func:`_band_bounds`, such that the run from
+    there keeps every value, stop level, quiet step and miss of the run
+    from n_min.
+
+    A threshold whose band is certainly above the tolerance at a level is
+    not quiet there.  If one threshold's is at every step up to a level m,
+    no group stops before m + stall_count, and a threshold started at s <=
+    m reaches every stop test with the quiet steps of the full run (at
+    least stall_count of them if it had those).  The group's probe, the
+    threshold tested at every level, is its one of steepest band at fine
+    levels.  A threshold's running minimum is unchanged if each skipped
+    level's energy, at least plateau + L_{s-1}, is no smaller than plateau
+    + U at the earliest stop, a level it runs; L never grows with the
+    level, so the latest such s is found by a search that tests as many
+    levels at once as _BOUND_CHUNK allows.
+    Of the levels s <= m, the group takes the one that skips the most
+    (threshold, level) pairs; the thresholds of a block with a witness g
+    always start at n_min.
+    """
+    n_min, count = sched.n_min, sched.stall_count
+    size, eps_max = plateau.size, 2.0 ** (-n_min)
+    first = np.full(size, n_min)
+    if ident is None:
+        return first
+    sizes = np.array([t.size for t, _ in drive], dtype=int)
+    reference = np.array([e for _, e in drive], dtype=float)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    owner = ident["owner"]
+
+    # the probe: per group, the threshold whose own cell, the one from
+    # its threshold on, has the largest w min(1, |f'|^p)
+    own = (ident["xa"] <= ident["c"]) & (ident["c"] < ident["xb"]) \
+        & np.isfinite(ident["q"])
+    rate = np.bincount(owner, np.where(own, ident["w"] * np.minimum(
+        ident["S"], 1.0), 0.0), size)
+    filled = sizes > 0
+    best = np.zeros(sizes.size)
+    best[filled] = np.maximum.reduceat(rate, (np.cumsum(sizes) - sizes)[
+        filled])
+    usable = filled & (reference > 0.0) & (best > 0.0)
+    best_rows = np.flatnonzero((rate == best[group]) & usable[group])
+    probe = best_rows[np.diff(group[best_rows], prepend=-1) != 0]
+    is_probe = np.zeros(size, dtype=bool)
+    is_probe[probe] = True
+    pick = np.flatnonzero(is_probe[owner])
+    slot = (np.cumsum(is_probe) - 1)[owner[pick]]
+    levels = np.arange(n_min, sched.n_max + 1)
+    low, high = _band_bounds(form, {k: ident[k][pick] for k in _RATES},
+                             levels[None, :], slot, probe.size, eps_max)
+    busy = low[:, 1:] > tol * (reference[usable][:, None] + np.maximum(
+        high[:, 1:], high[:, :-1])) * (1.0 + 2.0 ** -40)
+    busy &= levels[1:] + count <= sched.n_max
+    proof = np.full(sizes.size, n_min)
+    proof[usable] += np.logical_and.accumulate(busy, axis=1).sum(axis=1)
+    cap = (proof - n_min)[group]
+    if not cap.any():
+        return first
+
+    # each threshold's latest start n_min + k: k counts the levels m =
+    # n_min, ... with plateau + L_m >= plateau + U at the earliest stop,
+    # up to cap; k lies in [lo, hi], and each round tests levels spread
+    # over that range
+    _, top = _band_bounds(form, ident, (proof + count)[group][owner, None],
+                          owner, size, eps_max)
+    ceiling = plateau + top[:, 0]
+    lo, hi = np.zeros(size, dtype=int), np.where(is_ident, cap, 0)
+    while True:
+        live = lo < hi
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        keep = live[owner]
+        k = int(min(max(_BOUND_CHUNK // max(int(keep.sum()), 1), 1),
+                    (hi - lo).max()))
+        rank = (np.cumsum(live) - 1)[owner[keep]]
+        gap = (hi - lo)[rows]
+        test = lo[rows, None] + (gap[:, None] * np.arange(1, k + 1) + k) \
+            // (k + 1)  # (row, j) counts to test, spread over [lo+1, hi]
+        low, _ = _band_bounds(form, {name: ident[name][keep]
+                                     for name in _RATES},
+                              n_min - 1 + test[rank], rank, rows.size,
+                              eps_max)
+        ok = plateau[rows, None] + low >= ceiling[rows, None]
+        lo[rows] = np.max(np.where(ok, test, lo[rows, None]), axis=1)
+        hi[rows] = np.min(np.where(ok, hi[rows, None], test - 1), axis=1)
+    # per group, the start n_min + d that skips the most (threshold,
+    # level) pairs: d times the count of its thresholds with lo >= d
+    most = int(lo.max()) + 1
+    late = np.cumsum(np.bincount(group * most + lo, minlength=sizes.size
+                                 * most).reshape(-1, most)[:, ::-1],
+                     axis=1)[:, ::-1]
+    d = np.argmax(late * np.arange(most), axis=1)[group]
+    return first + np.where(lo >= d, d, 0)
+
+
 def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                  tol: float) -> list[_LevelRun]:
     """Fold limits over witness windows for each (f, blocks) group, run in
@@ -564,10 +766,11 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     """
     eps_max = 2.0 ** (-sched.n_min)
     fns, drive, plateau, ident, wit, nodes = [], [], [], [], [], []
+    idents = []  # the identity blocks' thresholds, as (first, end) pairs
     start = base = 0  # thresholds, and witnesses' grid nodes, so far
     for k, (f, blocks) in enumerate(groups):
         grid, cum = form.cumulative_energy(f)
-        his = []
+        his, per_cell = [], None
         for g, lo, hi in blocks:
             hi = np.asarray(hi, dtype=float)
             lo = np.broadcast_to(np.asarray(-np.inf if lo is None else lo,
@@ -575,12 +778,17 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
             if np.isnan(hi).any() or np.isnan(lo).any():
                 raise ValueError("fold-limit thresholds must not be NaN")
             his.append(hi)
-            first, start = start, start + hi.size
+            row0, start = start, start + hi.size
             if g is None:
                 plateau.append(np.interp(hi, grid, cum))
                 t, cell = _band_rows(grid[:-1], grid[1:], hi, eps_max)
-                ident.append((t + first, np.full(t.size, k), hi[t],
-                              grid[cell], grid[cell + 1]))
+                per_cell = per_cell or _cell_rates(form, f, grid)
+                xa, xb = grid[cell], grid[cell + 1]
+                x0 = np.clip(hi[t], xa, xb)  # the band's left end, any level
+                ident.append((t + row0, np.full(t.size, k), hi[t], xa, xb,
+                              x0, f.evaluate(x0),
+                              *(v[cell] for v in per_cell)))
+                idents.append((row0, start))
                 continue
             x = _merge_sorted_grids(grid, g.breakpoints)
             gx = g.evaluate(x)
@@ -608,7 +816,7 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                     h1 > h0, cut, G[j])
                 own = np.where((h0 != h1) & (s1 > s0), np.interp(
                     s1, grid, cum) - np.interp(s0, grid, cum), 0.0)
-                wit.append((t + first, np.full(t.size, k), c[t], P[j], G[j],
+                wit.append((t + row0, np.full(t.size, k), c[t], P[j], G[j],
                             h0, h1, node[j] + base, node[j + 1] + base, own,
                             other[t]))
             nodes.append(x)
@@ -616,26 +824,28 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
         fns.append(f)
         drive.append((_cat(his), float(cum[-1])))
     plateau, size = _cat(plateau), start
-    ident = _columns(ident, ("owner", "group", "c", "xa", "xb"))
+    ident = _columns(ident, ("owner", "group", "c", "xa", "xb", "x0", "v0",
+                             "w", "S", "q"))
+    # the bounds' columns stay out of the table the level loop filters
+    rates = {k: ident.pop(k) for k in ("w", "S", "q")} if ident else {}
     wit = _columns(wit, ("owner", "group", "c", "P", "G", "hP", "hG", "iP",
                          "iG", "own", "other"))
     nodes = _cat(nodes) if nodes else None
     live = {}
 
-    def energies_at(n, running):
-        if live.get("key") != running.tobytes():
-            live.update(key=running.tobytes(), **{
-                name: _live(table, running) for name, table
+    def energies_at(n, rows):
+        if live.get("key") != rows.tobytes():
+            live.update(key=rows.tobytes(), **{
+                name: _live(table, rows) for name, table
                 in (("ident", ident), ("wit", wit)) if table is not None})
         eps = 2.0 ** (-n)
         energy, parts, owners = plateau, [], []
         if ident is not None:
             r = live["ident"]
-            x0, x1 = (np.clip(c, r["xa"], r["xb"])
-                      for c in (r["c"], r["c"] + eps))
+            x0, x1 = r["x0"], np.clip(r["c"] + eps, r["xa"], r["xb"])
             keep = np.flatnonzero(x1 > x0)
-            x0, x1, c = x0[keep], x1[keep], r["c"][keep]
-            v0, v1 = _evaluate(fns, r["group"][keep], x0, x1)
+            x0, x1, c, v0 = x0[keep], x1[keep], r["c"][keep], r["v0"][keep]
+            v1, = _evaluate(fns, r["group"][keep], x1)
             parts.append((x0, x1, v0, v1, c + eps - x0, c + eps - x1,
                           form.weight_at(0.5 * (x0 + x1))))
             owners.append(r["owner"][keep])
@@ -654,7 +864,12 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
         band = _band_energy(pieces, owner, size, n, form.p)
         return energy + band, band
 
-    return _drive(energies_at, drive, sched, tol)
+    is_ident = np.zeros(size, dtype=bool)
+    for lo, hi in idents:
+        is_ident[lo:hi] = True
+    first = _first_levels(form, ident and {**ident, **rates}, plateau,
+                          is_ident, drive, sched, tol)
+    return _drive(energies_at, drive, first, sched, tol)
 
 
 def _identity_runs(form: PLIntervalForm, groups,

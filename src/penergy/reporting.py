@@ -39,23 +39,45 @@ def _header_value(value) -> str:
     return format_cell(value)
 
 
-def csv_text(columns, rows, header: dict | None = None) -> str:
-    """CSV with '# key=value' comment headers, sorted for reproducibility."""
-    lines = []
-    for key in sorted(header or {}):
-        lines.append(f"# {key}={_header_value(header[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = [format_cell(v) for v in row]
-        if len(cells) != len(columns):
-            raise ValueError("row width does not match the column count")
-        lines.append(",".join(cells))
+def _cells(columns) -> list:
+    """Each column's cells as text.  A float64 array is formatted through
+    one repr per distinct bit pattern in the table (bits, not values, so
+    -0.0 stays apart from 0.0); any other column cell by cell."""
+    floats = [i for i, c in enumerate(columns)
+              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    out = [None if i in floats else [format_cell(v) for v in c]
+           for i, c in enumerate(columns)]
+    if floats:
+        bits = np.concatenate([np.ascontiguousarray(columns[i]).ravel()
+                               .view(np.int64) for i in floats])
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()],
+                        dtype=object)[index].tolist()
+        start = 0
+        for i in floats:
+            out[i] = text[start:start + columns[i].size]
+            start += columns[i].size
+    return out
+
+
+def csv_text(names, columns, header: dict | None = None) -> str:
+    """CSV with '# key=value' comment headers, sorted for reproducibility,
+    and one column of values per name."""
+    lines = [f"# {key}={_header_value(header[key])}"
+             for key in sorted(header or {})]
+    lines.append(",".join(names))
+    if len(columns) != len(names):
+        raise ValueError("need one column per name")
+    cells = _cells(columns)
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("columns differ in length")
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, columns, rows, header: dict | None = None) -> Path:
+def write_csv(path, names, columns, header: dict | None = None) -> Path:
     path = Path(path)
-    path.write_text(csv_text(columns, rows, header))
+    path.write_text(csv_text(names, columns, header))
     return path
 
 

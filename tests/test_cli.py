@@ -476,6 +476,20 @@ def test_float_overflow_exits_numeric_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_ks_energy_negative_extrapolation_exits_numeric(tmp_path, capsys):
+    # at p = 100 the J values are far outside the float's comfortable
+    # range and the O(r) extrapolation turns them into a large negative
+    # number: the scan is still written, but the run is a numeric failure
+    assert main(["--out", str(tmp_path), "ks-energy", "--n", "2000", "--p",
+                 "100", "--profile", "tent"]) == EXIT_NUMERIC
+    extrapolated = float(read_header(tmp_path / "ks_energy.csv")
+                         ["extrapolated"])
+    assert extrapolated < 0.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: extrapolated limit ")
+    assert repr(extrapolated) in err and "Traceback" not in err
+
+
 def test_validate_form_passes_at_large_p_until_energies_overflow(tmp_path,
                                                                  capsys):
     # p = 40: E(c u) and c^p E(u) agree to rounding, measured against

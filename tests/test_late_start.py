@@ -1,0 +1,217 @@
+"""Identity fold runs that start late, bit for bit.
+
+A threshold whose band is certainly above the stall tolerance at the early
+levels, and whose skipped energies certainly stay above its late running
+minimum, starts at a later level.  Everything a caller sees must be the run
+from n_min: values, levels, the stop level, misses, error messages and
+traces (a late threshold's trace runs its skipped levels on demand).  The
+reference run here is the same code with the start chooser patched to
+n_min; quiet runs may only be capped at the steps a late threshold ran.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from penergy import construction
+from penergy.construction import (
+    MEASURE_SCHEDULE,
+    ConvergenceError,
+    FoldSchedule,
+    _band_bounds,
+    _band_energy,
+    _band_rows,
+    _cell_rates,
+    _identity_runs,
+    _window_runs,
+    energy_measure,
+)
+from penergy.forms import PLIntervalForm
+from penergy.pl import PLFunction
+from penergy.sampler import PLSampler
+
+SCHED = FoldSchedule(n_min=6, n_max=34, rel_tol=1e-8)
+WEIGHT = [(0.0, 0.3, 1.0), (0.3, 0.45, 0.0), (0.45, 1.0, 2.5)]
+
+
+def _from_n_min(form, ident, plateau, is_ident, drive, sched, tol):
+    """The start chooser of a run from n_min."""
+    return np.full(plateau.size, sched.n_min)
+
+
+def _both(monkeypatch, make):
+    """(late, full) results of make(), the second with every start at
+    n_min."""
+    late = make()
+    with monkeypatch.context() as m:
+        m.setattr(construction, "_first_levels", _from_n_min)
+        full = make()
+    return late, full
+
+
+def _groups():
+    """Flat pieces, slope-64 pieces, thresholds below 0 and above 1, a
+    zero-energy f, and a nearly flat f that exhausts SCHED."""
+    sampler = PLSampler(seed=3)
+    a = np.linspace(-0.1, 1.1, 97)
+    flat = PLFunction([0.0, 0.2, 0.5, 0.7, 1.0], [0.0, 0.6, 0.6, 0.1, 0.4])
+    steep = PLFunction([0.0, 0.5, 0.51, 0.6, 1.0], [0.0, 0.2, 0.84, 0.2, 0.5])
+    return [(sampler.pl(k), a[k % 3::2]) for k in range(4)] + [
+        (flat, np.sort(np.append(a, flat.breakpoints))),
+        (steep, np.sort(np.append(a, [0.505, 1.0]))),
+        (PLFunction.constant(0.3), a),
+        (PLFunction([0.0, 0.5, 1.0], [0.0, 1e-3, 0.0]), a[::4])]
+
+
+def _assert_as_full(late, full):
+    assert late.levels == full.levels
+    assert late.converged == full.converged
+    assert late.values.tobytes() == full.values.tobytes()
+    assert late.miss.tobytes() == full.miss.tobytes()
+    assert np.all(full.first == full.levels[0])
+    ran = late.levels[-1] - late.first
+    assert np.array_equal(late.quiet_run, np.where(
+        late.first > late.levels[0], np.minimum(full.quiet_run, ran),
+        full.quiet_run))
+    for j in range(0, late.thresholds.size, 3):  # a late trace reruns
+        assert late.trace(j) == full.trace(j)
+    if not full.converged:
+        with pytest.raises(ConvergenceError) as want:
+            full.limits()
+        with pytest.raises(ConvergenceError) as got:
+            late.limits()
+        assert str(got.value) == str(want.value)
+        assert got.value.trace == want.value.trace
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 6.0])
+def test_late_runs_match_the_run_from_n_min(monkeypatch, p):
+    form = PLIntervalForm(p, weight=WEIGHT)
+    groups = _groups()
+    late, full = _both(monkeypatch,
+                       lambda: _identity_runs(form, groups, SCHED))
+    for x, y in zip(late, full):
+        _assert_as_full(x, y)
+    starts = np.concatenate([run.first for run in late[:-2]])
+    assert np.any(starts > SCHED.n_min) and np.any(starts == SCHED.n_min)
+    flat = late[-1]
+    assert not flat.converged and flat.levels[-1] == SCHED.n_max
+    # below p = 6 the flat f's band is provably busy, so the raised trace
+    # is that of a late row; at p = 6 the lid's energy swamps |f'|^p
+    assert np.any(flat.first > SCHED.n_min) == (p < 6.0)
+
+
+def test_witness_rows_start_at_n_min(monkeypatch):
+    # a group mixing an identity block with a witness block: the witness
+    # rows keep n_min, the identity rows may start late
+    form = PLIntervalForm(2.0, weight=WEIGHT)
+    f, a = _groups()[4]
+    g = PLSampler(seed=3).pl(7)
+    groups = [(f, [(None, None, a), (g, None, np.linspace(*g.value_range(),
+                                                          9))])]
+    late, full = _both(monkeypatch, lambda: _window_runs(
+        form, groups, SCHED, SCHED.rel_tol))
+    _assert_as_full(late[0], full[0])
+    assert np.all(late[0].first[a.size:] == SCHED.n_min)
+    assert np.any(late[0].first[:a.size] > SCHED.n_min)
+
+
+def test_negative_mass_error_traces_a_late_row(monkeypatch):
+    # lower one threshold's last energy so that the cell below it comes
+    # out negative; the error names the threshold before it, a late one,
+    # whose trace must still hold every level from n_min
+    form = PLIntervalForm(2.0, weight=WEIGHT)
+    f = PLSampler(seed=3).pl(1)
+    real = construction._identity_run
+    dent = []
+
+    def dented(form, f, a, sched):
+        run = real(form, f, a, sched)
+        if not dent:  # the late run comes first and picks the threshold
+            late = np.flatnonzero(run.first[:-1] > run.levels[0])
+            dent.append(int(late[late.size // 2]) + 1)
+        energies = run.energies.copy()
+        energies[-1, dent[0]] -= 0.1 * float(np.max(run.values))
+        return dataclasses.replace(run, energies=energies)
+
+    monkeypatch.setattr(construction, "_identity_run", dented)
+    late, full = _both(monkeypatch, lambda: pytest.raises(
+        ConvergenceError, energy_measure, form, f, 64, MEASURE_SCHEDULE))
+    assert "negative cell mass" in str(late.value)
+    assert str(late.value) == str(full.value)
+    assert late.value.trace == full.value.trace
+    # the skipped levels were run, not left at their placeholder
+    assert np.all(np.isfinite(late.value.trace.energies))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bounds_hold_the_kernel_band(seed):
+    # random bands, at every level up to 50: flat and steep pieces, zero
+    # and unit weights, and thresholds a few ulps off a node, whose bands
+    # end in slivers; the kernel's band must lie in [L, U]
+    rng = np.random.default_rng(seed)
+    checked = finite = 0
+    for _ in range(60):
+        p = float(rng.choice([1.5, 2.0, 6.0]))
+        x = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 3))))
+        slope = 10.0 ** rng.uniform(-3, 1.8, 4) * rng.choice([-1, 1], 4)
+        slope[rng.random(4) < 0.25] = 0.0
+        f = PLFunction(x, np.concatenate(([rng.uniform(-1, 1)],
+                                          np.cumsum(slope * np.diff(x)))))
+        cut = float(rng.uniform(0.1, 0.9))
+        form = PLIntervalForm(p, weight=[(0.0, cut, float(rng.choice(
+            [0.0, 1.0]))), (cut, 1.0, float(rng.choice([0.5, 3.0])))])
+        nodes = np.concatenate((f.breakpoints, form.weight_bounds))
+        deep = np.ldexp(1.0, -rng.integers(6, 51, 16))
+        a = np.sort(np.concatenate((
+            rng.uniform(-0.05, 1.05, 16),
+            rng.choice(nodes, 16) - deep
+            + rng.integers(-2, 3, 16) * 2.0 ** -53)))
+        grid, _ = form.cumulative_energy(f)
+        t, cell = _band_rows(grid[:-1], grid[1:], a, 2.0 ** -6)
+        w, s, q = (v[cell] for v in _cell_rates(form, f, grid))
+        xa, xb = grid[cell], grid[cell + 1]
+        table = dict(c=a[t], xa=xa, xb=xb, x0=np.clip(a[t], xa, xb), w=w,
+                     S=s, q=q)
+        for n in rng.integers(6, 51, 4):
+            eps = 2.0 ** -int(n)
+            x0, x1 = table["x0"], np.clip(a[t] + eps, xa, xb)
+            k = x1 > x0
+            c = a[t][k]
+            band = _band_energy(
+                (x0[k], x1[k], f.evaluate(x0[k]), f.evaluate(x1[k]),
+                 c + eps - x0[k], c + eps - x1[k],
+                 form.weight_at(0.5 * (x0[k] + x1[k]))),
+                t[k], a.size, int(n), p)
+            low, high = (v[:, 0] for v in _band_bounds(
+                form, table, np.full((1, 1), n), t, a.size, 2.0 ** -6))
+            assert np.all(low <= band) and np.all(band <= high)
+            checked += int(np.sum(band > 0.0))
+            finite += int(np.sum((band > 0.0) & np.isfinite(high)
+                                 & (low > 0.0)))
+    assert finite > 0.5 * checked  # the bounds are seldom vacuous
+
+
+def test_anchor_sends_at_most_forty_percent_of_the_row_levels(monkeypatch):
+    # the resolution-32768 anchor: the pieces the kernel integrates, late
+    # start against the run from n_min, with the same values
+    form = PLIntervalForm(2.0)
+    f = PLSampler(seed=2026).nonzero_pl(0)
+    sent = []
+    kernel = construction._band_energy
+
+    def counting(pieces, owner, size, n, p):
+        sent[-1] += owner.size
+        return kernel(pieces, owner, size, n, p)
+
+    monkeypatch.setattr(construction, "_band_energy", counting)
+
+    def build():
+        sent.append(0)
+        return energy_measure(form, f, 32768, MEASURE_SCHEDULE)
+
+    late, full = _both(monkeypatch, build)
+    assert late.levels_used == full.levels_used
+    assert late.masses.tobytes() == full.masses.tobytes()
+    assert sent[0] <= 0.4 * sent[1], sent
