@@ -39,7 +39,6 @@ from .forms import (
     form_from_descriptor,
     step_at,
 )
-from .gasket import renormalization_constant
 from .ks import (
     GRID_SIZES,
     SampledSpace,
@@ -501,6 +500,8 @@ def cmd_ks_energy(cfg: dict, args, out_dir: Path) -> int:
 
 
 def cmd_sg_renorm(cfg: dict, args, out_dir: Path) -> int:
+    # the gasket loads scipy, which no other command needs
+    from .gasket import renormalization_constant
     results = [renormalization_constant(p, cfg["grid_size"], cfg["tol"],
                                         cfg["max_iterations"])
                for p in cfg["p_list"]]

@@ -379,7 +379,12 @@ def _subdivision_value_grad(p, spline, dspline, u, m):
 
 def _minimize_midpoints(p, spline, dspline, u, m0, gtol=1e-11,
                         max_iter=80):
-    """Damped Newton over all rows at once; FD Hessian of the exact grad."""
+    """Damped Newton over all rows at once; FD Hessian of the exact grad.
+
+    The six Hessian probes m +- h e_d of every row go through one
+    ``_subdivision_value_grad`` call of 6b rows; rows are independent, so
+    each probe's gradient is the one a call of its own would give.
+    """
 
     def f(mm):
         return _subdivision_value_grad(p, spline, dspline, u, mm)
@@ -388,19 +393,20 @@ def _minimize_midpoints(p, spline, dspline, u, m0, gtol=1e-11,
     val, g = f(m)
     b = m.shape[0]
     eye = np.eye(3)
+    probe_u = np.tile(u, (6, 1))
     for _ in range(max_iter):
         gn = np.abs(g).max(axis=1)
         active = gn > gtol * (1.0 + np.abs(val))
         if not active.any():
             break
         h = 1e-6 * (1.0 + np.abs(m).max(axis=1))
-        hess = np.empty((b, 3, 3))
-        for d in range(3):
-            dm = np.zeros_like(m)
-            dm[:, d] = h
-            _, gp = f(m + dm)
-            _, gq = f(m - dm)
-            hess[:, :, d] = (gp - gq) / (2.0 * h)[:, None]
+        # dm[d] is h in column d and 0 elsewhere
+        dm = eye[:, None, :] * h[None, :, None]
+        probes = np.concatenate([m + dm, m - dm]).reshape(6 * b, 3)
+        _, gpq = _subdivision_value_grad(p, spline, dspline, probe_u, probes)
+        gp, gq = gpq.reshape(2, 3, b, 3)
+        # hess[:, :, d] is the central difference of the gradient along d
+        hess = ((gp - gq) / (2.0 * h)[None, :, None]).transpose(1, 2, 0)
         hess = 0.5 * (hess + hess.transpose(0, 2, 1)) + 1e-12 * eye
         try:
             step = -np.linalg.solve(hess, g[:, :, None])[:, :, 0]

@@ -9,7 +9,10 @@ A scan evaluates every radius in one pass over the offsets of the largest:
 each offset's |u(x + k) - u(x)|^p is taken once and shared by every radius
 that reaches it, so a scan costs O(N * max cap) powers, not O(N * sum of
 caps), and each radius still adds its terms in the order a lone
-evaluation does.
+evaluation does.  On the interval, the pairs that see the interior ball
+factor c on both sides take one product |u(x + k) - u(x)|^p * 2c, which
+is the sum of the factors bit for bit; the torus reads every shift of u as
+a view of one periodic pad instead of rolling a copy.
 
 Ball masses use the same quadrature weights as the outer sums, which keeps
 the functional exactly zero on constants and makes J(a u) = |a|^p J(u) hold
@@ -192,6 +195,9 @@ def _interval_energies(space: SampledSpace, u: np.ndarray, radii,
 
     Offset k enters every radius whose cap reaches it, and each radius adds
     its terms in increasing k, so every J is the sum a lone radius makes.
+    Unrestricted, the pairs (x, x + k) with x in [cap, n - cap - k) see the
+    interior ball factor c on both sides, and c + c = 2c exactly, so their
+    terms are one product dp * 2c; only the two end strips add the factors.
     """
     n = u.size
     h = space.spacing
@@ -210,17 +216,32 @@ def _interval_energies(space: SampledSpace, u: np.ndarray, radii,
     # more than the arithmetic at these lengths
     dp_row, term_row = np.empty(n), np.empty(n)
     for k in range(1, max(caps) + 1):
-        dp = dp_row[:n - k]
+        m = n - k
+        dp = dp_row[:m]
         np.subtract(u[k:], u[:-k], out=dp)
-        np.abs(dp, out=dp)
-        dp **= p
-        terms = term_row[:n - k]
-        for i, side in enumerate(sides):
-            if k <= caps[i]:
-                np.add(side[k:], side[:-k], out=terms)
-                terms *= dp
-                acc[i] += float(terms.sum())
+        _abs_power(dp, p)
+        terms = term_row[:m]
+        for i, (cap, side) in enumerate(zip(caps, sides)):
+            if k > cap:
+                continue
+            # flat stretch [lo, hi); a restriction makes the factor vary
+            lo = min(cap, m)
+            hi = lo if restriction is not None else max(lo, m - cap)
+            np.multiply(dp[lo:hi], side[cap] + side[cap], out=terms[lo:hi])
+            for a, b in ((0, lo), (hi, m)):
+                np.add(side[k + a:k + b], side[a:b], out=terms[a:b])
+                terms[a:b] *= dp[a:b]
+            acc[i] += float(terms.sum())
     return np.array([a * h * h / r ** p for a, r in zip(acc, radii)])
+
+
+def _abs_power(d: np.ndarray, p: float) -> None:
+    """|d|^p in place; at p = 2 the square, which is exact without abs."""
+    if p == 2.0:
+        np.multiply(d, d, out=d)
+    else:
+        np.abs(d, out=d)
+        d **= p
 
 
 def _torus_cap(space: SampledSpace, r: float) -> int:
@@ -258,10 +279,16 @@ def _torus_energies(space: SampledSpace, u: np.ndarray, radii,
     side = space.side
     offsets, dist = _torus_offsets(space, max(radii))
     grid = u.reshape(side, side)
+    # one periodic pad: np.roll(grid, (a, b)) is the view at (k - a, k - b)
+    k = _torus_cap(space, max(radii))
+    ext = np.pad(grid, k, mode="wrap")
+    diff = np.empty_like(grid)
     terms = []
     for a, b in offsets.tolist():
-        shifted = np.roll(np.roll(grid, a, axis=0), b, axis=1)
-        terms.append(float(np.sum(np.abs(grid - shifted) ** p)))
+        np.subtract(grid, ext[k - a:k - a + side, k - b:k - b + side],
+                    out=diff)
+        _abs_power(diff, p)
+        terms.append(float(diff.sum()))
     reach = np.abs(offsets).max(axis=1)
     h = space.spacing
     w = h * h

@@ -5,11 +5,17 @@ tests compare raw bytes, which is the reproducibility guarantee the CSV
 headers advertise.
 """
 
+import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import penergy
 from penergy import construction
 from penergy.cli import (
     EXIT_CONFIG,
@@ -527,3 +533,32 @@ def test_bad_jobs_rejected(tmp_path):
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_PASS, EXIT_LAW_FAILURE, EXIT_CONFIG, EXIT_NUMERIC}) == 4
+
+
+# -- imports ------------------------------------------------------------------
+
+SRC = Path(penergy.__file__).resolve().parent
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, penergy.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
+def test_only_the_gasket_imports_scipy_at_module_level():
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"gasket.py"}

@@ -228,6 +228,68 @@ def test_renormalization_p3_converges():
     assert abs(res.rho_trace[-1] - res.rho_trace[-2]) <= 1e-6
 
 
+def per_direction_minimize(p, spline, dspline, u, m0, gtol=1e-11,
+                           max_iter=80):
+    """The midpoint Newton solver with one pair of Hessian probes per
+    direction: the loop the batched probes must reproduce to the last bit."""
+
+    def f(mm):
+        return gasket._subdivision_value_grad(p, spline, dspline, u, mm)
+
+    m = m0.copy()
+    val, g = f(m)
+    b = m.shape[0]
+    eye = np.eye(3)
+    for _ in range(max_iter):
+        gn = np.abs(g).max(axis=1)
+        active = gn > gtol * (1.0 + np.abs(val))
+        if not active.any():
+            break
+        h = 1e-6 * (1.0 + np.abs(m).max(axis=1))
+        hess = np.empty((b, 3, 3))
+        for d in range(3):
+            dm = np.zeros_like(m)
+            dm[:, d] = h
+            _, gp = f(m + dm)
+            _, gq = f(m - dm)
+            hess[:, :, d] = (gp - gq) / (2.0 * h)[:, None]
+        hess = 0.5 * (hess + hess.transpose(0, 2, 1)) + 1e-12 * eye
+        try:
+            step = -np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = -g.copy()
+        bad = ~np.isfinite(step).all(axis=1)
+        step[bad] = -g[bad]
+        desc = np.einsum("ij,ij->i", step, g)
+        flip = desc >= 0.0
+        step[flip] = -g[flip]
+        desc = np.einsum("ij,ij->i", step, g)
+        t = np.where(active, 1.0, 0.0)
+        trial, vt, gt = m, val, g
+        for _ in range(45):
+            trial = m + t[:, None] * step
+            vt, gt = f(trial)
+            ok = vt <= val + 1e-4 * t * desc + 1e-14 * (1.0 + np.abs(val))
+            ok |= ~active
+            if ok.all():
+                break
+            t = np.where(ok, t, 0.5 * t)
+        m, val, g = trial, vt, gt
+    return m, val, g
+
+
+@pytest.mark.parametrize("p", [1.235, 3.0, 4.963])
+def test_batched_hessian_probes_keep_the_bits(p, monkeypatch):
+    batched = gasket.renormalization_constant(p)
+    monkeypatch.setattr(gasket, "_minimize_midpoints", per_direction_minimize)
+    literal = gasket.renormalization_constant(p)
+    assert np.array(batched.rho_trace).tobytes() \
+        == np.array(literal.rho_trace).tobytes()
+    assert batched.residual.hex() == literal.residual.hex()
+    assert batched.iterations == literal.iterations
+    assert batched.table_deviation.hex() == literal.table_deviation.hex()
+
+
 def test_renormalization_grid_consistency():
     a = gasket.renormalization_constant(3.0, grid_size=96, tol=1e-7)
     b = gasket.renormalization_constant(3.0, grid_size=128, tol=1e-7)

@@ -308,6 +308,25 @@ BATCHED_SCANS = {
     "torus cap inside ball": (SampledSpace.torus(25), 2.0,
                               [0.5, np.nextafter(0.24, 1.0),
                                np.nextafter(0.12, 1.0)], None),
+    # unrestricted scans take the flat stretch [cap, n - cap - k) as one
+    # product; u is random, so p = 2 squares negative differences
+    "interval p2": (SampledSpace.interval(700), 2.0,
+                    [0.08, 0.05, 0.031, 0.02, 0.0105], None),
+    "interval p1.5": (SampledSpace.interval(700), 1.5,
+                      [0.08, 0.05, 0.031, 0.02, 0.0105], None),
+    "interval p3": (SampledSpace.interval(700), 3.0,
+                    [0.08, 0.05, 0.031, 0.02, 0.0105], None),
+    # caps 26 and 17 leave no flat stretch (n <= 2 cap); cap 11 loses it
+    # from k = 8 on, where n - cap - k <= cap
+    "interval no flat stretch": (SampledSpace.interval(30), 2.0,
+                                 [0.9, 0.6, 0.4, 0.25, 0.11], None),
+    # caps 55 and 34 put all four restriction edges inside the end strips
+    "interval restricted in end strips": (
+        SampledSpace.interval(700), 2.0, [0.08, 0.05, 0.02, 0.0105],
+        IntervalSet([(0.01, 0.04), (0.6, 0.97), (0.975, 0.99)])),
+    # the first cap is side // 2, so the periodic pad reaches half the side
+    "torus side 48": (SampledSpace.torus(48), 1.5, [0.6, 0.35, 0.2, 0.1],
+                      None),
 }
 
 
