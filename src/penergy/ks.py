@@ -8,11 +8,15 @@ offsets, so one evaluation costs O(N * r / spacing) instead of O(N^2).
 A scan evaluates every radius in one pass over the offsets of the largest:
 each offset's |u(x + k) - u(x)|^p is taken once and shared by every radius
 that reaches it, so a scan costs O(N * max cap) powers, not O(N * sum of
-caps), and each radius still adds its terms in the order a lone
-evaluation does.  On the interval, the pairs that see the interior ball
-factor c on both sides take one product |u(x + k) - u(x)|^p * 2c, which
-is the sum of the factors bit for bit; the torus reads every shift of u as
-a view of one periodic pad instead of rolling a copy.
+caps), and each radius gets the bits a lone evaluation of it gives.  On
+the unrestricted interval a radius's ball factor is an interior constant c
+plus an excess that lives on the two end strips, so an offset adds 2c
+times one full-row sum plus a short dot product over the strips: one
+full-row pass per offset, whatever the number of radii.  The torus takes
+|u - u(. - o)|^p once for each pair of shifts o and -o, and reads every
+shift of u as a view of one periodic pad.  Both add the terms of the
+per-pair double sum in another order, so they match it to roundoff; a
+restricted interval scan adds them in that sum's own order.
 
 Ball masses use the same quadrature weights as the outer sums, which keeps
 the functional exactly zero on constants and makes J(a u) = |a|^p J(u) hold
@@ -140,8 +144,15 @@ def ball_measure(space: SampledSpace, x, r: float) -> float:
 
 
 def _offset_cap(space: SampledSpace, r: float) -> int:
-    """Largest lattice offset with offset * spacing < r (open balls)."""
-    return max(int(math.ceil(r / space.spacing)) - 1, 0)
+    """Largest lattice offset m with m * spacing < r (open balls)."""
+    h = space.spacing
+    m = max(int(math.ceil(r / h)) - 1, 0)
+    # r / h rounds, so ceil can land one above or one below that m
+    if (m + 1) * h < r:
+        m += 1
+    elif m > 0 and not m * h < r:
+        m -= 1
+    return m
 
 
 def _membership(space: SampledSpace, restriction) -> np.ndarray:
@@ -193,45 +204,73 @@ def _interval_energies(space: SampledSpace, u: np.ndarray, radii,
                        p: float, restriction) -> np.ndarray:
     """J_{p,r}(u) for every r in radii, each offset's power taken once.
 
-    Offset k enters every radius whose cap reaches it, and each radius adds
-    its terms in increasing k, so every J is the sum a lone radius makes.
-    Unrestricted, the pairs (x, x + k) with x in [cap, n - cap - k) see the
-    interior ball factor c on both sides, and c + c = 2c exactly, so their
-    terms are one product dp * 2c; only the two end strips add the factors.
+    Offset k enters every radius whose cap reaches it, in increasing k.
+    Unrestricted, a radius splits its ball factor into the interior
+    constant c = 1 / ((2 cap + 1) h) and an excess e >= 0 that lives on
+    the end strips [0, min(cap, n - cap)) and [n - cap, n), so the offset
+    adds 2c * sum(dp) plus one short dot product of e against the strips'
+    terms: one full-row pass per offset, whatever the number of radii.
+    A restriction's factor 1_U / m(B) has no interior constant, so a
+    restricted radius multiplies and sums the whole row.
     """
     n = u.size
     h = space.spacing
     caps = [min(_offset_cap(space, r), n - 1) for r in radii]
-    member = _membership(space, restriction)
+    k_max = max(caps)
     idx = np.arange(n)
-    sides = []
-    for cap in caps:
+
+    def ball_counts(cap, x):
         # open-ball point counts: interior points see 2 cap + 1 grid cells
-        counts = (np.minimum(idx + cap, n - 1)
-                  - np.maximum(idx - cap, 0) + 1)
+        return np.minimum(x + cap, n - 1) - np.maximum(x - cap, 0) + 1
+
+    if restriction is not None:
         # per-x factor 1_U(x) / m(B(x, r))
-        sides.append(member / (counts * h))
+        member = _membership(space, restriction)
+        sides = [member / (ball_counts(cap, idx) * h) for cap in caps]
+        term_row = np.empty(n)
+    else:
+        # strip layout: y = n - k_max .. n - 1, then y = 0 .. k_max - 1, so
+        # a radius's strips [n - cap, n) and [0, min(cap, n - cap)) are the
+        # one window [k_max - cap, k_max + min(cap, n - cap)) of it
+        windows, interior, excess = [], [], []
+        for cap in caps:
+            c = 1.0 / ((2 * cap + 1) * h)
+            left = min(cap, n - cap)
+            y = np.concatenate((idx[n - cap:], idx[:left]))
+            windows.append((k_max - cap, k_max + left))
+            interior.append(2.0 * c)
+            excess.append(1.0 / (ball_counts(cap, y) * h) - c)
+        strip = np.empty(2 * k_max)
     acc = [0.0] * len(caps)
     # scratch rows, reused for every offset: a fresh array per step costs
     # more than the arithmetic at these lengths
-    dp_row, term_row = np.empty(n), np.empty(n)
-    for k in range(1, max(caps) + 1):
+    dp_row = np.empty(n)
+    for k in range(1, k_max + 1):
         m = n - k
         dp = dp_row[:m]
         np.subtract(u[k:], u[:-k], out=dp)
         _abs_power(dp, p)
-        terms = term_row[:m]
-        for i, (cap, side) in enumerate(zip(caps, sides)):
-            if k > cap:
-                continue
-            # flat stretch [lo, hi); a restriction makes the factor vary
-            lo = min(cap, m)
-            hi = lo if restriction is not None else max(lo, m - cap)
-            np.multiply(dp[lo:hi], side[cap] + side[cap], out=terms[lo:hi])
-            for a, b in ((0, lo), (hi, m)):
-                np.add(side[k + a:k + b], side[a:b], out=terms[a:b])
-                terms[a:b] *= dp[a:b]
-            acc[i] += float(terms.sum())
+        if restriction is not None:
+            terms = term_row[:m]
+            for i, side in enumerate(sides):
+                if k <= caps[i]:
+                    np.add(side[k:], side[:m], out=terms)
+                    terms *= dp
+                    acc[i] += float(terms.sum())
+            continue
+        total = float(dp.sum())
+        # the strip holds, at y, the terms of the pairs (y, y + k) and
+        # (y - k, y), which both see e(y)
+        strip.fill(0.0)
+        strip[:k_max - k] = dp[n - k_max:]
+        lo = max(k_max - m, 0)
+        strip[lo:k_max] += dp[n - k_max + lo - k:]
+        strip[k_max:k_max + min(k_max, m)] = dp[:k_max]
+        strip[k_max + k:] += dp[:k_max - k]
+        for i, (a, b) in enumerate(windows):
+            if k <= caps[i]:
+                acc[i] += interior[i] * total \
+                    + float(np.dot(excess[i], strip[a:b]))
     return np.array([a * h * h / r ** p for a, r in zip(acc, radii)])
 
 
@@ -250,14 +289,17 @@ def _torus_cap(space: SampledSpace, r: float) -> int:
 
 
 def _torus_offsets(space: SampledSpace, r: float):
-    """Integer lattice offsets (a, b) != 0 with torus distance < r, in
-    lexicographic order, and their distances."""
+    """Lattice offsets (a, b) != 0 with torus distance < r, one per shift
+    of the torus, in lexicographic order, and their distances."""
     side = space.side
     h = space.spacing
     k_max = _torus_cap(space, r)
     if k_max == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
     rng = np.arange(-k_max, k_max + 1)
+    if 2 * k_max == side:
+        # on an even side the shifts by -side/2 and side/2 are one shift
+        rng = rng[1:]
     aa, bb = np.meshgrid(rng, rng, indexing="ij")
     off = np.column_stack([aa.ravel(), bb.ravel()])
     wrap = np.minimum(np.abs(off), side - np.abs(off)) * h
@@ -268,11 +310,13 @@ def _torus_offsets(space: SampledSpace, r: float):
 
 def _torus_energies(space: SampledSpace, u: np.ndarray, radii,
                     p: float, restriction) -> np.ndarray:
-    """J_{p,r}(u) for every r in radii, each offset's sum taken once.
+    """J_{p,r}(u) for every r in radii, each shift pair's sum taken once.
 
-    A radius's offsets are those of the largest radius that lie inside its
-    own cap and ball, in the same order, so every J is the sum a lone
-    radius makes.
+    The shifts o and -o sum the same terms |u(x) - u(x - o)|^p in another
+    order, so the first of each pair (by residue mod side) is summed and
+    the second reuses it.  A radius's offsets are those of the largest
+    radius that lie inside its own cap and ball, in the same order, so
+    every J is the sum a lone radius makes.
     """
     if restriction is not None:
         raise ValueError("restriction sets apply to the interval grid only")
@@ -283,12 +327,17 @@ def _torus_energies(space: SampledSpace, u: np.ndarray, radii,
     k = _torus_cap(space, max(radii))
     ext = np.pad(grid, k, mode="wrap")
     diff = np.empty_like(grid)
+    summed = {}
     terms = []
     for a, b in offsets.tolist():
-        np.subtract(grid, ext[k - a:k - a + side, k - b:k - b + side],
-                    out=diff)
-        _abs_power(diff, p)
-        terms.append(float(diff.sum()))
+        term = summed.get((-a % side, -b % side))
+        if term is None:
+            np.subtract(grid, ext[k - a:k - a + side, k - b:k - b + side],
+                        out=diff)
+            _abs_power(diff, p)
+            term = float(diff.sum())
+            summed[a % side, b % side] = term
+        terms.append(term)
     reach = np.abs(offsets).max(axis=1)
     h = space.spacing
     w = h * h

@@ -39,7 +39,7 @@ PINS = {
         "ks-energy", "ks_energy.csv",
         {"seed": 7, "space": "interval", "n": 2000, "p": 3.0,
          "profile": "sine"},
-        "b5e88a46c0142e1f727a2d4fc110c87c98c996bc0b0832483fa89fb74b83f7fa"),
+        "bbc8bc59196512f359a983cfdc85715007cbb01aa45a277eb888a01a63f6486e"),
     "ks-energy interval r_list": (
         "ks-energy", "ks_energy.csv",
         {"seed": 7, "space": "interval", "n": 4000, "p": 2.0,
@@ -54,7 +54,7 @@ PINS = {
         "ks-energy", "ks_energy.csv",
         {"seed": 7, "space": "torus", "n": 48, "p": 3.0, "profile": "step",
          "r_list": [0.52, 0.3, 0.17, 0.1]},
-        "4d24fb0a40ed3ab56ab1b1b4b8d0280e511a820b92a335ed111edf0a714e6745"),
+        "e86d6ace2688ef30a10ad10c8c0122884a1e702d6a7823d4b6c3850772179117"),
     "validate-form default": (
         "validate-form", "validate_form.csv", {"seed": 7},
         "56ada38ed72ddfb582fd93ef6edaced4e0df687d9e2db4c34f1fc3a5e74f609b"),

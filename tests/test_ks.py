@@ -19,6 +19,7 @@ from penergy.ks import (
     KSKernel,
     SampledSpace,
     _membership,
+    _offset_cap,
     ball_measure,
     check_weak_monotonicity,
     default_r_sequence,
@@ -33,6 +34,22 @@ GRID = SampledSpace.interval(2000)
 LINEAR = GRID.points.copy()
 
 
+def lattice_distances(space, i):
+    """d(x_i, x_j) for every j, from the grid's index offsets times the
+    spacing: the point coordinates' own rounding would put a point at
+    distance m * h on either side of a radius r == m * h (or next to it)."""
+    h = space.spacing
+    if space.kind == "interval":
+        return np.abs(np.arange(space.points.shape[0]) - i) * h
+    side = space.side
+    rows, cols = np.divmod(np.arange(side * side), side)
+    da = np.abs(rows - i // side)
+    db = np.abs(cols - i % side)
+    wa = np.minimum(da, side - da) * h
+    wb = np.minimum(db, side - db) * h
+    return np.sqrt(wa * wa + wb * wb)
+
+
 def brute_ks(space, u, kernel):
     """O(N^2) literal double sum, the oracle for ks_energy."""
     acc = 0.0
@@ -41,7 +58,7 @@ def brute_ks(space, u, kernel):
         if space.kind == "interval" and kernel.restriction is not None \
                 and not kernel.restriction.contains(float(x)):
             continue
-        dist = space.distances_from(x)
+        dist = lattice_distances(space, i)
         mask = dist < kernel.r
         mass = space.weights[mask].sum()
         inner = np.sum(np.abs(u[i] - u[mask]) ** kernel.p
@@ -50,15 +67,25 @@ def brute_ks(space, u, kernel):
     return acc / kernel.r ** kernel.p
 
 
+def literal_cap(h, r, limit):
+    """Largest offset m <= limit with m * h < r: the open ball's cap."""
+    m = 0
+    while m < limit and (m + 1) * h < r:
+        m += 1
+    return m
+
+
 def per_radius_ks(space, u, kernel):
-    """One radius at a time, every offset's power taken afresh: the loop
-    the batched scan kernels must reproduce to the last bit."""
+    """One radius at a time, every offset's power taken afresh and every
+    pair's term weighted by its own ball factors: the loop the batched
+    scan kernels evaluate, bit for bit on restricted intervals and to
+    roundoff elsewhere."""
     h = space.spacing
     p = kernel.p
     acc = 0.0
     if space.kind == "interval":
         n = u.size
-        k_max = min(max(math.ceil(kernel.r / h) - 1, 0), n - 1)
+        k_max = literal_cap(h, kernel.r, n - 1)
         if k_max == 0:
             return 0.0
         idx = np.arange(n)
@@ -70,8 +97,9 @@ def per_radius_ks(space, u, kernel):
             acc += float(np.sum(dp * (side[k:] + side[:-k])))
         return acc * h * h / kernel.r ** p
     n_side = space.side
-    k_max = min(max(math.ceil(kernel.r / h) - 1, 0), n_side // 2)
-    rng = np.arange(-k_max, k_max + 1)
+    k_max = literal_cap(h, kernel.r, n_side // 2)
+    # one offset per shift: -side/2 and side/2 are the same shift
+    rng = [a for a in range(-k_max, k_max + 1) if 2 * a != -n_side]
     grid = u.reshape(n_side, n_side)
     count = 0
     for a in rng:
@@ -213,6 +241,47 @@ def test_matches_brute_sum_torus():
         brute_ks(tor, u, kernel), rel=1e-12)
 
 
+def test_torus_half_side_shift_counts_once():
+    # r = 0.55 caps the offsets at side // 2 = 6, where a = -6 and a = 6
+    # are one shift of the torus (and so are b = -6 and b = 6)
+    tor = SampledSpace.torus(12)
+    u = np.random.default_rng(3).normal(size=144)
+    kernel = KSKernel(0.55, 2.0)
+    got = ks_energy(tor, u, kernel)
+    assert got == pytest.approx(brute_ks(tor, u, kernel), rel=1e-12)
+    assert got == pytest.approx(7.639539, rel=1e-6)
+
+
+R_JUST_ABOVE = float(np.nextafter(0.24, 1.0))
+
+
+@pytest.mark.parametrize("space", [SampledSpace.torus(25),
+                                   SampledSpace.interval(25)],
+                         ids=["torus", "interval"])
+def test_offset_cap_keeps_offsets_just_inside_the_ball(space):
+    # r / h rounds to 6.0 at h = 1/25, but 6 h < r: offset 6 is inside
+    assert _offset_cap(space, R_JUST_ABOVE) == 6
+    u = np.random.default_rng(3).normal(size=space.points.shape[0])
+    kernel = KSKernel(R_JUST_ABOVE, 2.0)
+    assert ks_energy(space, u, kernel) == pytest.approx(
+        brute_ks(space, u, kernel), rel=1e-12)
+
+
+def test_offset_cap_on_whole_multiples_of_the_spacing():
+    # the pinned r_list radii sit on m h == r: the open ball stops at m - 1
+    space = SampledSpace.interval(4000)
+    radii = [0.02, 0.011, 0.006, 0.004, 0.0025]
+    assert [_offset_cap(space, r) for r in radii] == [79, 43, 23, 15, 9]
+    # r = 3 h rounds r / h up past 3, yet offset 3 sits at r, outside
+    small = SampledSpace.interval(10)
+    r = 3 * small.spacing
+    assert r / small.spacing > 3.0 and _offset_cap(small, r) == 2
+    u = np.random.default_rng(3).normal(size=10)
+    kernel = KSKernel(r, 2.0)
+    assert ks_energy(small, u, kernel) == pytest.approx(
+        brute_ks(small, u, kernel), rel=1e-12)
+
+
 def test_linear_profile_between_shells():
     # radii halfway between lattice shells leave only the O(r) boundary
     # layer, the regime the 1/(p+1) oracle is quoted for
@@ -303,21 +372,22 @@ BATCHED_SCANS = {
                        [1.5, 0.95, 0.5, 0.3], IntervalSet.closed(0.2, 0.7)),
     # the first two caps reach side // 2
     "torus": (SampledSpace.torus(12), 3.0, [0.6, 0.55, 0.3, 0.26], None),
-    # r / h rounds up to 6 and 3, so the cap, not the ball, drops the
-    # offsets (6, 0) and (3, 0) at distance 0.24 and 0.12 < r
+    # r / h rounds to 6.0 and 3.0, but 6 h and 3 h are < r, so the caps
+    # are 6 and 3 and the offsets (6, 0) and (3, 0) count
     "torus cap inside ball": (SampledSpace.torus(25), 2.0,
                               [0.5, np.nextafter(0.24, 1.0),
                                np.nextafter(0.12, 1.0)], None),
-    # unrestricted scans take the flat stretch [cap, n - cap - k) as one
-    # product; u is random, so p = 2 squares negative differences
+    # unrestricted scans split each radius's factor into 2c times the
+    # row sum plus its end strips; u is random, so p = 2 squares negative
+    # differences
     "interval p2": (SampledSpace.interval(700), 2.0,
                     [0.08, 0.05, 0.031, 0.02, 0.0105], None),
     "interval p1.5": (SampledSpace.interval(700), 1.5,
                       [0.08, 0.05, 0.031, 0.02, 0.0105], None),
     "interval p3": (SampledSpace.interval(700), 3.0,
                     [0.08, 0.05, 0.031, 0.02, 0.0105], None),
-    # caps 26 and 17 leave no flat stretch (n <= 2 cap); cap 11 loses it
-    # from k = 8 on, where n - cap - k <= cap
+    # caps 26 and 17 leave no interior (n <= 2 cap), so the end strips
+    # [0, n - cap) and [n - cap, n) cover the row; cap 11 leaves 8 points
     "interval no flat stretch": (SampledSpace.interval(30), 2.0,
                                  [0.9, 0.6, 0.4, 0.25, 0.11], None),
     # caps 55 and 34 put all four restriction edges inside the end strips
@@ -332,6 +402,10 @@ BATCHED_SCANS = {
 
 @pytest.mark.parametrize("name", sorted(BATCHED_SCANS))
 def test_scan_matches_per_radius_bits(name):
+    """A scan gives each radius the bits of a lone ks_energy call.  A
+    restricted scan also gives the bits of the per-radius loop; the split
+    sum of an unrestricted interval and the shared torus shift pairs add
+    the same terms in another order, so those match it to roundoff."""
     space, p, radii, restriction = BATCHED_SCANS[name]
     u = np.random.default_rng(29).normal(size=space.points.shape[0])
     scan = ks_limit_scan(space, u, p, radii, restriction)
@@ -339,7 +413,11 @@ def test_scan_matches_per_radius_bits(name):
     lone = np.array([ks_energy(space, u, k) for k in kernels])
     literal = np.array([per_radius_ks(space, u, k) for k in kernels])
     assert scan.j_values.tobytes() == lone.tobytes()
-    assert scan.j_values.tobytes() == literal.tobytes()
+    if restriction is not None:
+        assert scan.j_values.tobytes() == literal.tobytes()
+    else:
+        np.testing.assert_allclose(scan.j_values, literal, rtol=1e-14,
+                                   atol=0.0)
     assert np.all(scan.j_values > 0.0)
 
 
@@ -494,6 +572,21 @@ def test_torus_smooth_profile():
     tor = SampledSpace.torus(128)
     J = ks_energy(tor, profile_values(tor, "sine"), KSKernel(0.1, 2.0))
     assert J == pytest.approx(np.pi ** 2 / 2, rel=0.06)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_torus_sine_against_closed_form(p):
+    # lim J = K_p int |grad u|^p with K_p = 2 c_p / (p + 2) and c_p =
+    # Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2 + 1)), the mean of |cos|^p
+    # (Bourgain-Brezis-Mironescu); for u = sin(2 pi x) the integral is
+    # (2 pi)^p c_p.  At r = 12.5 h the O(r^2) approach leaves under 2 %.
+    tor = SampledSpace.torus(256)
+    c_p = math.gamma((p + 1) / 2) / (math.sqrt(math.pi)
+                                     * math.gamma(p / 2 + 1))
+    closed = 2 * c_p / (p + 2) * (2 * math.pi) ** p * c_p
+    J = ks_energy(tor, profile_values(tor, "sine"),
+                  KSKernel(12.5 * tor.spacing, p))
+    assert 0.98 <= J / closed <= 1.0
 
 
 def test_torus_rejects_restriction():
