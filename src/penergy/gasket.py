@@ -21,10 +21,11 @@ point iteration on the circle of boundary data modulo constants: the minimal
 one-step subdivision energy of a boundary datum u is homogeneous of degree p
 in the datum, so the table S(theta) of energies of unit data determines the
 whole functional.  Each sweep replaces S by the normalised table of
-subdivision minima computed against the current S (a periodic cubic spline),
-and the normaliser converges to the renormalisation constant.  For p = 2 the
-table is constant (3) and the classical value 5/3 drops out in one sweep;
-an exact rational oracle for that case is included.
+subdivision minima computed against the current S, and the normaliser
+converges to the renormalisation constant.  S is a uniform periodic cubic
+spline solved by FFT, and Newton steps take the exact Hessian of r^p S(theta).
+For p = 2 the table is constant (3) and the classical value 5/3 drops out in
+one sweep; an exact rational oracle for that case is included.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
@@ -332,84 +332,111 @@ def renormalization_p2_oracle() -> Fraction:
 # renormalisation fixed point on the circle of boundary data
 
 
-def _table_value_grad(p, spline, dspline, w):
-    """Energy r^p S(theta) and its datum gradient for rows of w [k, 3]."""
+def _periodic_spline(table):
+    """Coefficients [n, 4] of the periodic cubic spline through the table
+    at theta = i h, h = 2 pi / n, and h.  Segment i is y + t (b + t (c +
+    t d)), t = theta - i h.  The second derivatives solve the cyclic
+    [1, 4, 1] system by FFT; the stencil wraps, so n = 1 gives 6 and n = 2
+    gives [4, 2].
+    """
+    n = table.size
+    h = TWO_PI / n
+    stencil = np.zeros(n)
+    np.add.at(stencil, [0, 1 % n, -1 % n], [4.0, 1.0, 1.0])
+    nxt = np.roll(table, -1)
+    rhs = (nxt - 2.0 * table + np.roll(table, 1)) * (6.0 / (h * h))
+    mm = np.fft.irfft(np.fft.rfft(rhs) / np.fft.rfft(stencil), n)
+    mn = np.roll(mm, -1)
+    return (np.stack([table, (nxt - table) / h - h * (2.0 * mm + mn) / 6.0,
+                      0.5 * mm, (mn - mm) / (6.0 * h)], axis=1), h)
+
+
+def _spline_eval(spline, theta):
+    """Spline value and first two derivatives at theta.  The segment index
+    is clipped at both ends: theta = 2 pi reads the last segment at t = h,
+    and a NaN theta gives NaN."""
+    coef, h = spline
+    seg = np.fmin(np.fmax(np.floor(theta / h), 0.0), coef.shape[0] - 1)
+    y, b, c, d = coef[seg.astype(np.intp)].T
+    t = theta - seg * h
+    return (y + t * (b + t * (c + t * d)), b + t * (2.0 * c + 3.0 * t * d),
+            2.0 * c + 6.0 * t * d)
+
+
+def _table_value_grad(p, spline, w):
+    """Energy r^p S(theta), its datum gradient for rows of w [k, 3], and
+    its Hessian entries (xi xi, xi eta, eta eta) [k, 3]: r^(p-2) times a
+    form in cos 2 theta and sin 2 theta, taken as ratios to r2, so nothing
+    but r^(p-2) grows as r2 nears the 1e-240 mask."""
     xi = w @ _E1
     eta = w @ _E2
-    r2 = xi * xi + eta * eta
+    x2, y2 = xi * xi, eta * eta
+    r2 = x2 + y2
     theta = np.mod(np.arctan2(eta, xi), TWO_PI)
-    s = spline(theta)
-    sp = dspline(theta)
+    s, sp, spp = _spline_eval(spline, theta)
     live = r2 > 1e-240
-    rp = np.where(live, np.where(live, r2, 1.0) ** (0.5 * p), 0.0)
-    val = rp * s
-    fac = np.where(live, np.where(live, r2, 1.0) ** (0.5 * p - 1.0), 0.0)
+    safe = np.where(live, r2, 1.0)
+    val = np.where(live, safe ** (0.5 * p), 0.0) * s
+    fac = np.where(live, safe ** (0.5 * p - 1.0), 0.0)
     gxi = fac * (p * xi * s - eta * sp)
     geta = fac * (p * eta * s + xi * sp)
     grad = gxi[:, None] * _E1[None, :] + geta[:, None] * _E2[None, :]
-    return val, grad
+    # polar curvatures: radial p (p - 1) S, angular p S + S'', mixed
+    # (p - 1) S'; rotated by theta, xi xi is mean + half cos 2t - mixed sin 2t
+    cos2, sin2 = (x2 - y2) / safe, 2.0 * xi * eta / safe
+    radial, angular = p * (p - 1.0) * s, p * s + spp
+    mean, half = 0.5 * (radial + angular), 0.5 * (radial - angular)
+    mixed = (p - 1.0) * sp
+    q = half * cos2 - mixed * sin2
+    hess = np.stack([mean + q, half * sin2 + mixed * cos2, mean - q], axis=1)
+    return val, grad, hess * fac[:, None]
 
 
-def _subdivision_value_grad(p, spline, dspline, u, m):
-    """One-step energy against the current table, plus midpoint gradient.
+# corner cell k sees the datum (u_k, m_i, m_j), (i, j) = _CELL_MIDPOINTS[k]
+_CELL_MIDPOINTS = ((0, 1), (0, 2), (1, 2))
+_CELL_COLUMNS = [[k, 3 + i, 3 + j] for k, (i, j) in enumerate(_CELL_MIDPOINTS)]
 
-    Midpoint columns are ordered (m01, m02, m12); corner cell k sees the
-    datum (u_k and its two adjacent midpoints).
-    """
+
+def _midpoint_hessian_map():
+    # [9, 9] from the cells' (xi xi, xi eta, eta eta) entries to the
+    # midpoint Hessian: a cell's block at datum positions 1 and 2 is
+    # hxx a a^T + hxy (a e^T + e a^T) + hyy e e^T, a and e from _E1, _E2
+    a, e = _E1[1:], _E2[1:]
+    block = [np.outer(a, a), np.outer(a, e) + np.outer(e, a), np.outer(e, e)]
+    out = np.zeros((3, 3, 3, 3))
+    for k, (i, j) in enumerate(_CELL_MIDPOINTS):
+        out[k][:, [[i], [j]], [i, j]] = block
+    return out.reshape(9, 9)
+
+
+_MIDPOINT_HESSIAN = _midpoint_hessian_map()
+
+
+def _subdivision_value_grad(p, spline, u, m):
+    """One-step energy against the current table, with its midpoint
+    gradient and Hessian [b, 3, 3]; midpoints are (m01, m02, m12)."""
     b = u.shape[0]
-    cells = np.empty((b, 3, 3))
-    cells[:, 0, 0] = u[:, 0]
-    cells[:, 0, 1] = m[:, 0]
-    cells[:, 0, 2] = m[:, 1]
-    cells[:, 1, 0] = u[:, 1]
-    cells[:, 1, 1] = m[:, 0]
-    cells[:, 1, 2] = m[:, 2]
-    cells[:, 2, 0] = u[:, 2]
-    cells[:, 2, 1] = m[:, 1]
-    cells[:, 2, 2] = m[:, 2]
-    val, grad = _table_value_grad(p, spline, dspline, cells.reshape(-1, 3))
+    cells = np.concatenate([u, m], axis=1)[:, _CELL_COLUMNS]
+    val, grad, hess = _table_value_grad(p, spline, cells.reshape(-1, 3))
     val = val.reshape(b, 3).sum(axis=1)
-    grad = grad.reshape(b, 3, 3)
-    gm = np.empty_like(m)
-    gm[:, 0] = grad[:, 0, 1] + grad[:, 1, 1]
-    gm[:, 1] = grad[:, 0, 2] + grad[:, 2, 1]
-    gm[:, 2] = grad[:, 1, 2] + grad[:, 2, 2]
-    return val, gm
+    grad = grad.reshape(b, 9)
+    gm = grad[:, [1, 2, 5]] + grad[:, [4, 7, 8]]
+    return val, gm, (hess.reshape(b, 9) @ _MIDPOINT_HESSIAN).reshape(b, 3, 3)
 
 
-def _minimize_midpoints(p, spline, dspline, u, m0, gtol=1e-11,
-                        max_iter=80):
-    """Damped Newton over all rows at once; FD Hessian of the exact grad.
-
-    The six Hessian probes m +- h e_d of every row go through one
-    ``_subdivision_value_grad`` call of 6b rows; rows are independent, so
-    each probe's gradient is the one a call of its own would give.
-    """
-
-    def f(mm):
-        return _subdivision_value_grad(p, spline, dspline, u, mm)
-
+def _minimize_midpoints(p, spline, u, m0, gtol=1e-11, max_iter=80):
+    """Damped Newton over all rows at once, each step with the exact
+    Hessian of the line search's accepted evaluation."""
     m = m0.copy()
-    val, g = f(m)
-    b = m.shape[0]
+    val, g, hess = _subdivision_value_grad(p, spline, u, m)
     eye = np.eye(3)
-    probe_u = np.tile(u, (6, 1))
     for _ in range(max_iter):
         gn = np.abs(g).max(axis=1)
         active = gn > gtol * (1.0 + np.abs(val))
         if not active.any():
             break
-        h = 1e-6 * (1.0 + np.abs(m).max(axis=1))
-        # dm[d] is h in column d and 0 elsewhere
-        dm = eye[:, None, :] * h[None, :, None]
-        probes = np.concatenate([m + dm, m - dm]).reshape(6 * b, 3)
-        _, gpq = _subdivision_value_grad(p, spline, dspline, probe_u, probes)
-        gp, gq = gpq.reshape(2, 3, b, 3)
-        # hess[:, :, d] is the central difference of the gradient along d
-        hess = ((gp - gq) / (2.0 * h)[None, :, None]).transpose(1, 2, 0)
-        hess = 0.5 * (hess + hess.transpose(0, 2, 1)) + 1e-12 * eye
         try:
-            step = -np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+            step = -np.linalg.solve(hess + 1e-12 * eye, g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = -g.copy()
         bad = ~np.isfinite(step).all(axis=1)
@@ -419,16 +446,21 @@ def _minimize_midpoints(p, spline, dspline, u, m0, gtol=1e-11,
         step[flip] = -g[flip]
         desc = np.einsum("ij,ij->i", step, g)
         t = np.where(active, 1.0, 0.0)
-        trial, vt, gt = m, val, g
-        for _ in range(45):
-            trial = m + t[:, None] * step
-            vt, gt = f(trial)
-            ok = vt <= val + 1e-4 * t * desc + 1e-14 * (1.0 + np.abs(val))
-            ok |= ~active
-            if ok.all():
+        trial = m + t[:, None] * step
+        vt, g, hess = _subdivision_value_grad(p, spline, u, trial)
+        # up to 45 trials; rows are independent, so a halving evaluates
+        # only the rows whose Armijo test failed
+        rows = np.flatnonzero(active)
+        for _ in range(44):
+            rows = rows[vt[rows] > val[rows] + 1e-4 * t[rows] * desc[rows]
+                        + 1e-14 * (1.0 + np.abs(val[rows]))]
+            if rows.size == 0:
                 break
-            t = np.where(ok, t, 0.5 * t)
-        m, val, g = trial, vt, gt
+            t[rows] *= 0.5
+            trial[rows] = m[rows] + t[rows, None] * step[rows]
+            vt[rows], g[rows], hess[rows] = _subdivision_value_grad(
+                p, spline, u[rows], trial[rows])
+        m, val = trial, vt
     return m, val, g
 
 
@@ -467,11 +499,7 @@ def renormalization_constant(p: float, grid_size: int = 256,
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        xs = np.append(theta, TWO_PI)
-        ys = np.append(table, table[0])
-        spline = CubicSpline(xs, ys, bc_type="periodic")
-        dspline = spline.derivative()
-        m, val, _ = _minimize_midpoints(p, spline, dspline, u, m)
+        m, val, _ = _minimize_midpoints(p, _periodic_spline(table), u, m)
         # the subdivision map is homogeneous of degree 1 in the table, so
         # its scale direction is exactly neutral; normalising by the grid
         # mean (interpolation free) pins it, and at the fixed point the

@@ -137,10 +137,22 @@ class KSKernel:
 
 
 def ball_measure(space: SampledSpace, x, r: float) -> float:
-    """Quadrature mass of the open ball B(x, r)."""
+    """Quadrature mass of the open ball B(x, r): at a grid point the
+    lattice ball ``ks_energy`` uses, elsewhere by ``distances_from``."""
     if not r > 0.0:
         raise ValueError("radius must be positive")
-    return float(space.weights[space.distances_from(x) < r].sum())
+    x = np.asarray(x, dtype=float)
+    at = (space.points == x).reshape(space.points.shape[0], -1).all(axis=1)
+    if not at.any():
+        return float(space.weights[space.distances_from(x) < r].sum())
+    i = int(np.argmax(at))
+    if space.kind == "interval":
+        cap = _offset_cap(space, r)
+        return float(space.weights[max(i - cap, 0):i + cap + 1].sum())
+    side = space.side
+    off = np.vstack([[0, 0], _torus_offsets(space, r)[0]])
+    cells = (i // side + off[:, 0]) % side * side + (i + off[:, 1]) % side
+    return float(space.weights[cells].sum())
 
 
 def _offset_cap(space: SampledSpace, r: float) -> int:

@@ -549,16 +549,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run.stdout.strip() == "False"
 
 
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
+
+
 def test_only_the_gasket_imports_scipy_at_module_level():
     importers = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            names = _imported_modules(node)
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
+        # the gasket's spline is numpy's own: scipy.interpolate is nowhere
+        for node in ast.walk(tree):
+            assert not any(n.startswith("scipy.interpolate")
+                           for n in _imported_modules(node)), path.name
     assert importers == {"gasket.py"}

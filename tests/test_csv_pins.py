@@ -74,7 +74,7 @@ PINS = {
         "e601a00a71abe5830ec53f417c37528cd4cbc54d580b5024f6787d14566347bc"),
     "sg-renorm": (
         "sg-renorm", "sg_renorm.csv", {"seed": 7, "p_list": [2.0, 3.0]},
-        "1305936cb865ef8a2b0d953f06148bf6ec4a0590f0552e1660988aa423c58627"),
+        "360b5e433c4abe1470c51d9f9f08b4d1f7702cfd0922869525fe0bc99f355840"),
 }
 
 

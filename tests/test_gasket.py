@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -228,66 +229,131 @@ def test_renormalization_p3_converges():
     assert abs(res.rho_trace[-1] - res.rho_trace[-2]) <= 1e-6
 
 
-def per_direction_minimize(p, spline, dspline, u, m0, gtol=1e-11,
-                           max_iter=80):
-    """The midpoint Newton solver with one pair of Hessian probes per
-    direction: the loop the batched probes must reproduce to the last bit."""
+def _random_spline(rng, n):
+    table = rng.uniform(1.0, 3.0, n)
+    return table, gasket._periodic_spline(table)
 
-    def f(mm):
-        return gasket._subdivision_value_grad(p, spline, dspline, u, mm)
 
-    m = m0.copy()
-    val, g = f(m)
-    b = m.shape[0]
-    eye = np.eye(3)
-    for _ in range(max_iter):
-        gn = np.abs(g).max(axis=1)
-        active = gn > gtol * (1.0 + np.abs(val))
-        if not active.any():
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 31, 256])
+def test_periodic_spline_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    table, spline = _random_spline(rng, n)
+    nodes = np.linspace(0.0, gasket.TWO_PI, n, endpoint=False)
+    ref = CubicSpline(np.append(nodes, gasket.TWO_PI),
+                      np.append(table, table[0]), bc_type="periodic")
+    theta = np.concatenate([[0.0, gasket.TWO_PI], nodes,
+                            rng.uniform(0.0, gasket.TWO_PI, 200)])
+    s, sp, spp = gasket._spline_eval(spline, theta)
+    np.testing.assert_allclose(s, ref(theta), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(sp, ref(theta, 1), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(spp, ref(theta, 2), rtol=0, atol=1e-9)
+    # the nodes themselves reproduce the table
+    np.testing.assert_allclose(s[2:n + 2], table, rtol=0, atol=1e-13)
+
+
+def test_periodic_spline_reads_nan_at_nan():
+    _, spline = _random_spline(np.random.default_rng(0), 7)
+    s, sp, spp = gasket._spline_eval(spline, np.array([np.nan, 1.0]))
+    assert np.isnan([s[0], sp[0], spp[0]]).all()
+    assert np.isfinite([s[1], sp[1], spp[1]]).all()
+
+
+@pytest.mark.parametrize("p", [1.1, 1.235, 3.0, 4.963, 6.0])
+def test_exact_midpoint_hessian_matches_gradient_differences(p):
+    # central differences of the exact gradient, with the probe width the
+    # finite-difference Newton solver used: h = 1e-6 (1 + max |m|)
+    rng = np.random.default_rng(7)
+    _, spline = _random_spline(rng, 64)
+    u = rng.normal(size=(40, 3))
+    m = rng.normal(size=(40, 3))
+    _, _, hess = gasket._subdivision_value_grad(p, spline, u, m)
+    h = 1e-6 * (1.0 + np.abs(m).max(axis=1))
+    fd = np.empty_like(hess)
+    for d in range(3):
+        dm = np.zeros_like(m)
+        dm[:, d] = h
+        _, gp, _ = gasket._subdivision_value_grad(p, spline, u, m + dm)
+        _, gq, _ = gasket._subdivision_value_grad(p, spline, u, m - dm)
+        fd[:, :, d] = (gp - gq) / (2.0 * h)[:, None]
+    scale = np.abs(hess).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(hess - fd) <= 1e-5 * scale)
+    assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
+def literal_newton_step(p, spline, u, m):
+    """One step of the midpoint solver whose Armijo search evaluates every
+    row at every trial: the loop the row-subset search must reproduce.
+    Also returns the number of rows that halved their step."""
+    val, g, hess = gasket._subdivision_value_grad(p, spline, u, m)
+    active = np.abs(g).max(axis=1) > 1e-11 * (1.0 + np.abs(val))
+    step = -np.linalg.solve(hess + 1e-12 * np.eye(3), g[:, :, None])[:, :, 0]
+    desc = np.einsum("ij,ij->i", step, g)
+    step[desc >= 0.0] = -g[desc >= 0.0]
+    desc = np.einsum("ij,ij->i", step, g)
+    t = np.where(active, 1.0, 0.0)
+    for _ in range(45):
+        trial = m + t[:, None] * step
+        vt, _, _ = gasket._subdivision_value_grad(p, spline, u, trial)
+        ok = vt <= val + 1e-4 * t * desc + 1e-14 * (1.0 + np.abs(val))
+        ok |= ~active
+        if ok.all():
             break
-        h = 1e-6 * (1.0 + np.abs(m).max(axis=1))
-        hess = np.empty((b, 3, 3))
-        for d in range(3):
-            dm = np.zeros_like(m)
-            dm[:, d] = h
-            _, gp = f(m + dm)
-            _, gq = f(m - dm)
-            hess[:, :, d] = (gp - gq) / (2.0 * h)[:, None]
-        hess = 0.5 * (hess + hess.transpose(0, 2, 1)) + 1e-12 * eye
-        try:
-            step = -np.linalg.solve(hess, g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = -g.copy()
-        bad = ~np.isfinite(step).all(axis=1)
-        step[bad] = -g[bad]
-        desc = np.einsum("ij,ij->i", step, g)
-        flip = desc >= 0.0
-        step[flip] = -g[flip]
-        desc = np.einsum("ij,ij->i", step, g)
-        t = np.where(active, 1.0, 0.0)
-        trial, vt, gt = m, val, g
-        for _ in range(45):
-            trial = m + t[:, None] * step
-            vt, gt = f(trial)
-            ok = vt <= val + 1e-4 * t * desc + 1e-14 * (1.0 + np.abs(val))
-            ok |= ~active
-            if ok.all():
-                break
-            t = np.where(ok, t, 0.5 * t)
-        m, val, g = trial, vt, gt
-    return m, val, g
+        t = np.where(ok, t, 0.5 * t)
+    return trial, int(np.sum((t > 0.0) & (t < 1.0)))
 
 
-@pytest.mark.parametrize("p", [1.235, 3.0, 4.963])
-def test_batched_hessian_probes_keep_the_bits(p, monkeypatch):
-    batched = gasket.renormalization_constant(p)
-    monkeypatch.setattr(gasket, "_minimize_midpoints", per_direction_minimize)
-    literal = gasket.renormalization_constant(p)
-    assert np.array(batched.rho_trace).tobytes() \
-        == np.array(literal.rho_trace).tobytes()
-    assert batched.residual.hex() == literal.residual.hex()
-    assert batched.iterations == literal.iterations
-    assert batched.table_deviation.hex() == literal.table_deviation.hex()
+@pytest.mark.parametrize("p", [1.1, 1.235, 1.5])
+def test_row_subset_line_search_matches_the_literal_search(p):
+    # the first sweep's start at a spiky table makes rows halve their step
+    rng = np.random.default_rng(3)
+    theta = np.linspace(0.0, gasket.TWO_PI, 48, endpoint=False)
+    u = np.cos(theta)[:, None] * gasket._E1 + np.sin(theta)[:, None] * gasket._E2
+    spline = gasket._periodic_spline(rng.uniform(1.0, 3.0, 48))
+    m = gasket._harmonic_midpoints(u) + 0.2 * rng.normal(size=u.shape)
+    want, halved = literal_newton_step(p, spline, u, m)
+    got, _, _ = gasket._minimize_midpoints(p, spline, u, m, max_iter=1)
+    assert halved > 0
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+# rho_p and sweep counts of the solver with a finite-difference Hessian on
+# a scipy spline; the exact Hessian and the numpy spline keep them
+RECORDED_RHO = {
+    1.1: (0.9996846725886127, 5),
+    1.235: (1.02205017113398, 9),
+    1.5: (1.177231921800028, 13),
+    3.0: (3.4560039898981194, 17),
+    4.963: (14.36518043133005, 22),
+    6.0: (30.185883801606774, 23),
+}
+
+
+@pytest.mark.parametrize("p", sorted(RECORDED_RHO))
+def test_renormalization_matches_recorded_values(p):
+    rho, iterations = RECORDED_RHO[p]
+    res = gasket.renormalization_constant(p)
+    assert res.converged
+    assert res.iterations == iterations
+    assert res.rho == pytest.approx(rho, rel=1e-14, abs=0.0)
+
+
+RECORDED_TINY = {
+    (1.5, 1): (1.1785520533363663, 2), (1.5, 2): (1.1785520533363663, 2),
+    (1.5, 3): (1.178552053336366, 2), (1.5, 4): (1.178122216193138, 12),
+    (1.5, 5): (1.1774865635844092, 12),
+    (3.0, 1): (3.3723838665559263, 2), (3.0, 2): (3.372383866555926, 2),
+    (3.0, 3): (3.3723838665559254, 2), (3.0, 4): (3.3994028783649837, 19),
+    (3.0, 5): (3.449015712379322, 13),
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(RECORDED_TINY))
+def test_renormalization_on_tiny_grids(p, n):
+    rho, iterations = RECORDED_TINY[p, n]
+    res = gasket.renormalization_constant(p, grid_size=n)
+    assert res.converged
+    assert res.iterations == iterations
+    assert res.rho == pytest.approx(rho, rel=1e-14, abs=0.0)
 
 
 def test_renormalization_grid_consistency():

@@ -189,6 +189,23 @@ def test_ball_measure_torus_wraps():
     assert got == pytest.approx(math.pi * 0.04, rel=0.05)
 
 
+@pytest.mark.parametrize("kind, size, cells", [("interval", 25, 13),
+                                                ("torus", 25, 113)])
+def test_ball_measure_at_grid_points_is_the_kernel_ball(kind, size, cells):
+    # r lies next to 6 h, where the point coordinates' own rounding puts
+    # lattice distances on either side of r; ks_energy's ball holds every
+    # offset up to cap 6 (2 * 6 + 1 cells, or the 113 lattice points of
+    # a^2 + b^2 <= 36 on the torus)
+    space = getattr(SampledSpace, kind)(size)
+    r = np.nextafter(0.24, 1.0)
+    assert _offset_cap(space, r) == 6
+    points = space.points[6:size - 6] if kind == "interval" else space.points
+    cell = space.weights[0]
+    for x in points:
+        assert ball_measure(space, x, r) / cell == pytest.approx(cells,
+                                                                rel=1e-12)
+
+
 # -- kernel -----------------------------------------------------------------
 
 
