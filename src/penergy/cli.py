@@ -455,7 +455,7 @@ def cmd_ks_energy(cfg: dict, args, out_dir: Path) -> int:
     if cfg["profile"] == "file":
         try:
             fn = PLFunction.from_json(Path(cfg["profile_file"]).read_text())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"cannot load profile: {exc}") from exc
         u = fn.evaluate(space.points)
     else:

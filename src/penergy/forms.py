@@ -90,13 +90,13 @@ class PLIntervalForm:
             cells = sorted((float(lo), float(hi), float(w)) for lo, hi, w in weight)
             bounds = np.array([c[0] for c in cells] + [cells[-1][1]])
             vals = np.array([c[2] for c in cells])
-            if not (np.all(np.isfinite(bounds)) and np.all(np.isfinite(vals))):
+            if not (np.isfinite(bounds).all() and np.isfinite(vals).all()):
                 raise ValueError("weight cells must be finite numbers")
             if abs(bounds[0]) > GEOM_TOL or abs(bounds[-1] - 1.0) > GEOM_TOL:
                 raise ValueError("weight cells must cover [0, 1]")
-            if np.any(np.diff(bounds) <= 0):
+            if (bounds[1:] - bounds[:-1] <= 0).any():
                 raise ValueError("weight cells must be consecutive")
-            if np.any(vals < 0.0):
+            if (vals < 0.0).any():
                 raise ValueError("weight must be nonnegative")
         self.weight_bounds = bounds
         self.weight_values = vals
@@ -147,7 +147,7 @@ class PLIntervalForm:
 def step_at(bounds: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """The step function equal to values[i] on [bounds[i], bounds[i+1]),
     at x; points outside the bounds take the nearest end value."""
-    idx = np.searchsorted(bounds, x, side="right") - 1
+    idx = bounds.searchsorted(x, side="right") - 1
     return values[np.minimum(np.maximum(idx, 0), values.size - 1)]
 
 
@@ -158,14 +158,19 @@ def spans(targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     not be NaN; ``owner`` is the index of each component's target.
     Components empty after clipping are dropped, the rest keep their order.
     """
-    raw = np.array([(i, c[0], c[1]) for i, t in enumerate(targets)
-                    for c in (t.components if isinstance(t, IntervalSet)
-                              else (t,))], dtype=float).reshape(-1, 3)
-    if np.isnan(raw).any():
-        raise ValueError("a target's ends must not be NaN")
-    lo, hi = np.maximum(raw[:, 1], 0.0), np.minimum(raw[:, 2], 1.0)
-    keep = hi > lo
-    return raw[keep, 0].astype(int), lo[keep], hi[keep]
+    owner, lo, hi = [], [], []
+    for i, t in enumerate(targets):
+        for c in (t.components if isinstance(t, IntervalSet) else (t,)):
+            a, b = float(c[0]), float(c[1])
+            if math.isnan(a) or math.isnan(b):
+                raise ValueError("a target's ends must not be NaN")
+            # the bound wins a tie, as in np.maximum: max(0.0, -0.0) is 0.0
+            a, b = max(0.0, a), min(1.0, b)
+            if b > a:
+                owner.append(i)
+                lo.append(a)
+                hi.append(b)
+    return np.array(owner, dtype=int), np.array(lo), np.array(hi)
 
 
 class Cells:
@@ -189,17 +194,18 @@ class Cells:
             # extra nodes refine the cells but never displace a breakpoint
             # or weight bound, which would bend a function inside a cell
             extra = np.concatenate(nodes)
-            right = np.minimum(np.maximum(np.searchsorted(grid, extra), 1),
+            right = np.minimum(np.maximum(grid.searchsorted(extra), 1),
                                grid.size - 1)
             gap = np.minimum(extra - grid[right - 1], grid[right] - extra)
             grid = _merge_sorted_grids(grid, extra[gap > GEOM_TOL])
         self.nodes = grid
-        self.width = np.diff(self.nodes)
-        self.mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        self.width = grid[1:] - grid[:-1]
+        self.mid = 0.5 * (grid[:-1] + grid[1:])
         self.weight = form.weight_at(self.mid)
 
     def slope(self, f: PLFunction) -> np.ndarray:
-        return np.diff(f.evaluate(self.nodes)) / self.width
+        v = f.evaluate(self.nodes)
+        return (v[1:] - v[:-1]) / self.width
 
     def density(self, f: PLFunction) -> np.ndarray:
         """w |f'|^p, the density of mu_f."""
@@ -282,7 +288,7 @@ class GraphForm:
                                else np.asarray(vertex_weights, dtype=float))
         if self.vertex_weights.size != self.n_vertices:
             raise ValueError("vertex weight length mismatch")
-        if not np.all(np.isfinite(self.vertex_weights)):
+        if not np.isfinite(self.vertex_weights).all():
             raise ValueError("vertex weights must be finite")
         self._check_connected()
         self._ei = np.array([e[0] for e in self.edges], dtype=int)
@@ -593,7 +599,8 @@ def _random_normal_contraction(sampler, k, f) -> PLMap:
     kinks = np.unique(np.concatenate(
         ([lo, 0.0, hi], rng.uniform(lo, hi, size=3))))
     slopes = rng.uniform(-1.0, 1.0, size=kinks.size - 1)
-    vals = np.concatenate(([0.0], np.cumsum(slopes * np.diff(kinks))))
+    vals = np.concatenate(([0.0],
+                           np.cumsum(slopes * (kinks[1:] - kinks[:-1]))))
     vals -= np.interp(0.0, kinks, vals)
     return PLMap(kinks, vals)
 
@@ -628,7 +635,7 @@ def check_fold_identity(form: PLIntervalForm, f: PLFunction, phi: PLMap,
     for n = 1 .. FOLD_LEVELS.  Both gaps must stay within FOLD_IDENTITY_TOL.
     """
     part = np.asarray(partition, dtype=float)
-    if part.ndim != 1 or part.size < 2 or np.any(np.diff(part) <= 0):
+    if part.ndim != 1 or part.size < 2 or (part[1:] - part[:-1] <= 0).any():
         raise ValueError("partition must be strictly increasing")
     lo, hi = f.value_range()
     if part[0] > lo + GEOM_TOL or part[-1] < hi - GEOM_TOL:

@@ -326,7 +326,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
         else sched.rel_tol * e_scale / (p * steps[-1])
     raw = np.abs(d[-1] - d[-2])
     bad = err > 4.0 * raw + 16.0 * floor
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(err - 4.0 * raw))
         raise ExtrapolationError(
             f"extrapolants spread {err[k]:.3e} on set {k} exceeds the raw "
@@ -596,7 +596,8 @@ def _cell_masses(form, jobs, route, sched) -> list[np.ndarray]:
         return [cells.mass(fn) for fn, cells in jobs]
     runs = _identity_runs(form, [(fn, cells.nodes) for fn, cells in jobs],
                           sched)
-    return [np.diff(run.limits()) for run in runs]
+    limits = [run.limits() for run in runs]
+    return [lim[1:] - lim[:-1] for lim in limits]
 
 
 def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
@@ -640,9 +641,8 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
         for j, (phi, cells, g) in enumerate(per_map):
             vmid = f.evaluate(cells.mid)
             pslope = step_at(phi.breakpoints, phi.slopes, vmid)
-            on_kink = np.any(np.abs(vmid[:, None]
-                                    - phi.breakpoints[None, 1:-1])
-                             <= GEOM_TOL, axis=1)
+            on_kink = (np.abs(vmid[:, None] - phi.breakpoints[None, 1:-1])
+                       <= GEOM_TOL).any(axis=1)
             undefined = (cells.slope(f) == 0.0) & on_kink
             lhs = next(masses)
             rhs = np.abs(pslope) ** p * next(masses)
@@ -725,7 +725,7 @@ def _product_pairing_budget(form, f, g, h) -> float:
     """
     base, _ = refined_grid((g.breakpoints, h.breakpoints), 1)
     cells = Cells(form, f, g, h)
-    cell = step_at(base, np.diff(base), cells.mid) / PRODUCT_REFINE
+    cell = step_at(base, base[1:] - base[:-1], cells.mid) / PRODUCT_REFINE
     err = np.abs(cells.slope(g) * cells.slope(h)) * cell
     return float(cells.integrate(np.abs(cells.flux(f)) * err
                                  * cells.width)[0])
@@ -904,7 +904,8 @@ def _poly_pairing_budget(form, f, phi, gs, base) -> float:
     """
     n = phi.arity
     at_base = [g.evaluate(base) for g in gs]
-    slopes = [np.diff(v) / np.diff(base) for v in at_base]
+    width = base[1:] - base[:-1]
+    slopes = [(v[1:] - v[:-1]) / width for v in at_base]
     # (phi o g)'' at both ends of every base cell
     left, right = np.zeros(base.size - 1), np.zeros(base.size - 1)
     for i in range(n):
@@ -913,7 +914,7 @@ def _poly_pairing_budget(form, f, phi, gs, base) -> float:
             left += at[:-1] * slopes[i] * slopes[j]
             right += at[1:] * slopes[i] * slopes[j]
     worst_err = float(np.max(np.maximum(np.abs(left), np.abs(right))
-                             * (np.diff(base) / POLY_REFINE) / 2.0,
+                             * (width / POLY_REFINE) / 2.0,
                              initial=0.0))
     cells = Cells(form, f)
     return worst_err * float(cells.integrate(np.abs(cells.flux(f))
@@ -937,7 +938,7 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
     bounds = _merge_sorted_grids(form_lo.weight_bounds, form_hi.weight_bounds)
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     w_lo, w_hi = form_lo.weight_at(mids), form_hi.weight_at(mids)
-    if np.any(w_lo > w_hi + GEOM_TOL):
+    if (w_lo > w_hi + GEOM_TOL).any():
         i = int(np.argmax(w_lo - w_hi))
         raise ValueError(
             f"weights are not ordered: w_lo={w_lo[i]:g} > w_hi={w_hi[i]:g} "
@@ -994,7 +995,7 @@ def law_minimal_dominant(form: PLIntervalForm) -> LawReport:
         nu_d = step_at(grid, nu_dens, cells.mid)
         scale = max(float(np.max(mu_d)), 1e-12)
         dead = nu_d == 0.0
-        if np.any(dead):
+        if dead.any():
             i = int(np.argmax(np.where(dead, mu_d, -1.0)))
             worst.push(-float(mu_d[i]) / scale, test=t, cell=i)
         else:
@@ -1049,7 +1050,7 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
         f = f0 * e ** (-1.0 / form.p)
         crit = np.unique(np.concatenate((f.values,
                                          f.evaluate(form.weight_bounds))))
-        crit = crit[np.concatenate(([True], np.diff(crit) > 1e-12))]
+        crit = crit[np.concatenate(([True], crit[1:] - crit[:-1] > 1e-12))]
         lo, hi = f.value_range()
         pad = 0.05 * (hi - lo) + 1e-6
         fill = np.linspace(lo - pad, hi + pad, max(probes - crit.size, 0))
@@ -1126,9 +1127,9 @@ def law_continuity(form: PLIntervalForm, sampler: PLSampler, trials: int = 8,
 
         vals_c = sweep(np.linspace(-1.0, 1.0, coarse + 1))
         vals_f = sweep(np.linspace(-1.0, 1.0, 10 * coarse + 1))
-        d_c = float(np.max(np.abs(np.diff(vals_c))))
-        d_f = float(np.max(np.abs(np.diff(vals_f))))
-        floor = 1e-12 * max(float(np.max(np.abs(vals_c))), 1.0)
+        d_c = float(np.abs(vals_c[1:] - vals_c[:-1]).max())
+        d_f = float(np.abs(vals_f[1:] - vals_f[:-1]).max())
+        floor = 1e-12 * max(float(np.abs(vals_c).max()), 1.0)
         margin = 0.7 * d_c + floor - d_f
         worst.push(margin / max(d_c, floor), trial=k, coarse_step=d_c,
                    fine_step=d_f)

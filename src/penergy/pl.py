@@ -25,11 +25,18 @@ Conventions used throughout:
 ``PLMap`` is the companion type for piecewise-linear maps defined on an
 arbitrary interval of the real line; it is what gets composed with functions
 on [0, 1] (post-composition ``phiarowf``).
+
+Arrays here, in :mod:`penergy.forms` and in :mod:`penergy.sampler` hold a
+few to a few dozen entries, where numpy's Python wrappers cost more than
+the arithmetic: differences are slices (``x[1:] - x[:-1]``), reductions
+are methods (``.any()``, ``.min()``), and scalar loops run on Python
+floats, never on per-element numpy scalars.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +80,13 @@ def _check_cap(n: int) -> None:
 
 def _merge_sorted_grids(*grids: np.ndarray) -> np.ndarray:
     """Union of sorted node arrays with GEOM_TOL deduplication."""
-    merged = np.sort(np.concatenate(grids))
+    merged = np.concatenate(grids)
+    merged.sort()
     if merged.size == 0:
         return merged
     keep = np.empty(merged.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(merged), GEOM_TOL, out=keep[1:])
+    np.greater(merged[1:] - merged[:-1], GEOM_TOL, out=keep[1:])
     return merged[keep]
 
 
@@ -86,9 +94,8 @@ def _prune_collinear(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Drop interior nodes where the two adjacent slopes agree."""
     if x.size <= 2:
         return x, y
-    dx = np.diff(x)
-    slopes = np.diff(y) / dx
-    interior_redundant = np.abs(np.diff(slopes)) < SLOPE_MERGE_TOL
+    slopes = (y[1:] - y[:-1]) / (x[1:] - x[:-1])
+    interior_redundant = np.abs(slopes[1:] - slopes[:-1]) < SLOPE_MERGE_TOL
     keep = np.ones(x.size, dtype=bool)
     keep[1:-1] = ~interior_redundant
     return x[keep], y[keep]
@@ -104,17 +111,18 @@ class _PLBase:
         y = _as_float_array(values)
         if x.size != y.size or x.size < 2:
             raise ValueError("need matching breakpoint/value arrays of length >= 2")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("breakpoints and values must be finite")
-        dx = np.diff(x)
-        if np.any(dx < 0):
-            raise ValueError("breakpoints must be in increasing order")
-        # distinct breakpoints closer than GEOM_TOL would be merged away by
-        # the first operation that joins grids
-        if np.any((dx > 0) & (dx <= GEOM_TOL)):
-            raise ValueError("breakpoints must be strictly increasing, "
-                             f"more than {GEOM_TOL:g} apart")
-        if np.any(dx == 0):
+        dx = x[1:] - x[:-1]
+        # the usual case, every gap wider than GEOM_TOL, needs one test
+        if not dx.min() > GEOM_TOL:
+            if (dx < 0).any():
+                raise ValueError("breakpoints must be in increasing order")
+            # distinct breakpoints closer than GEOM_TOL would be merged away
+            # by the first operation that joins grids
+            if ((dx > 0) & (dx <= GEOM_TOL)).any():
+                raise ValueError("breakpoints must be strictly increasing, "
+                                 f"more than {GEOM_TOL:g} apart")
             x, idx = np.unique(x, return_index=True)
             y = y[idx]
         x = x.copy()
@@ -139,7 +147,8 @@ class _PLBase:
 
     @property
     def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.breakpoints)
+        x, y = self.breakpoints, self.values
+        return (y[1:] - y[:-1]) / (x[1:] - x[:-1])
 
     def value_range(self) -> tuple[float, float]:
         return float(self.values.min()), float(self.values.max())
@@ -213,7 +222,8 @@ class PLFunction(_PLBase):
 
     def __init__(self, breakpoints, values):
         x = _as_float_array(breakpoints)
-        if abs(x[0]) > GEOM_TOL or abs(x[-1] - 1.0) > GEOM_TOL:
+        # an empty x has no endpoints: the length check below rejects it
+        if x.size and (abs(x[0]) > GEOM_TOL or abs(x[-1] - 1.0) > GEOM_TOL):
             raise ValueError("domain must be exactly [0, 1]")
         _check_cap(x.size)
         super().__init__(x, values)
@@ -245,6 +255,8 @@ class PLFunction(_PLBase):
     @classmethod
     def from_json(cls, text: str) -> "PLFunction":
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and "x" in obj and "y" in obj):
+            raise ValueError('expected a JSON object with "x" and "y"')
         return cls(obj["x"], obj["y"])
 
     def to_json(self) -> str:
@@ -308,7 +320,7 @@ def _crossings(x: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _with_level_crossings(f: PLFunction, levels) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints of f enriched with exact preimages of the given levels."""
     x, y = f.breakpoints, f.values
-    extra = [_crossings(x, y - lev) for lev in levels if np.isfinite(lev)]
+    extra = [_crossings(x, y - lev) for lev in levels if math.isfinite(lev)]
     if not any(e.size for e in extra):
         return x, y
     grid = _merge_sorted_grids(x, *extra)
@@ -375,7 +387,7 @@ def triangle_fold(f: PLFunction, n: int) -> PLFunction:
 
     xs_parts = [x[:1]]
     ys_parts = [triangle_wave(y[:1], n)]
-    slopes = (v1 - v0) / np.diff(x)
+    slopes = (v1 - v0) / (x[1:] - x[:-1])
     for i in range(x.size - 1):
         if counts[i] > 0:
             ks = np.arange(k_lo[i], k_hi[i] + 1)
@@ -445,7 +457,7 @@ def refined_grid(grids, refine: int) -> tuple[np.ndarray, np.ndarray]:
     base = _merge_sorted_grids(*grids)
     _check_cap((base.size - 1) * refine + 1)
     t = np.linspace(0.0, 1.0, refine + 1)[:-1]
-    cells = base[:-1][:, None] + np.diff(base)[:, None] * t[None, :]
+    cells = base[:-1][:, None] + (base[1:] - base[:-1])[:, None] * t[None, :]
     return base, np.append(cells.ravel(), base[-1])
 
 
@@ -465,9 +477,11 @@ def pl_product(f: PLFunction, g: PLFunction, refine: int = 8) -> ProductApprox:
     gv = g.evaluate(grid)
     prod = PLFunction(*_prune_collinear(grid, fv * gv))
 
-    h = np.diff(base) / refine
-    fs = np.diff(f.evaluate(base)) / np.diff(base)
-    gs = np.diff(g.evaluate(base)) / np.diff(base)
+    width = base[1:] - base[:-1]
+    h = width / refine
+    fb, gb = f.evaluate(base), g.evaluate(base)
+    fs = (fb[1:] - fb[:-1]) / width
+    gs = (gb[1:] - gb[:-1]) / width
     err = float(np.max(np.abs(fs * gs) * h * h / 4.0)) if base.size > 1 else 0.0
     return ProductApprox(prod, err)
 
@@ -487,7 +501,8 @@ def pl_power_interp(f: PLFunction, q: float, refine: int = 16) -> ProductApprox:
     vals = np.abs(f.evaluate(grid)) ** q
     approx = PLFunction(*_prune_collinear(grid, vals))
     probe_t = np.linspace(0.0, 1.0, 11)[1:-1]
-    probes = (grid[:-1][:, None] + np.diff(grid)[:, None] * probe_t[None, :]).ravel()
+    probes = (grid[:-1][:, None]
+              + (grid[1:] - grid[:-1])[:, None] * probe_t[None, :]).ravel()
     err = float(np.max(np.abs(np.abs(f.evaluate(probes)) ** q
                               - approx.evaluate(probes)))) if probes.size else 0.0
     return ProductApprox(approx, err)
@@ -571,11 +586,14 @@ def sublevel_set(g: PLFunction, a: float) -> IntervalSet:
     Crossings are solved from the line segments; isolated touching points
     come out as degenerate components; a NaN level is an error.
     """
-    if np.isnan(a):
+    if math.isnan(a):
         raise ValueError("a sublevel set's level must not be NaN")
     grid, vals = _with_level_crossings(g, (a,))
     # inserted crossing nodes reproduce the level only up to rounding
-    tol = GEOM_TOL * max(1.0, abs(a), float(np.max(np.abs(vals))))
-    # +1 where a run of nodes at or below the level starts, -1 past its end
-    step = np.diff((vals <= a + tol).astype(np.int8), prepend=0, append=0)
-    return IntervalSet(zip(grid[step[:-1] == 1], grid[step[1:] == -1]))
+    tol = GEOM_TOL * max(1.0, abs(a), float(np.abs(vals).max()))
+    # a run of nodes at or below the level, padded by a node above each end
+    below = np.zeros(grid.size + 2, dtype=bool)
+    below[1:-1] = vals <= a + tol
+    inner = below[1:-1]
+    return IntervalSet(zip(grid[inner & ~below[:-2]].tolist(),
+                           grid[inner & ~below[2:]].tolist()))

@@ -27,8 +27,9 @@ class PLSampler:
 
     def __init__(self, seed: int, max_breaks: int = 12,
                  min_slope: float = 0.0):
-        if max_breaks < 2:
-            raise ValueError("need at least two breakpoints")
+        # a draw picks 1 to max_breaks - 2 interior breakpoints
+        if max_breaks < 3:
+            raise ValueError(f"max_breaks must be at least 3, got {max_breaks}")
         self.seed = int(seed)
         self.max_breaks = int(max_breaks)
         self.min_slope = float(min_slope)
@@ -39,33 +40,32 @@ class PLSampler:
 
     # -- function draws ----------------------------------------------------
 
-    def _breakpoints(self, rng: np.random.Generator) -> np.ndarray:
+    def _breakpoints(self, rng: np.random.Generator) -> list[float]:
         n_interior = int(rng.integers(1, self.max_breaks - 1))
         for _ in range(64):
-            pts = np.sort(rng.uniform(0.0, 1.0, size=n_interior))
-            grid = np.concatenate(([0.0], pts, [1.0]))
-            if np.all(np.diff(grid) >= MIN_GAP):
+            pts = sorted(rng.uniform(0.0, 1.0, size=n_interior).tolist())
+            grid = [0.0, *pts, 1.0]
+            if all(b - a >= MIN_GAP for a, b in zip(grid, grid[1:])):
                 return grid
             n_interior = max(1, n_interior - 1)
-        return np.linspace(0.0, 1.0, n_interior + 2)
+        return np.linspace(0.0, 1.0, n_interior + 2).tolist()
 
     def pl(self, index: int, allow_flat: bool | None = None) -> PLFunction:
         """Draw one PL function; slopes respect the configured bounds."""
         rng = self._rng(index, tag=1)
         x = self._breakpoints(rng)
-        vals = np.empty_like(x)
-        vals[0] = rng.uniform(-1.5, 1.5)
+        vals = [rng.uniform(-1.5, 1.5)]
         flat_ok = (self.min_slope == 0.0) if allow_flat is None else allow_flat
-        for i, dx in enumerate(np.diff(x)):
+        for dx in (x1 - x0 for x0, x1 in zip(x, x[1:])):
             if flat_ok and rng.uniform() < self.flat_prob:
                 s = 0.0
             else:
                 mag = rng.uniform(max(self.min_slope, 1e-3), MAX_SLOPE)
                 s = mag if rng.uniform() < 0.5 else -mag
-            v = vals[i] + s * dx
+            v = vals[-1] + s * dx
             if abs(v) > 2.0:
-                v = vals[i] - s * dx
-            vals[i + 1] = np.clip(v, -2.0, 2.0)
+                v = vals[-1] - s * dx
+            vals.append(min(max(v, -2.0), 2.0))
         return PLFunction(x, vals)
 
     def pl_pair(self, index: int) -> tuple[PLFunction, PLFunction]:
@@ -75,7 +75,8 @@ class PLSampler:
         """A draw rejected until it has positive energy (some nonflat piece)."""
         for k in range(32):
             f = self.pl(index * 37 + k, allow_flat=(k == 0 and self.flat_prob > 0))
-            if np.any(np.abs(np.diff(f.values)) > 1e-9):
+            y = f.values
+            if (np.abs(y[1:] - y[:-1]) > 1e-9).any():
                 return f
         raise RuntimeError("sampler failed to produce a nonflat function")
 

@@ -291,6 +291,24 @@ def test_ks_energy_profile_file(tmp_path):
     assert extrapolated == pytest.approx(4.0 / 3.0, rel=0.02)
 
 
+@pytest.mark.parametrize("text", [
+    '{"x": [], "y": []}',             # no breakpoints: no endpoints to read
+    '[[0.0, 1.0], [0.0, 1.0]]',       # a list, not an object
+    '"x"',                            # a string
+    '{"x": [0.0, 1.0]}',              # no values
+    '{"x": {"a": 0.0}, "y": [0.0, 1.0]}',
+])
+def test_ks_energy_malformed_profile_file(tmp_path, capsys, text):
+    prof = tmp_path / "profile.json"
+    prof.write_text(text)
+    assert main(["--out", str(tmp_path), "ks-energy", "--n", "100",
+                 "--profile", "file", "--profile-file", str(prof)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load profile: "), err
+    assert "Traceback" not in err
+
+
 def test_ks_energy_profile_file_needs_path(tmp_path):
     assert main(["--out", str(tmp_path), "ks-energy",
                  "--profile", "file"]) == EXIT_CONFIG
@@ -571,3 +589,17 @@ def test_only_the_gasket_imports_scipy_at_module_level():
             assert not any(n.startswith("scipy.interpolate")
                            for n in _imported_modules(node)), path.name
     assert importers == {"gasket.py"}
+
+
+def test_small_array_modules_call_no_numpy_wrappers():
+    # pl, forms and sampler work on arrays of a few to a few dozen
+    # entries, where the Python wrappers np.diff, np.any and np.all cost
+    # more than the arithmetic: slices and method reductions do the same
+    for name in ("pl.py", "forms.py", "sampler.py"):
+        tree = ast.parse((SRC / name).read_text())
+        used = sorted({f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in ("np", "numpy")
+                       and node.attr in ("diff", "any", "all")})
+        assert used == [], (name, used)
