@@ -10,19 +10,22 @@ with a piecewise-constant density.
 The fold has 2^n pieces, so nothing here materialises it.  Every limit is
 one window lo <= g <= hi on a witness (lo = -inf for a sublevel set): on
 the window the lid sits at the fold's peak and f keeps its plain energy,
-and 2^-n outside it the lid is 0.  Only the bands in between need the
-fold's nodes.  One producer, :func:`_window_runs`, cuts those bands at the
-nodes of f, g and the weight for every witness, and one ragged kernel,
-:func:`_band_energy`, integrates them.  The identity's band is [a, a +
-2^-n] itself.  A general witness's lid is the one :func:`cell_function`
-builds, taken on each affine piece of g: its crossings carry their
-rounding, and a band narrower than GEOM_TOL, whose two ends the PL algebra
-merges, ramps on to the end of the piece and is measured there, never
-dropped.  One level loop, :func:`_drive`, runs groups (one function f with
-its windows) through the levels in lock-step: each group stops once all its
-thresholds, band residual included, are quiet, and its rows, numbered once
-per batch, are then masked out of the one kernel call per level.  A group's
-rows, stop level and trace do not depend on the other groups in its batch.
+and 2^-n outside it the lid is 0.  That plateau, f's energy on the
+window, is exact.  Only the bands in between need the fold's nodes.  One
+producer, :func:`_window_runs`, cuts those bands at the nodes of f, g and
+the weight for every witness, and one ragged kernel, :func:`_band_energy`,
+integrates them.  The identity's band is [a, a + 2^-n] itself.  A general
+witness's band is cut at the exact crossings of its two levels, where the
+lid is 2^-n and 0, so its lid is the paper's clip(a + 2^-n - g, 0, 2^-n),
+however narrow the band.  A band crossed at slope |g'| is 2^-n / |g'|
+wide and carries at most w 2^-n (|g'|^(p-1) + |f'|^p / |g'|), so the
+level energies of a steep witness fall to the plateau like 2^-n, slowly
+when |g'|^(p-1) is large.  One level loop, :func:`_drive`, runs groups
+(one function f with its windows) through the levels in lock-step: each
+group stops once all its thresholds, band residual included, are quiet,
+and its rows, numbered once per batch, are then masked out of the one
+kernel call per level.  A group's rows, stop level and trace do not depend
+on the other groups in its batch.
 
 An identity threshold need not run the early levels, which mostly confirm
 the 2^-n decay of its band.  When the batch is built, :func:`_first_levels`
@@ -227,7 +230,10 @@ def cell_function(f: PLFunction, g: PLFunction, a: float,
     """The capped fold min(T_n o f, S_n^a o g), materialised literally.
 
     Exponential in n; the defining object, and the cross-check of the
-    fold limits at small levels, which never build it.
+    fold limits at small levels, which never build it.  The PL algebra
+    rounds the lid's crossings and merges nodes closer than GEOM_TOL, so
+    where a band of g is narrower than that the lid ramps on to the end of
+    g's piece, and this differs from the level energies of the fold limits.
     """
     folded = triangle_fold(f, n)
     lid = shifted_cut(g, a, n)
@@ -481,104 +487,6 @@ def _band_rows(h0, h1, c, eps):
     return t[sort], cell[sort]
 
 
-def _literal_lid_pieces(form, fns, rows, nodes, eps, size):
-    """Pieces of min(T_n o f, lid) for the literal lid on pieces of g.
-
-    ``rows`` holds, per (threshold, side, affine piece [P, G] of g), h = g
-    or -g at P and G, the threshold c, the owner among ``size``
-    thresholds, the group, whose f is in ``fns``, and the indices of P and
-    G in ``nodes``, the merged grids whose nodes cut the piece further.
-    The lid is the one pl.shifted_cut builds: nodes P, the crossings
-    N1 <= N2 of the levels c and c + 2^-n strictly inside, and G, with
-    c + 2^-n - h clipped to [0, 2^-n] at each and affine in between.  The
-    PL algebra keeps only the first of two nodes within GEOM_TOL, so a
-    band narrower than that loses N2 and the lid ramps from N1 on to G.
-    The literal route classified each piece: a lid at the peak (to within
-    1e-9 2^-n + 1e-14) left f's plain energy, a lid at 0 its own, and the
-    rest were band pieces.  [N1, N2] is always band; [P, N1] and [N2, G]
-    are classified only where the lid at N1 or N2 leaves its level by
-    more than that, or N2 merged, since only there does the literal differ
-    from the plateau.  The window's other band lies on the side h <= c;
-    where that side is classified on a piece that holds it, the literal
-    lid is the lattice min of both sides' lids, which this does not model:
-    PieceCapError.  Returns the band pieces with their owners, and per
-    owner the plain energy so found less ``rows["own"]``, the plateau's
-    energy on the piece where h <= c, wherever that side was classified.
-    """
-    P, G, hP, hG, c = (rows[k] for k in ("P", "G", "hP", "hG", "c"))
-    on = np.flatnonzero((np.minimum(hP, hG) < c + eps)
-                        & (np.maximum(hP, hG) > c))
-    P, G, hP, hG, c = P[on], G[on], hP[on], hG[on], c[on]
-    up = hG > hP
-    near, far = np.where(up, c, c + eps), np.where(up, c + eps, c)
-    d0, d1, e0, e1 = hP - near, hG - near, hP - far, hG - far
-    has_near, has_far = d0 * d1 < 0.0, e0 * e1 < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n1 = np.where(has_near, P + d0 / (d0 - d1) * (G - P), P)
-        n2 = np.where(has_far, P + e0 / (e0 - e1) * (G - P), n1)
-    merged = has_far & (n2 - n1 <= GEOM_TOL)
-    lx = np.array([P, n1, np.where(merged, n1, n2), G])
-    slope = (hG - hP) / (G - P)  # np.interp's arithmetic on the piece
-    lv = np.clip(c + eps - np.array(
-        [hP, *(np.where(x == P, hP, slope * (x - P) + hP) for x in lx[1:3]),
-         hG]), 0.0, eps)
-    tol = 1e-9 * eps + 1e-14
-    top = np.where(up, eps, 0.0)  # the lid past N1; eps - top past N2
-    pre = has_near & (np.abs(lv[1] - top) > tol)
-    post = merged | has_far & (np.abs(lv[2] - (eps - top)) > tol)
-    peak_side = np.where(up, pre, post)  # h <= c, where the plateau is
-    if np.any(peak_side & (np.minimum(hP, hG) < rows["other"][on])):
-        raise PieceCapError(
-            "the literal lid of a two-sided window is off its level on a "
-            "piece of g that holds its other band: a lattice min of two "
-            "lids, not modelled")
-    x_lo = np.where(has_near & ~pre, lx[1], P)
-    x_hi = np.where(has_far & ~post, lx[2], G)
-
-    # the nodes of each piece: P, the merged grid's inside, G, N1 and N2
-    iP, iG = rows["iP"][on], rows["iG"][on]
-    span = iG - iP + 1
-    inner = (lx[1:3] > lx[:2]) & (lx[1:3] < G)
-    row, pos = _ragged(span + inner.sum(axis=0))
-    x = np.where(pos == 0, P[row], np.where(
-        pos == span[row] - 1, G[row],
-        nodes[np.minimum(iP[row] + pos, iG[row])]))
-    extra = np.flatnonzero(pos >= span[row])
-    re = row[extra]
-    x[extra] = np.where((pos[extra] == span[re]) & inner[0][re], lx[1][re],
-                        lx[2][re])
-    order = np.lexsort((x, row))
-    row, x = row[order], x[order]
-    seg = np.flatnonzero((row[1:] == row[:-1]) & (x[1:] > x[:-1])
-                         & (x[:-1] >= x_lo[row[:-1]])
-                         & (x[1:] <= x_hi[row[:-1]]))
-    r = row[seg]
-    x0, x1 = x[seg], x[seg + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.diff(lv, axis=0) / np.diff(lx, axis=0)
-
-    def lid(v):  # np.interp over the lid's nodes
-        out = lv[3][r]
-        for j in (2, 1, 0):
-            at, val = lx[j][r], lv[j][r]
-            out = np.where(v < lx[j + 1][r], np.where(
-                v == at, val, slopes[j][r] * (v - at) + val), out)
-        return out
-
-    l0, l1 = lid(x0), lid(x1)
-    v0, v1 = _evaluate(fns, rows["group"][on][r], x0, x1)
-    w = form.weight_at(0.5 * (x0 + x1))
-    peak = np.minimum(l0, l1) >= eps - tol
-    band = ~peak & (np.maximum(l0, l1) > tol)
-    slope = np.where(peak, v1 - v0, l1 - l0) / (x1 - x0)
-    plain = w * np.abs(slope) ** form.p * (x1 - x0)
-    owner = rows["owner"][on]
-    own = np.where(peak_side, rows["own"][on], 0.0)
-    return (tuple(v[band] for v in (x0, x1, v0, v1, l0, l1, w)),
-            owner[r][band], np.bincount(owner[r][~band], plain[~band], size)
-            - np.bincount(owner, own, size))
-
-
 #: The kernel's rounding, as bounds on what it reads.  A slope of f taken
 #: from two interpolated values is off by at most _RHO (|f'| + max|f| /
 #: width) of the piece; the lid's slope is exactly -1 where the threshold
@@ -758,16 +666,20 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     the fold's nodes, and each level sends all of them through one kernel
     call.  The identity's band is [a, a + 2^-n] with the lid a + 2^-n - x,
     cut at the cells of f and the weight that meet it at the first level.
-    A general witness takes the literal lid, by :func:`_literal_lid_pieces`,
-    on each affine piece of g whose range of h = g (for hi) or h = -g (for
-    lo) meets its band at the first level.  Thresholds, identity pairs and
-    witness rows are numbered once, with their group's index, when the
-    batch is built; a stopped group's rows are masked out.
+    A general witness has one row per threshold c, side h and cell of the
+    grid of f, the weight and g, where the cell's range of h = g (for c =
+    hi) or h = -g (for c = -lo) meets the band (c, c + 2^-n) at the first
+    level; the row keeps the cell's weight.  Each level cuts the cell down
+    to its band at the exact crossings of c, where the lid is 2^-n, and of
+    c + 2^-n, where it is 0; at a cell end inside the band the lid is c +
+    2^-n - h.  Thresholds, identity pairs and witness rows are numbered
+    once, with their group's index, when the batch is built; a stopped
+    group's rows are masked out.
     """
     eps_max = 2.0 ** (-sched.n_min)
-    fns, drive, plateau, ident, wit, nodes = [], [], [], [], [], []
+    fns, drive, plateau, ident, wit = [], [], [], [], []
     idents = []  # the identity blocks' thresholds, as (first, end) pairs
-    start = base = 0  # thresholds, and witnesses' grid nodes, so far
+    start = 0  # thresholds so far
     for k, (f, blocks) in enumerate(groups):
         grid, cum = form.cumulative_energy(f)
         his, per_cell = [], None
@@ -803,24 +715,12 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                           np.maximum(p0, p1))
             plateau.append(np.sum(np.where(a1 > a0, np.interp(
                 a1, grid, cum) - np.interp(a0, grid, cum), 0.0), axis=1))
-            # rows (threshold, side, piece of g), each piece's ends on x,
-            # the energy on it where h <= c, and the window's other bound
-            P, G = g.breakpoints[:-1], g.breakpoints[1:]
-            node = np.searchsorted(x, g.breakpoints, side="right") - 1
-            for q, c, other in ((1.0, hi, lo), (-1.0, -lo, -hi)):
-                h = q * g.values
-                t, j = _band_rows(h[:-1], h[1:], c, eps_max)
-                h0, h1, cut = h[j], h[j + 1], _preimage(
-                    P[j], G[j], h[j], h[j + 1], c[t])
-                s0, s1 = np.where(h1 > h0, P[j], cut), np.where(
-                    h1 > h0, cut, G[j])
-                own = np.where((h0 != h1) & (s1 > s0), np.interp(
-                    s1, grid, cum) - np.interp(s0, grid, cum), 0.0)
-                wit.append((t + row0, np.full(t.size, k), c[t], P[j], G[j],
-                            h0, h1, node[j] + base, node[j + 1] + base, own,
-                            other[t]))
-            nodes.append(x)
-            base += x.size
+            # each cell lies in one weight cell: its weight is read once
+            w = form.weight_at(0.5 * (x[:-1] + x[1:]))
+            for h, c in ((gx, hi), (-gx, -lo)):
+                t, cell = _band_rows(h[:-1], h[1:], c, eps_max)
+                wit.append((t + row0, np.full(t.size, k), c[t], x[cell],
+                            x[cell + 1], h[cell], h[cell + 1], w[cell]))
         fns.append(f)
         drive.append((_cat(his), float(cum[-1])))
     plateau, size = _cat(plateau), start
@@ -828,9 +728,10 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                              "w", "S", "q"))
     # the bounds' columns stay out of the table the level loop filters
     rates = {k: ident.pop(k) for k in ("w", "S", "q")} if ident else {}
-    wit = _columns(wit, ("owner", "group", "c", "P", "G", "hP", "hG", "iP",
-                         "iG", "own", "other"))
-    nodes = _cat(nodes) if nodes else None
+    wit = _columns(wit, ("owner", "group", "c", "xa", "xb", "ha", "hb", "w"))
+    if wit is not None:  # the two sides' rows, by owner
+        order = np.argsort(wit["owner"], kind="stable")
+        wit = {name: v[order] for name, v in wit.items()}
     live = {}
 
     def energies_at(n, rows):
@@ -839,7 +740,7 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                 name: _live(table, rows) for name, table
                 in (("ident", ident), ("wit", wit)) if table is not None})
         eps = 2.0 ** (-n)
-        energy, parts, owners = plateau, [], []
+        parts, owners = [], []
         if ident is not None:
             r = live["ident"]
             x0, x1 = r["x0"], np.clip(r["c"] + eps, r["xa"], r["xb"])
@@ -850,19 +751,32 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                           form.weight_at(0.5 * (x0 + x1))))
             owners.append(r["owner"][keep])
         if wit is not None:
-            extra, owner, plain = _literal_lid_pieces(
-                form, fns, live["wit"], nodes, eps, size)
-            parts.append(extra)
-            owners.append(owner)
-            energy = energy + plain
+            r = live["wit"]
+            c, xa, xb, ha, hb = (r[k] for k in ("c", "xa", "xb", "ha", "hb"))
+            top, up = c + eps, hb >= ha
+            at_c, at_top = (_preimage(xa, xb, ha, hb, v) for v in (c, top))
+            # the band reaches a cell end where h there lies inside it;
+            # elsewhere it ends at the crossing of the level h leaves by
+            # (a flat cell, taken as rising, is all band or none)
+            in_a, in_b = np.where(up, ha > c, ha < top), np.where(
+                up, hb < top, hb > c)
+            x0 = np.where(in_a, xa, np.where(up, at_c, at_top))
+            x1 = np.where(in_b, xb, np.where(up, at_top, at_c))
+            l0 = np.where(in_a, top - ha, np.where(up, eps, 0.0))
+            l1 = np.where(in_b, top - hb, np.where(up, 0.0, eps))
+            keep = np.flatnonzero(x1 > x0)
+            x0, x1, l0, l1 = x0[keep], x1[keep], l0[keep], l1[keep]
+            v0, v1 = _evaluate(fns, r["group"][keep], x0, x1)
+            parts.append((x0, x1, v0, v1, l0, l1, r["w"][keep]))
+            owners.append(r["owner"][keep])
         owner = _cat(owners)
         pieces = parts[0] if len(parts) == 1 else tuple(
             map(np.concatenate, zip(*parts)))
-        if wit is not None:  # witness rows go by side, not by owner
+        if len(parts) > 1:  # witness rows after the identity's: by owner
             order = np.argsort(owner, kind="stable")
             owner, pieces = owner[order], tuple(v[order] for v in pieces)
         band = _band_energy(pieces, owner, size, n, form.p)
-        return energy + band, band
+        return plateau + band, band
 
     is_ident = np.zeros(size, dtype=bool)
     for lo, hi in idents:
@@ -919,8 +833,9 @@ def two_sided_cut_limit(form: PLIntervalForm, f: PLFunction, g: PLFunction,
     The cap is min(S_n^high o g, S_n^(-low) o (-g)), at the peak only where
     low <= g <= high (finite bounds), so the limit is a capacity-style upper
     bound for the slab's measure, compared against F(high) - F(low) in tests.
-    Raises PieceCapError where both bands lie on one piece of g steep enough
-    that the literal cap, a lattice min of the two sides, is off its levels.
+    The two bands, high < g < high + 2^-n and low - 2^-n < g < low, are
+    disjoint, and each is cut at its exact crossings, also where both lie
+    on one steep piece of g.
     """
     _require_pl(form)
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):

@@ -53,6 +53,7 @@ from .pl import (
     PLFunction,
     PLMap,
     _merge_sorted_grids,
+    _split_counts,
     _with_level_crossings,
     compose,
     lattice,
@@ -724,8 +725,10 @@ def _product_pairing_budget(form, f, g, h) -> float:
     the chord slope of the quadratic gh deviates by at most |g'h'| c.
     """
     base, _ = refined_grid((g.breakpoints, h.breakpoints), 1)
+    width = base[1:] - base[:-1]
     cells = Cells(form, f, g, h)
-    cell = step_at(base, base[1:] - base[:-1], cells.mid) / PRODUCT_REFINE
+    cell = step_at(base, width / _split_counts(width, PRODUCT_REFINE),
+                   cells.mid)
     err = np.abs(cells.slope(g) * cells.slope(h)) * cell
     return float(cells.integrate(np.abs(cells.flux(f)) * err
                                  * cells.width)[0])
@@ -914,7 +917,8 @@ def _poly_pairing_budget(form, f, phi, gs, base) -> float:
             left += at[:-1] * slopes[i] * slopes[j]
             right += at[1:] * slopes[i] * slopes[j]
     worst_err = float(np.max(np.maximum(np.abs(left), np.abs(right))
-                             * (width / POLY_REFINE) / 2.0,
+                             * (width / _split_counts(width, POLY_REFINE))
+                             / 2.0,
                              initial=0.0))
     cells = Cells(form, f)
     return worst_err * float(cells.integrate(np.abs(cells.flux(f))

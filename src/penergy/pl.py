@@ -451,24 +451,37 @@ class ProductApprox:
     sup_error: float
 
 
+def _split_counts(width: np.ndarray, refine: int) -> np.ndarray:
+    """Parts per cell of the given widths: ``refine``, or fewer where the
+    parts would be narrower than 2 GEOM_TOL, and at least one."""
+    return np.minimum(np.maximum(width // (2.0 * GEOM_TOL), 1.0),
+                      refine).astype(np.int64)
+
+
 def refined_grid(grids, refine: int) -> tuple[np.ndarray, np.ndarray]:
     """The merged grid of the given node arrays, and that grid with each
-    cell split into ``refine`` equal parts."""
+    cell split into equal parts, ``_split_counts`` of them: so no part is
+    narrower than GEOM_TOL, and the split points round to distinct nodes."""
     base = _merge_sorted_grids(*grids)
-    _check_cap((base.size - 1) * refine + 1)
-    t = np.linspace(0.0, 1.0, refine + 1)[:-1]
-    cells = base[:-1][:, None] + (base[1:] - base[:-1])[:, None] * t[None, :]
-    return base, np.append(cells.ravel(), base[-1])
+    width = base[1:] - base[:-1]
+    parts = _split_counts(width, refine)
+    _check_cap(int(parts.sum()) + 1)
+    cell = np.repeat(np.arange(parts.size), parts)
+    k = np.arange(cell.size) - np.repeat(parts.cumsum() - parts, parts)
+    return base, np.append(base[:-1][cell]
+                           + width[cell] * (k * (1.0 / parts[cell])),
+                           base[-1])
 
 
 def pl_product(f: PLFunction, g: PLFunction, refine: int = 8) -> ProductApprox:
     """Piecewise-linear interpolant of the product f*g.
 
-    The merged grid is split ``refine``-fold per piece and the product is
-    interpolated through the resulting nodes.  The true product is piecewise
-    quadratic, so the interpolation error on a cell of width h is exactly
-    |f'||g'| h^2 / 4 at the midpoint, which is what ``sup_error`` reports
-    (maximised over cells).
+    The merged grid is split ``refine``-fold per piece (less on pieces
+    narrower than 2 ``refine`` GEOM_TOL, see :func:`refined_grid`) and the
+    product is interpolated through the resulting nodes.  The true product
+    is piecewise quadratic, so the interpolation error on a part of width h
+    is exactly |f'||g'| h^2 / 4 at its midpoint, which is what
+    ``sup_error`` reports (maximised over parts).
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -478,7 +491,7 @@ def pl_product(f: PLFunction, g: PLFunction, refine: int = 8) -> ProductApprox:
     prod = PLFunction(*_prune_collinear(grid, fv * gv))
 
     width = base[1:] - base[:-1]
-    h = width / refine
+    h = width / _split_counts(width, refine)
     fb, gb = f.evaluate(base), g.evaluate(base)
     fs = (fb[1:] - fb[:-1]) / width
     gs = (gb[1:] - gb[:-1]) / width

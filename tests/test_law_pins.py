@@ -131,7 +131,7 @@ RESULTS = {
         "105a718e0989c6cf2e55959272678f109f27d9acc3d3a1e3969a47dd16d4cea9"),
     "outer_measure_lb": (
         _outer_measure_lb,
-        "8de3d320177957e79fa700cbf5959dd90f5411b76b6f5b550ecae34a20a6beee"),
+        "1370e7e361f6db7e6a549055e199eee5f21fc7676b91f776c14623a7cb215911"),
     "check_fold_identity": (
         _fold_identity,
         "2e23d1de262e7879daf03277d5dbdfded700d472c7c84c0dd7c2d982e504f4e4"),

@@ -178,6 +178,27 @@ def test_power_interp_tracks_truth():
     assert gap <= approx.sup_error * 1.5 + 1e-9
 
 
+def test_refinement_of_a_narrow_cell_keeps_parts_apart():
+    # breakpoints 2e-12 apart: split eight or sixteen ways, the parts of
+    # that cell would be narrower than GEOM_TOL and rejected; it stays one
+    # part, and the error bounds cover the parts as used
+    f = PLFunction([0.0, 0.5, 0.5 + 2e-12, 1.0], [0.0, 1.0, 1.5, 0.0])
+    g = PLFunction(f.breakpoints, [1.0, 0.0, 0.5, 0.0])
+    probe = np.concatenate((GRID, 0.5 + np.linspace(0.0, 2e-12, 9)))
+    product, power = pl_product(f, g, 8), pl_power_interp(f, 1.5)
+    for approx in (product, power):
+        x = approx.fn.breakpoints
+        assert np.min(x[1:] - x[:-1]) > GEOM_TOL
+    gap = np.max(np.abs(product.fn.evaluate(probe) - f(probe) * g(probe)))
+    assert gap <= product.sup_error + 1e-12
+    # |f'||g'| h^2 / 4 with h the narrow cell's whole width
+    h = f.breakpoints[2] - 0.5
+    assert product.sup_error == pytest.approx(0.25 * (0.5 / h) ** 2 * h * h,
+                                              rel=1e-9)
+    gap = np.max(np.abs(power.fn.evaluate(probe) - np.abs(f(probe)) ** 1.5))
+    assert gap <= power.sup_error * 1.5 + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # sublevel sets and the cell identity
 
