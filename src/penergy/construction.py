@@ -13,28 +13,33 @@ the window the lid sits at the fold's peak and f keeps its plain energy,
 and 2^-n outside it the lid is 0.  That plateau, f's energy on the
 window, is exact.  Only the bands in between need the fold's nodes.  One
 producer, :func:`_window_runs`, cuts those bands at the nodes of f, g and
-the weight for every witness, and one ragged kernel, :func:`_band_energy`,
-integrates them.  The identity's band is [a, a + 2^-n] itself.  A general
-witness's band is cut at the exact crossings of its two levels, where the
-lid is 2^-n and 0, so its lid is the paper's clip(a + 2^-n - g, 0, 2^-n),
-however narrow the band.  A band crossed at slope |g'| is 2^-n / |g'|
-wide and carries at most w 2^-n (|g'|^(p-1) + |f'|^p / |g'|), so the
-level energies of a steep witness fall to the plateau like 2^-n, slowly
-when |g'|^(p-1) is large.  One level loop, :func:`_drive`, runs groups
-(one function f with its windows) through the levels in lock-step: each
-group stops once all its thresholds, band residual included, are quiet,
-and its rows, numbered once per batch, are then masked out of the one
-kernel call per level.  A group's rows, stop level and trace do not depend
-on the other groups in its batch.
+the weight for every witness, the identity included: its rows are those
+of the witness h = x on the cells of f and the weight.  One ragged kernel,
+:func:`_band_energy`, integrates them.  A band is cut at the exact
+crossings of its two levels, where the lid is 2^-n and 0, so the lid is
+the paper's clip(a + 2^-n - g, 0, 2^-n), however narrow the band.  Each
+row reads f's value at its cell's left end, and f's slope and the weight
+on its cell, once per batch, from the partition the plateau is read from;
+the kernel takes slopes, not end values, so no slope is taken again from
+two rounded values.  A band crossed at slope |g'| is 2^-n / |g'| wide and
+carries at most w 2^-n (|g'|^(p-1) + |f'|^p / |g'|), so the level
+energies of a steep witness fall to the plateau like 2^-n, slowly when
+|g'|^(p-1) is large.  One level loop, :func:`_drive`, runs groups (one
+function f with its windows) through the levels in lock-step: each group
+stops once all its thresholds, band residual included, are quiet, and its
+rows, numbered once per batch, are then masked out of the one kernel call
+per level.  A group's rows, stop level and trace do not depend on the
+other groups in its batch.
 
 An identity threshold need not run the early levels, which mostly confirm
-the 2^-n decay of its band.  When the batch is built, :func:`_first_levels`
-bounds each band from the cells it crosses, rounding included
-(:func:`_band_bounds`), and gives a group's thresholds a later first level
-where the bounds prove that the run from there has the same values, stop
-level, quiet steps and misses as the run from n_min.  The levels listed
-stay n_min..stop, and a trace runs a late threshold's skipped levels when
-it is asked for.
+the 2^-n decay of its band.  On an identity row the lid has slope -1 and
+f the slope of its cell, so the row's band carries between w min(1,
+|f'|^p) and w max(1, |f'|^p) times its width.  When the batch is built,
+:func:`_first_levels` sums those bounds (:func:`_band_bounds`) and gives a
+group's thresholds a later first level where they prove that the run from
+there has the same values, stop level, quiet steps and misses as the run
+from n_min.  The levels listed stay n_min..stop, and a trace runs a late
+threshold's skipped levels when it is asked for.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -50,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import PLIntervalForm
+from .forms import Cells, PLIntervalForm
 from .pl import (
     GEOM_TOL,
     MAX_CUT_LEVEL,
@@ -254,21 +259,21 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
                  p: float) -> np.ndarray:
     """Energy of min(T_n o f, lid) over band pieces, summed per owner.
 
-    ``pieces`` holds per-piece arrays (x0, x1, v0, v1, l0, l1, w): on
-    [x0, x1], with x0 < x1, f runs affinely from v0 to v1, the lid from l0
-    to l1, and the weight is w; ``owner`` maps each piece to one of
+    ``pieces`` holds per-piece arrays (x0, x1, v0, fs, l0, ls, w): on
+    [x0, x1], with x0 < x1, f runs from v0 at slope fs, the lid from l0 at
+    slope ls, and the weight is w; ``owner`` maps each piece to one of
     ``size`` thresholds.  Every piece is cut at the preimages of the
     half-period lattice k 2^-n, where the fold peaks (odd k) or vanishes
-    (even k).  Between cuts fold and lid are both affine, so the lower one
-    changes at most once, at the root of their difference.  Folding keeps
-    |f'|, so the fold carries w |f'|^p and the lid w |lid'|^p on the
-    stretches where each is lower.  Owners must not decrease from piece to
-    piece.
+    (even k); a preimage rounds to at most x1, so the stretches of a piece
+    add up to its width.  Between cuts fold and lid are both affine, so the
+    lower one changes at most once, at the root of their difference.
+    Folding keeps |f'|, so the fold carries w |f'|^p and the lid w
+    |lid'|^p on the stretches where each is lower.  Owners must not
+    decrease from piece to piece.
     """
-    x0, x1, v0, v1, l0, l1, w = pieces
+    x0, x1, v0, fs, l0, ls, w = pieces
     eps = 2.0 ** (-n)
-    fs = (v1 - v0) / (x1 - x0)
-    ls = (l1 - l0) / (x1 - x0)
+    v1 = v0 + fs * (x1 - x0)
     kmin = np.floor(np.minimum(v0, v1) / eps).astype(np.int64) + 1
     kmax = np.ceil(np.maximum(v0, v1) / eps).astype(np.int64) - 1
     count = np.maximum(kmax - kmin + 1, 0)
@@ -296,7 +301,8 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
         ip = piece[inner]
         k = np.where(fs[ip] > 0.0, kmin[ip] + pos[inner] - 1,
                      kmax[ip] - pos[inner] + 1)
-        x[inner] = x0[ip] + (k * eps - v0[ip]) / fs[ip]
+        # k 2^-n - v0 has the sign of fs, so a crossing is never below x0
+        x[inner] = np.minimum(x[inner], x0[ip] + (k * eps - v0[ip]) / fs[ip])
         y[inner] = eps * (k & 1)
         d = y - (l0[piece] + ls[piece] * (x - x0[piece]))
 
@@ -447,21 +453,6 @@ def _drive(energies_at, groups, first: np.ndarray, sched: FoldSchedule,
     return runs
 
 
-def _evaluate(fns, fn: np.ndarray, *xs) -> list:
-    """fns[k] at each x entry, k = fn there (sorted): one call per run of k."""
-    if fn.size == 0 or fn[0] == fn[-1]:
-        return [fns[fn[0] if fn.size else 0].evaluate(x) for x in xs]
-    ends = (np.flatnonzero(fn[1:] != fn[:-1]) + 1).tolist() + [fn.size]
-    runs = list(zip(fn[[0] + ends[:-1]].tolist(), [0] + ends[:-1], ends))
-    return [np.concatenate([fns[k].evaluate(x[i:j]) for k, i, j in runs])
-            for x in xs]
-
-
-def _columns(rows: list, names: tuple) -> dict | None:
-    """One array per named column over all the row tuples; None if none."""
-    return dict(zip(names, map(_cat, zip(*rows)))) if rows else None
-
-
 def _live(table: dict, live: np.ndarray) -> dict:
     """The rows of live thresholds: the table itself while all are."""
     keep = live[table["owner"]]
@@ -471,7 +462,7 @@ def _live(table: dict, live: np.ndarray) -> dict:
 def _preimage(x0, x1, s0, s1, level):
     """Where s, affine from s0 at x0 to s1 at x1, meets the level, clamped
     to [x0, x1]; a flat s gives x0 below it, x1 above it and NaN on it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.clip(x0 + (level - s0) / (s1 - s0) * (x1 - x0), x0, x1)
 
 
@@ -487,74 +478,47 @@ def _band_rows(h0, h1, c, eps):
     return t[sort], cell[sort]
 
 
-#: The kernel's rounding, as bounds on what it reads.  A slope of f taken
-#: from two interpolated values is off by at most _RHO (|f'| + max|f| /
-#: width) of the piece; the lid's slope is exactly -1 where the threshold
-#: is at least twice the widest band, and off by at most _RHO (1 + (2^-n_min
-#: + 2^-52) / width) below that; nodes between a piece's ends overshoot
-#: them by at most 2^-51 each, within _PAD for both; and the products and
-#: sums of a band, up to 2^22 terms, stay within a factor 1 +- _KAPPA.  A
-#: piece no wider than _PAD may take the weight of the next cell, so its
-#: energy is bounded by nothing finite.
-_RHO, _PAD, _KAPPA = 2.0 ** -48, 2.0 ** -49, 2.0 ** -30
+def _band_ends(r: dict, top):
+    """[x0, x1] of each row's band, where h, affine from ha at xa to hb at
+    xb, lies in (c, top): the cell cut at the exact crossings of c (xc,
+    found once) and of top.  A flat h is all band or none."""
+    at_top = _preimage(r["xa"], r["xb"], r["ha"], r["hb"], top)
+    return np.minimum(r["xc"], at_top), np.maximum(r["xc"], at_top)
+
+
+#: The kernel's rounding, as a bound on what it sums: the products and sums
+#: of a band, up to 2^22 terms, stay within a factor 1 +- _KAPPA.
+_KAPPA = 2.0 ** -30
 #: (pair, level) entries per bounds call in the search for late starts
 _BOUND_CHUNK = 1 << 15
-#: the columns of an identity pair that its bounds read
-_RATES = ("c", "xa", "xb", "x0", "w", "S", "q")
+#: the columns of an identity row that its bounds read
+_RATES = ("c", "xa", "xb", "ha", "hb", "xc", "w", "S")
 
 
-def _cell_rates(form: PLIntervalForm, f: PLFunction, grid: np.ndarray):
-    """Per cell of the grid: its weight w, S = |f'|^p and q = _RHO p max|f|
-    / |f'| (0 where f is flat).  A cell with a node of f or of the weight
-    strictly inside, one that the grid merged into a neighbour, has no
-    single slope: it gets q = inf."""
-    bp, wb = f.breakpoints, form.weight_bounds
-    jf, jw = (np.searchsorted(v, grid[:-1], side="right") for v in (bp, wb))
-    mixed = (jf != np.searchsorted(bp, grid[1:], side="left")) \
-        | (jw != np.searchsorted(wb, grid[1:], side="left"))
-    slope = np.abs(f.slopes)[np.clip(jf - 1, 0, bp.size - 2)]
-    q = np.divide(_RHO * form.p * np.abs(f.values).max(), slope,
-                  out=np.zeros_like(slope), where=slope > 0.0)
-    q[mixed] = np.inf
-    return (form.weight_values[np.clip(jw - 1, 0, wb.size - 2)],
-            slope ** form.p, q)
+def _band_bounds(r: dict, level: np.ndarray, owner: np.ndarray, size: int):
+    """L <= band <= U for the band energy the kernel gives the identity rows
+    of table ``r`` at the levels of the matching row of ``level`` (shape
+    (rows or 1, k)); each is summed per ``owner`` of ``size`` and level
+    column, shape (size, k).
 
-
-def _band_bounds(form: PLIntervalForm, r: dict, level: np.ndarray,
-                 owner: np.ndarray, size: int, eps_max: float):
-    """L <= band <= U, rounding included, for the band energy the kernel
-    gives the identity pairs of table ``r`` at the levels of the matching
-    row of ``level`` (shape (pairs or 1, k)); each is summed per ``owner``
-    of ``size`` and level column, shape (size, k).
-
-    On each stretch of a piece the fold, of weight w |f'|^p, or the lid,
-    of slope -1 and weight w, is the lower, so the piece carries between
-    w min(1, |f'|^p) and w max(1, |f'|^p) times its width; the slopes the
-    kernel reads are off by the margins above, relative ones t with (1 -
-    t)^p >= 1 - p t and, while p t <= 1, (1 + t)^p <= 1 + 2 p t.  L never
-    grows with the level: each pair's term only shrinks with its width.
+    On an identity row the lid has slope -1 exactly and f the slope fs of
+    its cell, S = |fs|^p, so on each stretch of the band the lid, of weight
+    w, or the fold, of weight w S, is the lower: the row carries between w
+    min(1, S) and w max(1, S) times the width of its band, read from
+    :func:`_band_ends` as the kernel's producer reads it.  L never grows
+    with the level: each row's band only shrinks.
     """
-    rho, k = _RHO * form.p, level.shape[1]
-    c, xa, xb, x0, w, S, q = (r[name][:, None] for name in _RATES)
-    span = np.minimum(np.maximum(c + np.ldexp(1.0, -level), xa), xb) - x0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / span
-        fold = rho + q * inv  # p t for f's slope, then the lid's
-        lid = rho + np.where(c < 2.0 * eps_max,
-                             rho * (eps_max + 2.0 ** -52), 0.0) * inv
-        loose = (np.maximum(fold, lid) > 1.0) | (span <= _PAD)
-        lo = w * span * np.minimum(1.0 - lid, S * (1.0 - fold))
-        hi = w * (span + _PAD) * np.maximum(1.0 + 2.0 * lid,
-                                            S * (1.0 + 2.0 * fold))
+    col = {name: r[name][:, None] for name in _RATES}
+    x0, x1 = _band_ends(col, col["c"] + np.ldexp(1.0, -level))
+    span, k = col["w"] * np.where(x1 > x0, x1 - x0, 0.0), level.shape[1]
     at = (owner[:, None] * k + np.arange(k)).ravel()
-    return (np.bincount(at, np.where(loose, 0.0, lo).ravel(), size * k)
-            .reshape(size, k) * (1.0 - _KAPPA),
-            np.bincount(at, np.where(span > 0.0, np.where(
-                loose, np.inf, hi), 0.0).ravel(), size * k)
-            .reshape(size, k) * (1.0 + _KAPPA))
+    return tuple(np.bincount(at, (span * rate).ravel(), size * k)
+                 .reshape(size, k) * (1.0 + side * _KAPPA)
+                 for rate, side in ((np.minimum(col["S"], 1.0), -1.0),
+                                    (np.maximum(col["S"], 1.0), 1.0)))
 
 
-def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
+def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
                   is_ident: np.ndarray, drive, sched: FoldSchedule,
                   tol: float) -> np.ndarray:
     """Each threshold's first level: n_min, or a later level s chosen per
@@ -578,10 +542,12 @@ def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
     always start at n_min.
     """
     n_min, count = sched.n_min, sched.stall_count
-    size, eps_max = plateau.size, 2.0 ** (-n_min)
+    size = plateau.size
     first = np.full(size, n_min)
-    if ident is None:
+    if not is_ident.any():
         return first
+    ident = _live(table, is_ident)
+    ident = {**ident, "S": np.abs(ident["fs"]) ** form.p}
     sizes = np.array([t.size for t, _ in drive], dtype=int)
     reference = np.array([e for _, e in drive], dtype=float)
     group = np.repeat(np.arange(sizes.size), sizes)
@@ -589,8 +555,7 @@ def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
 
     # the probe: per group, the threshold whose own cell, the one from
     # its threshold on, has the largest w min(1, |f'|^p)
-    own = (ident["xa"] <= ident["c"]) & (ident["c"] < ident["xb"]) \
-        & np.isfinite(ident["q"])
+    own = (ident["xa"] <= ident["c"]) & (ident["c"] < ident["xb"])
     rate = np.bincount(owner, np.where(own, ident["w"] * np.minimum(
         ident["S"], 1.0), 0.0), size)
     filled = sizes > 0
@@ -605,8 +570,8 @@ def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
     pick = np.flatnonzero(is_probe[owner])
     slot = (np.cumsum(is_probe) - 1)[owner[pick]]
     levels = np.arange(n_min, sched.n_max + 1)
-    low, high = _band_bounds(form, {k: ident[k][pick] for k in _RATES},
-                             levels[None, :], slot, probe.size, eps_max)
+    low, high = _band_bounds({k: ident[k][pick] for k in _RATES},
+                             levels[None, :], slot, probe.size)
     busy = low[:, 1:] > tol * (reference[usable][:, None] + np.maximum(
         high[:, 1:], high[:, :-1])) * (1.0 + 2.0 ** -40)
     busy &= levels[1:] + count <= sched.n_max
@@ -620,8 +585,8 @@ def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
     # n_min, ... with plateau + L_m >= plateau + U at the earliest stop,
     # up to cap; k lies in [lo, hi], and each round tests levels spread
     # over that range
-    _, top = _band_bounds(form, ident, (proof + count)[group][owner, None],
-                          owner, size, eps_max)
+    _, top = _band_bounds(ident, (proof + count)[group][owner, None], owner,
+                          size)
     ceiling = plateau + top[:, 0]
     lo, hi = np.zeros(size, dtype=int), np.where(is_ident, cap, 0)
     while True:
@@ -636,10 +601,8 @@ def _first_levels(form: PLIntervalForm, ident, plateau: np.ndarray,
         gap = (hi - lo)[rows]
         test = lo[rows, None] + (gap[:, None] * np.arange(1, k + 1) + k) \
             // (k + 1)  # (row, j) counts to test, spread over [lo+1, hi]
-        low, _ = _band_bounds(form, {name: ident[name][keep]
-                                     for name in _RATES},
-                              n_min - 1 + test[rank], rank, rows.size,
-                              eps_max)
+        low, _ = _band_bounds({name: ident[name][keep] for name in _RATES},
+                              n_min - 1 + test[rank], rank, rows.size)
         ok = plateau[rows, None] + low >= ceiling[rows, None]
         lo[rows] = np.max(np.where(ok, test, lo[rows, None]), axis=1)
         hi[rows] = np.min(np.where(ok, hi[rows, None], test - 1), axis=1)
@@ -664,125 +627,89 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     plateau, f's energy on the window, is read once off its cumulative
     energy.  Only the bands g in (hi, hi + 2^-n) and (lo - 2^-n, lo) need
     the fold's nodes, and each level sends all of them through one kernel
-    call.  The identity's band is [a, a + 2^-n] with the lid a + 2^-n - x,
-    cut at the cells of f and the weight that meet it at the first level.
-    A general witness has one row per threshold c, side h and cell of the
-    grid of f, the weight and g, where the cell's range of h = g (for c =
-    hi) or h = -g (for c = -lo) meets the band (c, c + 2^-n) at the first
-    level; the row keeps the cell's weight.  Each level cuts the cell down
-    to its band at the exact crossings of c, where the lid is 2^-n, and of
-    c + 2^-n, where it is 0; at a cell end inside the band the lid is c +
-    2^-n - h.  Thresholds, identity pairs and witness rows are numbered
-    once, with their group's index, when the batch is built; a stopped
-    group's rows are masked out.
+    call.  A row is one threshold c, side h and cell of the grid x of f,
+    the weight and g, where the cell's range of h = g (for c = hi) or h =
+    -g (for c = -lo) meets the band (c, c + 2^-n) at the first level; the
+    identity's grid is that of f and the weight, and its h is x.  Each row
+    reads, once, f's value at the cell's left end and f's slope and the
+    weight on the cell of :class:`Cells` holding it, the partition the
+    plateau is read from.  Each level cuts the cell down to its band at the
+    exact crossings of c, where the lid is 2^-n, and of c + 2^-n, where it
+    is 0; at a cell end inside the band the lid is c + 2^-n - h.
+    Thresholds and rows are numbered once, when the batch is built; a
+    stopped group's rows are masked out.
     """
     eps_max = 2.0 ** (-sched.n_min)
-    fns, drive, plateau, ident, wit = [], [], [], [], []
-    idents = []  # the identity blocks' thresholds, as (first, end) pairs
+    drive, plateau, rows, is_ident = [], [], [], []
     start = 0  # thresholds so far
-    for k, (f, blocks) in enumerate(groups):
-        grid, cum = form.cumulative_energy(f)
-        his, per_cell = [], None
+    for f, blocks in groups:
+        cells = Cells(form, f)
+        grid, fs = cells.nodes, cells.slope(f)
+        cum = cells.cumulative(cells.mass(f))
+        his = []
         for g, lo, hi in blocks:
+            sides = 1 if lo is None else 2
             hi = np.asarray(hi, dtype=float)
             lo = np.broadcast_to(np.asarray(-np.inf if lo is None else lo,
                                             dtype=float), hi.shape)
             if np.isnan(hi).any() or np.isnan(lo).any():
                 raise ValueError("fold-limit thresholds must not be NaN")
             his.append(hi)
+            is_ident.append(np.full(hi.size, g is None))
             row0, start = start, start + hi.size
             if g is None:
+                x = gx = grid
                 plateau.append(np.interp(hi, grid, cum))
-                t, cell = _band_rows(grid[:-1], grid[1:], hi, eps_max)
-                per_cell = per_cell or _cell_rates(form, f, grid)
-                xa, xb = grid[cell], grid[cell + 1]
-                x0 = np.clip(hi[t], xa, xb)  # the band's left end, any level
-                ident.append((t + row0, np.full(t.size, k), hi[t], xa, xb,
-                              x0, f.evaluate(x0),
-                              *(v[cell] for v in per_cell)))
-                idents.append((row0, start))
-                continue
-            x = _merge_sorted_grids(grid, g.breakpoints)
-            gx = g.evaluate(x)
-            # the plateau: f's energy where lo <= g <= hi, cell by cell (a
-            # flat cell all or nothing)
-            ga, gb, top, bottom = gx[:-1], gx[1:], hi[:, None], lo[:, None]
-            p0, p1 = (_preimage(x[:-1], x[1:], ga, gb, v)
-                      for v in (bottom, top))
-            a0 = np.where(ga == gb, x[:-1], np.minimum(p0, p1))
-            a1 = np.where(ga == gb, np.where((bottom <= ga) & (ga <= top),
-                                             x[1:], x[:-1]),
-                          np.maximum(p0, p1))
-            plateau.append(np.sum(np.where(a1 > a0, np.interp(
-                a1, grid, cum) - np.interp(a0, grid, cum), 0.0), axis=1))
-            # each cell lies in one weight cell: its weight is read once
-            w = form.weight_at(0.5 * (x[:-1] + x[1:]))
-            for h, c in ((gx, hi), (-gx, -lo)):
+            else:
+                x = _merge_sorted_grids(grid, g.breakpoints)
+                gx = g.evaluate(x)
+                # the plateau: f's energy where lo <= g <= hi, cell by cell
+                # (a flat cell all or nothing)
+                ga, gb, top, bottom = gx[:-1], gx[1:], hi[:, None], lo[:, None]
+                p0, p1 = (_preimage(x[:-1], x[1:], ga, gb, v)
+                          for v in (bottom, top))
+                a0 = np.where(ga == gb, x[:-1], np.minimum(p0, p1))
+                a1 = np.where(ga == gb, np.where(
+                    (bottom <= ga) & (ga <= top), x[1:], x[:-1]),
+                    np.maximum(p0, p1))
+                plateau.append(np.sum(np.where(a1 > a0, np.interp(
+                    a1, grid, cum) - np.interp(a0, grid, cum), 0.0), axis=1))
+            # each cell of x lies in one cell of the partition
+            at = np.searchsorted(grid, 0.5 * (x[:-1] + x[1:])) - 1
+            fx = f.evaluate(x)
+            for h, c in ((gx, hi), (-gx, -lo))[:sides]:
                 t, cell = _band_rows(h[:-1], h[1:], c, eps_max)
-                wit.append((t + row0, np.full(t.size, k), c[t], x[cell],
-                            x[cell + 1], h[cell], h[cell + 1], w[cell]))
-        fns.append(f)
+                xa, xb, ha, hb = x[cell], x[cell + 1], h[cell], h[cell + 1]
+                rows.append((t + row0, c[t], xa, xb, ha, hb,
+                             _preimage(xa, xb, ha, hb, c[t]),
+                             (ha - hb) / (xb - xa), fx[cell], fs[at[cell]],
+                             cells.weight[at[cell]]))
         drive.append((_cat(his), float(cum[-1])))
-    plateau, size = _cat(plateau), start
-    ident = _columns(ident, ("owner", "group", "c", "xa", "xb", "x0", "v0",
-                             "w", "S", "q"))
-    # the bounds' columns stay out of the table the level loop filters
-    rates = {k: ident.pop(k) for k in ("w", "S", "q")} if ident else {}
-    wit = _columns(wit, ("owner", "group", "c", "xa", "xb", "ha", "hb", "w"))
-    if wit is not None:  # the two sides' rows, by owner
-        order = np.argsort(wit["owner"], kind="stable")
-        wit = {name: v[order] for name, v in wit.items()}
+    plateau, size, is_ident = _cat(plateau), start, _cat(is_ident)
+    rows = dict(zip(("owner", "c", "xa", "xb", "ha", "hb", "xc", "ls", "fa",
+                     "fs", "w"), map(_cat, zip(*rows))))
+    owner = rows["owner"]
+    if (owner[1:] < owner[:-1]).any():  # a window's two sides, by owner
+        order = np.argsort(owner, kind="stable")
+        rows = {name: v[order] for name, v in rows.items()}
     live = {}
 
-    def energies_at(n, rows):
-        if live.get("key") != rows.tobytes():
-            live.update(key=rows.tobytes(), **{
-                name: _live(table, rows) for name, table
-                in (("ident", ident), ("wit", wit)) if table is not None})
-        eps = 2.0 ** (-n)
-        parts, owners = [], []
-        if ident is not None:
-            r = live["ident"]
-            x0, x1 = r["x0"], np.clip(r["c"] + eps, r["xa"], r["xb"])
-            keep = np.flatnonzero(x1 > x0)
-            x0, x1, c, v0 = x0[keep], x1[keep], r["c"][keep], r["v0"][keep]
-            v1, = _evaluate(fns, r["group"][keep], x1)
-            parts.append((x0, x1, v0, v1, c + eps - x0, c + eps - x1,
-                          form.weight_at(0.5 * (x0 + x1))))
-            owners.append(r["owner"][keep])
-        if wit is not None:
-            r = live["wit"]
-            c, xa, xb, ha, hb = (r[k] for k in ("c", "xa", "xb", "ha", "hb"))
-            top, up = c + eps, hb >= ha
-            at_c, at_top = (_preimage(xa, xb, ha, hb, v) for v in (c, top))
-            # the band reaches a cell end where h there lies inside it;
-            # elsewhere it ends at the crossing of the level h leaves by
-            # (a flat cell, taken as rising, is all band or none)
-            in_a, in_b = np.where(up, ha > c, ha < top), np.where(
-                up, hb < top, hb > c)
-            x0 = np.where(in_a, xa, np.where(up, at_c, at_top))
-            x1 = np.where(in_b, xb, np.where(up, at_top, at_c))
-            l0 = np.where(in_a, top - ha, np.where(up, eps, 0.0))
-            l1 = np.where(in_b, top - hb, np.where(up, 0.0, eps))
-            keep = np.flatnonzero(x1 > x0)
-            x0, x1, l0, l1 = x0[keep], x1[keep], l0[keep], l1[keep]
-            v0, v1 = _evaluate(fns, r["group"][keep], x0, x1)
-            parts.append((x0, x1, v0, v1, l0, l1, r["w"][keep]))
-            owners.append(r["owner"][keep])
-        owner = _cat(owners)
-        pieces = parts[0] if len(parts) == 1 else tuple(
-            map(np.concatenate, zip(*parts)))
-        if len(parts) > 1:  # witness rows after the identity's: by owner
-            order = np.argsort(owner, kind="stable")
-            owner, pieces = owner[order], tuple(v[order] for v in pieces)
-        band = _band_energy(pieces, owner, size, n, form.p)
+    def energies_at(n, run):
+        if live.get("key") != run.tobytes():
+            live.update(key=run.tobytes(), rows=_live(rows, run))
+        r, eps = live["rows"], 2.0 ** (-n)
+        top = r["c"] + eps
+        x0, x1 = _band_ends(r, top)
+        keep = np.flatnonzero(x1 > x0)
+        x0, x1, top = x0[keep], x1[keep], top[keep]
+        xa, ha, fa, fs, ls, w, owner = (r[name][keep] for name in (
+            "xa", "ha", "fa", "fs", "ls", "w", "owner"))
+        band = _band_energy((x0, x1, fa + fs * (x0 - xa), fs,
+                             np.clip(top - ha, 0.0, eps), ls, w),
+                            owner, size, n, form.p)
         return plateau + band, band
 
-    is_ident = np.zeros(size, dtype=bool)
-    for lo, hi in idents:
-        is_ident[lo:hi] = True
-    first = _first_levels(form, ident and {**ident, **rates}, plateau,
-                          is_ident, drive, sched, tol)
+    first = _first_levels(form, rows, plateau, is_ident, drive, sched, tol)
     return _drive(energies_at, drive, first, sched, tol)
 
 
@@ -1000,7 +927,7 @@ class EnergyMeasure:
             raise ValueError("need at least two nodes")
         if masses.shape != (nodes.size - 1,):
             raise ValueError("need one mass per cell")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not np.all(np.diff(nodes) > 0.0):  # a NaN fails this too
             raise ValueError("nodes must be strictly increasing")
         self.nodes = nodes
         self.masses = masses
@@ -1025,6 +952,8 @@ class EnergyMeasure:
         dens = self.density
         total = 0.0
         for lo, hi in comps:
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("a target's ends must not be NaN")
             left = np.maximum(self.nodes[:-1], lo)
             right = np.minimum(self.nodes[1:], hi)
             overlap = np.clip(right - left, 0.0, None)

@@ -603,3 +603,20 @@ def test_small_array_modules_call_no_numpy_wrappers():
                        and node.value.id in ("np", "numpy")
                        and node.attr in ("diff", "any", "all")})
         assert used == [], (name, used)
+
+
+def test_band_producer_reads_only_its_rows():
+    # f's values and slopes and the weight are read into the rows once per
+    # batch; the per-level producer and the band-ends helper it calls may
+    # not read them again
+    tree = ast.parse((SRC / "construction.py").read_text())
+    bodies = {node.name: node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("energies_at", "_band_ends", "_preimage")}
+    assert set(bodies) == {"energies_at", "_band_ends", "_preimage"}
+    for name, body in bodies.items():
+        called = {node.func.attr if isinstance(node.func, ast.Attribute)
+                  else getattr(node.func, "id", None)
+                  for node in ast.walk(body) if isinstance(node, ast.Call)}
+        assert not called & {"evaluate", "weight_at", "interp",
+                             "searchsorted"}, (name, called)

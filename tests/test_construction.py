@@ -6,6 +6,7 @@ deep-level behaviour against closed forms and the exact reference density.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -170,23 +171,45 @@ def _reference_case(k, delta):
     return f, g, glo, ghi
 
 
-REFERENCE_CASES = [(k, None, n) for k in (13, 14, 15) for n in (6, 9)] + [
-    (13, d, n) for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10) for n in (6, 9)] + [
-    (14, None, 12), (13, 1e-4, 12), (13, 1e-10, 12)]
+def _identity_threshold(f, where):
+    """A threshold for g = x: mid-cell, or 2^-52 below a breakpoint of f
+    or a bound of WEIGHTED, so that its band starts in a sliver."""
+    if where == "mid-cell":
+        return 0.5 * (f.breakpoints[1] + f.breakpoints[2])
+    return (f.breakpoints[2] if where == "f node" else WEIGHTED[0][1]) \
+        - 2.0 ** -52
 
 
-@pytest.mark.parametrize("two_sided", [False, True])
-@pytest.mark.parametrize("k,delta,n", REFERENCE_CASES)
+REFERENCE_CASES = [
+    (k, d, n, s) for k, d, n in
+    [(k, None, n) for k in (13, 14, 15) for n in (6, 9)]
+    + [(13, d, n) for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10) for n in (6, 9)]
+    + [(14, None, 12), (13, 1e-4, 12), (13, 1e-10, 12)]
+    for s in (False, True)] + [
+    (13, where, n, False) for where in ("mid-cell", "f node", "weight bound")
+    for n in (6, 9, 12)]
+
+
+@pytest.mark.parametrize("k,delta,n,two_sided", REFERENCE_CASES)
 def test_level_energy_matches_exact_reference(k, delta, n, two_sided):
-    f, g, glo, ghi = _reference_case(k, delta)
-    lo, hi = (glo + 0.3 * (ghi - glo) if two_sided else None,
-              glo + (0.7 if two_sided else 0.5) * (ghi - glo))
     ps = (1.5, 2.0, 3.0)
+    if isinstance(delta, str):
+        # the identity g = x, through the identity rows of _identity_run
+        f, g = SAMPLER.pl_pair(k)[0], PLFunction([0.0, 1.0], [0.0, 1.0])
+        lo, hi = None, _identity_threshold(f, delta)
+        sched = FoldSchedule(n, n)
+        got = [_identity_run(PLIntervalForm(p, weight=WEIGHTED), f, [hi],
+                             sched).energies[0, 0] for p in ps]
+    else:
+        f, g, glo, ghi = _reference_case(k, delta)
+        lo, hi = (glo + 0.3 * (ghi - glo) if two_sided else None,
+                  glo + (0.7 if two_sided else 0.5) * (ghi - glo))
+        got = [_one_level(PLIntervalForm(p, weight=WEIGHTED), f, g, lo, hi,
+                          n) for p in ps]
     exact = _exact_level(PLIntervalForm(2.0, weight=WEIGHTED), f, g, lo, hi,
                          n, ps)
-    for p, want in zip(ps, exact):
-        got = _one_level(PLIntervalForm(p, weight=WEIGHTED), f, g, lo, hi, n)
-        assert abs(got - want) <= _exact_bound(g, n) * want
+    for value, want in zip(got, exact):
+        assert abs(value - want) <= _exact_bound(g, n) * want
 
 
 # a witness flat at 0.4 on [0.25, 0.6]
@@ -688,6 +711,16 @@ def test_infinite_thresholds_give_the_limits_at_the_ends():
     assert F_value(form, f, IDENT, -np.inf).final == 0.0
 
 
+def test_huge_threshold_gives_the_energy_without_warning():
+    # on a cell where g rises by 0.5, the crossing of 1e308 lies 2e308
+    # cell widths on: it overflows to inf, which the clamp sends to the end
+    form, f = PLIntervalForm(2.0), PLFunction.tent()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = F_value(form, f, PLFunction([0.0, 1.0], [0.0, 1.0]), 1e308)
+    assert trace.final == form.energy(f)
+
+
 # ---------------------------------------------------------------------------
 # the energy measure
 
@@ -797,6 +830,15 @@ def test_measure_query_prorates_cells():
     assert m.measure(target) == pytest.approx(0.5 + 2.0)
     rows = m.to_rows()
     assert rows[0] == (0.0, 0.25, 4.0)
+
+
+def test_energy_measure_rejects_nan_nodes_and_targets():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EnergyMeasure([0.0, np.nan, 1.0], [1.0, 1.0])
+    m = EnergyMeasure([0.0, 0.5, 1.0], [1.0, 1.0])
+    for target in ((0.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            m.measure(target)
 
 
 def test_energy_measure_validation():

@@ -22,13 +22,13 @@ PINS = {
         "build-measure", "build_measure.csv",
         {"seed": 7, "resolution": 64,
          "function": {"kind": "tent", "peak": 0.4}},
-        "f999ebcb4ab6c74faf79dcbec4e4b52296b012ba04d0ec4621793815f2dc3c42"),
+        "8ce1f1b9cc82c0115798953ff4071b84c1f77f4b18ab688c81e976340761c0fd"),
     "build-measure 3-cell weight": (
         "build-measure", "build_measure.csv",
         {"seed": 7, "resolution": 64,
          "form": {"kind": "pl", "p": 3.0, "weight": WEIGHT3},
          "function": {"kind": "sample", "index": 3}},
-        "92aecc77c5fe787409f4796deb1e5b33ee3ce6d67c9d9df1bd065a3ccdf02136"),
+        "645bf917d885a442bcc43f9ef905c3b5dbe26a1de7813ac97514d016f65f6ac3"),
     "check-laws": (
         "check-laws", "check_laws.csv",
         {"seed": 7, "trials": 2,

@@ -21,8 +21,6 @@ from penergy.construction import (
     FoldSchedule,
     _band_bounds,
     _band_energy,
-    _band_rows,
-    _cell_rates,
     _identity_runs,
     _window_runs,
     energy_measure,
@@ -145,13 +143,10 @@ def test_negative_mass_error_traces_a_late_row(monkeypatch):
     assert np.all(np.isfinite(late.value.trace.energies))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_bounds_hold_the_kernel_band(seed):
-    # random bands, at every level up to 50: flat and steep pieces, zero
-    # and unit weights, and thresholds a few ulps off a node, whose bands
-    # end in slivers; the kernel's band must lie in [L, U]
-    rng = np.random.default_rng(seed)
-    checked = finite = 0
+def _random_bands(rng):
+    """(form, f, thresholds, levels): flat and steep pieces, zero and unit
+    weights, and thresholds a few ulps off a node, whose bands end in
+    slivers, at levels up to 50."""
     for _ in range(60):
         p = float(rng.choice([1.5, 2.0, 6.0]))
         x = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 3))))
@@ -164,33 +159,63 @@ def test_bounds_hold_the_kernel_band(seed):
             [0.0, 1.0]))), (cut, 1.0, float(rng.choice([0.5, 3.0])))])
         nodes = np.concatenate((f.breakpoints, form.weight_bounds))
         deep = np.ldexp(1.0, -rng.integers(6, 51, 16))
-        a = np.sort(np.concatenate((
+        yield form, f, np.sort(np.concatenate((
             rng.uniform(-0.05, 1.05, 16),
             rng.choice(nodes, 16) - deep
-            + rng.integers(-2, 3, 16) * 2.0 ** -53)))
-        grid, _ = form.cumulative_energy(f)
-        t, cell = _band_rows(grid[:-1], grid[1:], a, 2.0 ** -6)
-        w, s, q = (v[cell] for v in _cell_rates(form, f, grid))
-        xa, xb = grid[cell], grid[cell + 1]
-        table = dict(c=a[t], xa=xa, xb=xb, x0=np.clip(a[t], xa, xb), w=w,
-                     S=s, q=q)
-        for n in rng.integers(6, 51, 4):
-            eps = 2.0 ** -int(n)
-            x0, x1 = table["x0"], np.clip(a[t] + eps, xa, xb)
-            k = x1 > x0
-            c = a[t][k]
-            band = _band_energy(
-                (x0[k], x1[k], f.evaluate(x0[k]), f.evaluate(x1[k]),
-                 c + eps - x0[k], c + eps - x1[k],
-                 form.weight_at(0.5 * (x0[k] + x1[k]))),
-                t[k], a.size, int(n), p)
+            + rng.integers(-2, 3, 16) * 2.0 ** -53))), \
+            rng.integers(6, 51, 4).tolist()
+    # f near 16, whose ulp is four lattice steps at n = 50: a crossing
+    # taken from v0 can round past the band's end
+    yield (PLIntervalForm(2.0), PLFunction([0.0, 1.0], [17.0, 15.7]),
+           np.linspace(0.01, 0.99, 99), [48, 49, 50])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bounds_hold_the_kernel_band(monkeypatch, seed):
+    # bands through the producer: each row's band lies in its
+    # rounding-free range [w min(1, S), w max(1, S)] times its width, S =
+    # |f'|^p, and each threshold's in [L, U], with L > 0 where that range is
+    kernel, chooser = construction._band_energy, construction._first_levels
+    seen = {}
+
+    def kernel_spy(pieces, owner, size, n, p):
+        seen.update(pieces=pieces, owner=owner,
+                    band=kernel(pieces, owner, size, n, p))
+        return seen["band"]
+
+    def chooser_spy(form, rows, *args):
+        seen["rows"] = rows
+        return chooser(form, rows, *args)
+
+    monkeypatch.setattr(construction, "_band_energy", kernel_spy)
+    monkeypatch.setattr(construction, "_first_levels", chooser_spy)
+    checked = 0
+    for form, f, a, levels in _random_bands(np.random.default_rng(seed)):
+        p = form.p
+        for n in levels:
+            seen.clear()
+            _identity_runs(form, [(f, a)], FoldSchedule(n, n))
+            if "band" not in seen:  # E(f) = 0: no level runs
+                continue
+            x0, x1, _, fs, _, ls, w = seen["pieces"]
+            assert np.all(ls == -1.0)
+            one = kernel(seen["pieces"], np.arange(x0.size), x0.size, n, p)
+            width, s = w * (x1 - x0), np.abs(fs) ** p
+            assert np.all(one >= width * np.minimum(1.0, s) * (1.0 - 1e-12))
+            assert np.all(one <= width * np.maximum(1.0, s) * (1.0 + 1e-12))
+            rows = seen["rows"]
             low, high = (v[:, 0] for v in _band_bounds(
-                form, table, np.full((1, 1), n), t, a.size, 2.0 ** -6))
+                {**rows, "S": np.abs(rows["fs"]) ** p}, np.full((1, 1), n),
+                rows["owner"], a.size))
+            band = seen["band"]
             assert np.all(low <= band) and np.all(band <= high)
-            checked += int(np.sum(band > 0.0))
-            finite += int(np.sum((band > 0.0) & np.isfinite(high)
-                                 & (low > 0.0)))
-    assert finite > 0.5 * checked  # the bounds are seldom vacuous
+            assert np.all(np.isfinite(high))
+            # a threshold with a band of positive rate gets a positive L
+            rate = np.bincount(seen["owner"], width * np.minimum(1.0, s),
+                               a.size)
+            assert np.all(low[rate > 0.0] > 0.0)
+            checked += int(np.sum(rate > 0.0))
+    assert checked > 1000
 
 
 def test_anchor_sends_at_most_forty_percent_of_the_row_levels(monkeypatch):

@@ -49,17 +49,17 @@ CALLS = {
 
 PINS = {
     ("measure_clarkson", 1.5):
-        "301435c37ce6570e8c636b4dacd8e0d58ee80f022a20e942a7851a3fdb463c3c",
+        "248bd28db94a46b77c5cffd97d1e5ee6c5fb812cc2b4205eccd88c53e3f0229c",
     ("measure_clarkson", 3.0):
-        "8423c8b2585741e6570d8ebec4a8f9a938f002a172e7ec273ec03f30471e9061",
+        "68750907b872eb4507352f4fc7ee13af1e7dbbb318d3c469c6dae0e82e992ba8",
     ("measure_triangle", 1.5):
-        "c2b5174634c225cb4d9d395e6604f2e4be18718cb24a87cdb3b77e0b95215352",
+        "21ff81c4c1fd7a2ed0fc20dbccb0dd81295008615760e35e826c4440869a78b4",
     ("measure_triangle", 3.0):
-        "7b4d3efa241ff8f6d1fe2ddcc31ff5e294256edbfacb5204cc397f7150085cdc",
+        "e354c17ef7c2626e83237e25f05cd1d487aeb30ab3e18cdbef40bac381cd302f",
     ("locality", 1.5):
-        "45b7def3234501b57f46e06c3e94b79b2927c982995018d4a0aaef143e626470",
+        "5bde85bde8df22738ca8a402ea4e18fd3374fe580f67ded5cf91ef0a589ff3b9",
     ("locality", 3.0):
-        "3b57406c2a251b3a346cf8d27306d6629c5099ddb6145ee26f7e233036e49157",
+        "ddc3aaad8c6bcc3d57b471f47d3ea881c0777a32d05e066f147098788b067615",
     ("chain_rule", 1.5):
         "931b5a2abf3ec29b415cf100a28336de917eed719d75a9fdc8d7c0f0750f6f20",
     ("chain_rule", 3.0):
@@ -131,7 +131,7 @@ RESULTS = {
         "105a718e0989c6cf2e55959272678f109f27d9acc3d3a1e3969a47dd16d4cea9"),
     "outer_measure_lb": (
         _outer_measure_lb,
-        "1370e7e361f6db7e6a549055e199eee5f21fc7676b91f776c14623a7cb215911"),
+        "e1c65d7e94bf22774bee44ee3792cf450c26266f9c2808f43c050800f7d84e29"),
     "check_fold_identity": (
         _fold_identity,
         "2e23d1de262e7879daf03277d5dbdfded700d472c7c84c0dd7c2d982e504f4e4"),
