@@ -10,26 +10,28 @@ with a piecewise-constant density.
 The fold has 2^n pieces, so nothing here materialises it.  Every limit is
 one window lo <= g <= hi on a witness (lo = -inf for a sublevel set): on
 the window the lid sits at the fold's peak and f keeps its plain energy,
-and 2^-n outside it the lid is 0.  That plateau, f's energy on the
-window, is exact.  Only the bands in between need the fold's nodes.  One
-producer, :func:`_window_runs`, cuts those bands at the nodes of f, g and
-the weight for every witness, the identity included: its rows are those
-of the witness h = x on the cells of f and the weight.  One ragged kernel,
-:func:`_band_energy`, integrates them.  A band is cut at the exact
-crossings of its two levels, where the lid is 2^-n and 0, so the lid is
-the paper's clip(a + 2^-n - g, 0, 2^-n), however narrow the band.  Each
-row reads f's value at its cell's left end, and f's slope and the weight
-on its cell, once per batch, from the partition the plateau is read from;
-the kernel takes slopes, not end values, so no slope is taken again from
-two rounded values.  A band crossed at slope |g'| is 2^-n / |g'| wide and
-carries at most w 2^-n (|g'|^(p-1) + |f'|^p / |g'|), so the level
-energies of a steep witness fall to the plateau like 2^-n, slowly when
-|g'|^(p-1) is large.  One level loop, :func:`_drive`, runs groups (one
-function f with its windows) through the levels in lock-step: each group
-stops once all its thresholds, band residual included, are quiet, and its
-rows, numbered once per batch, are then masked out of the one kernel call
-per level.  A group's rows, stop level and trace do not depend on the
-other groups in its batch.
+and 2^-n outside it the lid is 0.  That plateau, f's energy on the window,
+is exact.  Only the bands in between need the fold's nodes.  One producer,
+:func:`_window_runs`, cuts those bands at the nodes of f, g and the weight
+for every witness, the identity included: its rows are those of the
+witness h = x on the cells of f and the weight.  One kernel,
+:func:`_band_energy`, integrates them in closed form: the lattice
+crossings of f cut a piece into a head, whole half-teeth and a tail, and
+the half-teeth sum as arithmetic series, so a piece costs the same at any
+slope.  A band is cut at the exact crossings of its two levels, where the
+lid is 2^-n and 0, so the lid is the paper's clip(a + 2^-n - g, 0, 2^-n),
+however narrow the band.  Each row reads f's value at its cell's left end,
+and f's slope and the weight on its cell, once per batch, from the
+partition the plateau is read from; the kernel takes slopes, not end
+values, so no slope is taken again from two rounded values.  A band
+crossed at slope |g'| is 2^-n / |g'| wide and carries at most w 2^-n
+(|g'|^(p-1) + |f'|^p / |g'|), so the level energies of a steep witness
+fall to the plateau like 2^-n, slowly when |g'|^(p-1) is large.  One level
+loop, :func:`_drive`, runs groups (one function f with its windows)
+through the levels in lock-step: each group stops once all its thresholds,
+band residual included, are quiet, and its rows, numbered once per batch,
+are then masked out of the one kernel call per level.  A group's rows,
+stop level and trace do not depend on the other groups in its batch.
 
 An identity threshold need not run the early levels, which mostly confirm
 the 2^-n decay of its band.  On an identity row the lid has slope -1 and
@@ -59,9 +61,7 @@ from .forms import Cells, PLIntervalForm
 from .pl import (
     GEOM_TOL,
     MAX_CUT_LEVEL,
-    PIECE_CAP,
     IntervalSet,
-    PieceCapError,
     PLFunction,
     _merge_sorted_grids,
     lattice,
@@ -245,14 +245,19 @@ def cell_function(f: PLFunction, g: PLFunction, a: float,
     return lattice(folded, lid, "min")
 
 
-#: fold nodes expanded per kernel step; bounds the kernel's scratch memory
-_NODE_CHUNK = 1 << 16
-
-
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and in-row position of every entry of rows of the given lengths."""
     row = np.repeat(np.arange(counts.size), counts)
     return row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+
+
+def _fold_below(span, d0, d1):
+    """The stretch of [0, span] on which d, affine from d0 to d1, is at most
+    0: the fold's share where d is fold minus lid."""
+    root = span * (d0 / (d0 - d1))
+    return np.where((d0 <= 0.0) & (d1 <= 0.0), span,
+                    np.where((d0 >= 0.0) & (d1 >= 0.0), 0.0,
+                             np.where(d0 < 0.0, root, span - root)))
 
 
 def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
@@ -262,65 +267,50 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
     ``pieces`` holds per-piece arrays (x0, x1, v0, fs, l0, ls, w): on
     [x0, x1], with x0 < x1, f runs from v0 at slope fs, the lid from l0 at
     slope ls, and the weight is w; ``owner`` maps each piece to one of
-    ``size`` thresholds.  Every piece is cut at the preimages of the
-    half-period lattice k 2^-n, where the fold peaks (odd k) or vanishes
-    (even k); a preimage rounds to at most x1, so the stretches of a piece
-    add up to its width.  Between cuts fold and lid are both affine, so the
-    lower one changes at most once, at the root of their difference.
-    Folding keeps |f'|, so the fold carries w |f'|^p and the lid w
-    |lid'|^p on the stretches where each is lower.  Owners must not
-    decrease from piece to piece.
+    ``size`` thresholds.  Folding keeps |f'|, so the fold carries w |f'|^p
+    and the lid w |lid'|^p on the stretches where each is lower.  The
+    preimages of the half-period lattice k 2^-n, where the fold peaks (odd
+    k) or vanishes (even k), cut a piece into three parts.  On the head,
+    before the first crossing, and the tail, after the last, fold and lid
+    are affine, so the lower one changes at most once, at their root.  On
+    each whole half-tooth in between, the fold runs its full height while
+    the lid stays in [0, 2^-n]: the fold is lower on one stretch at the
+    valley end, lambda / (|f'| - lid') long on a rising tooth and lambda /
+    (|f'| + lid') on a falling one, lambda the lid at the valley.  lambda
+    is affine in the crossing, so each kind sums as an arithmetic series,
+    and a piece costs the same at any slope.  The fold's share is kept in
+    [0, width], so a piece carries between w min(|f'|^p, |lid'|^p) and
+    w max(|f'|^p, |lid'|^p) times its width.
     """
     x0, x1, v0, fs, l0, ls, w = pieces
-    eps = 2.0 ** (-n)
-    v1 = v0 + fs * (x1 - x0)
+    eps, span, slope = 2.0 ** (-n), x1 - x0, np.abs(fs)
+    v1 = v0 + fs * span
     kmin = np.floor(np.minimum(v0, v1) / eps).astype(np.int64) + 1
     kmax = np.ceil(np.maximum(v0, v1) / eps).astype(np.int64) - 1
-    count = np.maximum(kmax - kmin + 1, 0)
-    if count.max(initial=0) > PIECE_CAP:
-        raise PieceCapError(f"fold band would materialise {count.max()} "
-                            "nodes on one piece")
-
-    # pieces go through in runs of about _NODE_CHUNK nodes, bounding memory;
-    # runs start only where the owner changes, so each threshold's band is
-    # summed in one bincount whatever else shares the batch
-    ends = np.cumsum(count + 2)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1:].sum(), _NODE_CHUNK),
-                           side="right")
-    if cuts.size > 1:
-        cuts = np.unique(np.searchsorted(owner, owner[cuts], side="left"))
-    total = np.zeros(size)
-    for lo, hi in zip(cuts, np.append(cuts[1:], count.size)):
-        # nodes in x order: both piece ends and the lattice crossings between
-        piece, pos = _ragged(count[lo:hi] + 2)
-        piece += lo
-        end = pos == count[piece] + 1
-        x = np.where(pos == 0, x0[piece], x1[piece])
-        y = triangle_wave(np.where(pos == 0, v0[piece], v1[piece]), n)
-        inner = np.nonzero((pos > 0) & ~end)[0]
-        ip = piece[inner]
-        k = np.where(fs[ip] > 0.0, kmin[ip] + pos[inner] - 1,
-                     kmax[ip] - pos[inner] + 1)
+    crossed, teeth = kmax - kmin >= 0, np.maximum(kmax - kmin, 0)
+    up = fs > 0.0
+    first, last = np.where(up, kmin, kmax), np.where(up, kmax, kmin)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # k 2^-n - v0 has the sign of fs, so a crossing is never below x0
-        x[inner] = np.minimum(x[inner], x0[ip] + (k * eps - v0[ip]) / fs[ip])
-        y[inner] = eps * (k & 1)
-        d = y - (l0[piece] + ls[piece] * (x - x0[piece]))
-
-        left = np.nonzero(~end)[0]
-        seg = piece[left]
-        span = x[left + 1] - x[left]
-        d0, d1 = d[left], d[left + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = span * (d0 / (d0 - d1))
-        # the stretch of each segment on which the fold is the lower one
-        fold = np.where((d0 <= 0.0) & (d1 <= 0.0), span,
-                        np.where((d0 >= 0.0) & (d1 >= 0.0), 0.0,
-                                 np.where(d0 < 0.0, root, span - root)))
-        energy = w[seg] * (np.abs(fs[seg]) ** p * fold
-                           + np.abs(ls[seg]) ** p * (span - fold))
-        total += np.bincount(owner[seg], minlength=size,
-                             weights=np.where(span > 0.0, energy, 0.0))
-    return total
+        xf, xl = (np.where(crossed, np.minimum(
+            x1, x0 + (k * eps - v0) / fs), x1) for k in (first, last))
+        lf, ll = l0 + ls * (xf - x0), l0 + ls * (xl - x0)
+        head = _fold_below(xf - x0, triangle_wave(v0, n) - l0, np.where(
+            crossed, eps * (first & 1), triangle_wave(v1, n)) - lf)
+        tail = _fold_below(x1 - xl, eps * (last & 1) - ll,
+                           triangle_wave(v1, n) - (l0 + ls * span))
+        # the valleys are the crossings j = j0, j0 + 2, ... of even k, with
+        # lid lf + j dl; a rising tooth starts at one, a falling one ends there
+        j0 = first & 1
+        rise = ((teeth + 1 - j0) // 2).astype(float)
+        fall, dl = teeth - rise, ls * (eps / slope)
+        lower = (rise * (lf + dl * (j0 + rise - 1.0)) / (slope - ls)
+                 + fall * (lf + dl * (fall + 1.0 - j0)) / (slope + ls))
+        # fmax drops a 0/0: where |lid'| = |f'| any split costs the same
+        fold = np.minimum(head + np.fmin(np.fmax(lower, 0.0), xl - xf)
+                          + tail, span)
+    energy = w * (slope ** p * fold + np.abs(ls) ** p * (span - fold))
+    return np.bincount(owner, weights=energy, minlength=size)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +476,9 @@ def _band_ends(r: dict, top):
     return np.minimum(r["xc"], at_top), np.maximum(r["xc"], at_top)
 
 
-#: The kernel's rounding, as a bound on what it sums: the products and sums
-#: of a band, up to 2^22 terms, stay within a factor 1 +- _KAPPA.
+#: The kernel's rounding, as a bound on what it sums: each row's term lies a
+#: few roundings off its range, and one threshold's terms, up to 2^22 rows,
+#: add up within a factor 1 +- _KAPPA.
 _KAPPA = 2.0 ** -30
 #: (pair, level) entries per bounds call in the search for late starts
 _BOUND_CHUNK = 1 << 15
@@ -688,10 +679,6 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     plateau, size, is_ident = _cat(plateau), start, _cat(is_ident)
     rows = dict(zip(("owner", "c", "xa", "xb", "ha", "hb", "xc", "ls", "fa",
                      "fs", "w"), map(_cat, zip(*rows))))
-    owner = rows["owner"]
-    if (owner[1:] < owner[:-1]).any():  # a window's two sides, by owner
-        order = np.argsort(owner, kind="stable")
-        rows = {name: v[order] for name, v in rows.items()}
     live = {}
 
     def energies_at(n, run):

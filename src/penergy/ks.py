@@ -181,7 +181,11 @@ def _membership(space: SampledSpace, restriction) -> np.ndarray:
 
 
 def _checked_values(space: SampledSpace, u) -> np.ndarray:
-    """u as a float array, one finite value per point of a bundled space."""
+    """u as a float array, one finite value per point of a bundled space.
+
+    The sums weigh every point by the grid's spacing alone, so a space
+    whose weights are not all equal is rejected, not read as uniform.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape != (space.points.shape[0],):
         raise ValueError("need one value of u per grid point")
@@ -189,6 +193,9 @@ def _checked_values(space: SampledSpace, u) -> np.ndarray:
         raise ValueError("u must be finite")
     if space.kind not in ("interval", "torus"):
         raise ValueError(f"unknown space kind {space.kind!r}")
+    if np.any(space.weights != space.weights[0]):
+        raise ValueError("Korevaar-Schoen energies need equal weights at "
+                         "every point")
     return u
 
 

@@ -161,14 +161,21 @@ def test_build_measure_stall_writes_trace(tmp_path, capsys):
 
 
 def test_build_measure_piece_cap_exits_numeric(tmp_path, capsys):
-    # slope 1e7: one fold band would need about 2^21 nodes on one piece
+    # slope 1e7, past the piece cap of a literal fold: a band piece costs
+    # the same at any slope, so the run goes to n_max, where the band, about
+    # 2^-n |f'|^p / 2, is still above rel_tol E(f), and exits with its trace
     cfg = write_config(
         tmp_path, seed=7, resolution=16,
         function={"kind": "points", "breakpoints": [0, 1e-7, 1],
                   "values": [0, 1, 1]})
     assert main(["--config", cfg, "--out", str(tmp_path),
                  "build-measure"]) == EXIT_NUMERIC
-    assert "nodes on one piece" in capsys.readouterr().err
+    assert "fold limits did not stall by n=48" in capsys.readouterr().err
+    rows = [line for line in
+            (tmp_path / "build_measure_trace.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "level,energy,inf_so_far"
+    assert rows[-1].split(",")[0] == "48"
 
 
 def test_build_measure_failed_mass_check_exits_numeric(tmp_path, capsys,

@@ -379,22 +379,98 @@ def test_kernel_matches_literal_steep_weighted(slope, p, cells):
                 assert fast == pytest.approx(literal, rel=rel)
 
 
-@pytest.mark.parametrize("slope,p,cells", STEEP_CASES)
+# a band piece costs the same at any slope, so the measure also takes
+# slopes whose literal fold would pass the piece cap
+@pytest.mark.parametrize("slope,p,cells", STEEP_CASES + [
+    (2.0 ** 14, 3.0, 50), (2.0 ** 18, 2.0, 20)])
 def test_energy_measure_matches_reference_when_steep(slope, p, cells):
     form = _steep_form(p, cells, seed=int(slope))
     _assert_matches_reference(form, _steep(slope, seed=int(slope) + 1),
                               resolution=64)
 
 
-def test_band_kernel_runs_in_node_chunks(monkeypatch):
-    form = _steep_form(2.0, 50, seed=32)
-    f = _steep(32.0, seed=33)
-    whole = energy_measure(form, f, resolution=64)
-    monkeypatch.setattr(construction, "_NODE_CHUNK", 257)
-    chunked = energy_measure(form, f, resolution=64)
-    assert chunked.levels_used == whole.levels_used
-    assert np.allclose(chunked.masses, whole.masses, rtol=1e-12,
-                       atol=1e-14 * form.energy(f))
+def _random_pieces(rng, count):
+    """Band pieces (x0, x1, v0, fs, l0, ls, w) at levels n = 6..48, as the
+    producer hands them to the kernel: a lid of slope -1 (identity rows)
+    or of a witness, staying in [0, 2^-n], and f crossing up to about 10^4
+    lattice levels, rising or falling."""
+    for _ in range(count):
+        n = int(rng.integers(6, 49))
+        eps = 2.0 ** -n
+        ls = -1.0 if rng.random() < 0.5 else float(
+            rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+        width = eps / abs(ls) * 10.0 ** rng.uniform(-2, 0)
+        x0 = float(rng.uniform(0.0, 1.0 - width))
+        x1 = x0 + width
+        if not x1 > x0:
+            continue
+        drop = -ls * (x1 - x0)  # the lid's fall over the piece
+        l0 = float(rng.uniform(max(drop, 0.0), eps + min(drop, 0.0)))
+        fs = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 4)
+                   * eps / (x1 - x0))
+        yield ((x0, x1, float(rng.uniform(-2, 2)), fs, l0, ls,
+                float(rng.choice([0.5, 1.0, 3.0]))), n,
+               float(rng.choice([1.5, 2.0, 3.0])))
+
+
+def _exact_piece(piece, n, p):
+    """E(min(T_n o f, lid)) on one band piece, its split between fold and
+    lid taken in rationals from the float inputs: the nodes are the ends
+    and f's preimages of the lattice k 2^-n, and between two nodes the
+    lower of fold and lid changes at most once, at their crossing."""
+    x0, x1, v0, fs, l0, ls, w = map(Fraction, piece)
+    eps = Fraction(1, 2 ** n)
+    width = x1 - x0
+    v1 = v0 + fs * width
+    ks = list(range(math.floor(min(v0, v1) / eps) + 1,
+                    math.ceil(max(v0, v1) / eps)))[::1 if fs > 0 else -1]
+
+    def fold(v):
+        r = v - 2 * eps * math.floor(v / (2 * eps))
+        return r if r <= eps else 2 * eps - r
+
+    ts = [Fraction(0)] + [(k * eps - v0) / fs for k in ks] + [width]
+    folds = [fold(v0)] + [eps * (k & 1) for k in ks] + [fold(v1)]
+    d = [y - l0 - ls * t for y, t in zip(folds, ts)]
+    lower = Fraction(0)
+    for t0, t1, d0, d1 in zip(ts, ts[1:], d, d[1:]):
+        if d0 <= 0 and d1 <= 0:
+            lower += t1 - t0
+        elif d0 < 0 or d1 < 0:
+            root = (t1 - t0) * d0 / (d0 - d1)
+            lower += root if d0 < 0 else t1 - t0 - root
+    return float(w) * (float(abs(fs)) ** p * float(lower)
+                       + float(abs(ls)) ** p * float(width - lower))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_band_kernel_matches_exact_pieces(seed):
+    for piece, n, p in _random_pieces(np.random.default_rng(seed), 40):
+        got, = construction._band_energy(
+            tuple(np.array([v]) for v in piece), np.zeros(1, dtype=int), 1,
+            n, p)
+        x0, x1, v0, fs, _, ls, w = piece
+        # the kernel rounds the ends of a piece's parts by an ulp of x, or
+        # of f over |f'|: a few of those, not one per crossing
+        delta = np.spacing(x1) + np.spacing(
+            max(abs(v0), abs(v0 + fs * (x1 - x0)))) / abs(fs)
+        bound = w * max(abs(fs) ** p, abs(ls) ** p) * (
+            1e-12 * (x1 - x0) + 4.0 * delta)
+        assert abs(got - _exact_piece(piece, n, p)) <= bound
+
+
+def test_band_kernel_takes_a_piece_of_2_to_40_crossings():
+    # an identity row of slope 2^40 at n = 20: half of each half-tooth,
+    # on average, lies under the lid, so the piece carries about w (S +
+    # 1) / 2 times its width, S = |f'|^p, inside [w, w S] times the width
+    n, w, p = 20, 2.5, 1.5
+    eps = 2.0 ** -n
+    piece = tuple(np.array([v]) for v in (
+        0.5, 0.5 + eps, 0.3, 2.0 ** 40, eps, -1.0, w))
+    got, = construction._band_energy(piece, np.zeros(1, dtype=int), 1, n, p)
+    s = 2.0 ** (40 * p)
+    assert w * eps <= got <= w * s * eps
+    assert got == pytest.approx(w * (s + 1.0) * eps / 2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("slope,p,cells", STEEP_CASES)

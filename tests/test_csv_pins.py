@@ -28,7 +28,7 @@ PINS = {
         {"seed": 7, "resolution": 64,
          "form": {"kind": "pl", "p": 3.0, "weight": WEIGHT3},
          "function": {"kind": "sample", "index": 3}},
-        "645bf917d885a442bcc43f9ef905c3b5dbe26a1de7813ac97514d016f65f6ac3"),
+        "22e5371577b467f96779be11e2af85833a99de5857d0a9bbbf6655fabdcbee8d"),
     "check-laws": (
         "check-laws", "check_laws.csv",
         {"seed": 7, "trials": 2,

@@ -239,6 +239,19 @@ def test_input_validation():
         ks_energy(GRID, bad, KSKernel(0.05, 2.0))
 
 
+def test_unequal_weights_are_rejected():
+    # weights h on [0, 0.5) and 3h on [0.5, 1]: the sums read the spacing
+    # alone, so they would return the uniform grid's energy bit for bit
+    uniform = SampledSpace.interval(1000)
+    weights = np.where(uniform.points < 0.5, 1.0, 3.0) * uniform.spacing
+    space = SampledSpace("interval", uniform.points, weights, uniform.spacing)
+    u = np.sin(3.0 * space.points)
+    with pytest.raises(ValueError, match="equal weights"):
+        ks_energy(space, u, KSKernel(0.01, 2.0))
+    with pytest.raises(ValueError, match="equal weights"):
+        ks_limit_scan(space, u, 2.0, [0.04, 0.02, 0.01])
+
+
 def test_matches_brute_sum():
     rng = np.random.default_rng(7)
     space = SampledSpace.interval(180)

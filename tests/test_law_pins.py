@@ -55,15 +55,15 @@ PINS = {
     ("measure_triangle", 1.5):
         "21ff81c4c1fd7a2ed0fc20dbccb0dd81295008615760e35e826c4440869a78b4",
     ("measure_triangle", 3.0):
-        "e354c17ef7c2626e83237e25f05cd1d487aeb30ab3e18cdbef40bac381cd302f",
+        "ad37e351e4fd9faacb018e67b03b8e780b0043f0e5a2c426d121f5e23c6f50a0",
     ("locality", 1.5):
-        "5bde85bde8df22738ca8a402ea4e18fd3374fe580f67ded5cf91ef0a589ff3b9",
+        "4620da2937c97a20c0f5f62c9ca173227cef4b7c6bf9f9855ca8c9beb472cf49",
     ("locality", 3.0):
-        "ddc3aaad8c6bcc3d57b471f47d3ea881c0777a32d05e066f147098788b067615",
+        "34ec09273ed24e3dfd4640451364687a3fbe95b072b90cbfa1c855fa62dc7b93",
     ("chain_rule", 1.5):
         "931b5a2abf3ec29b415cf100a28336de917eed719d75a9fdc8d7c0f0750f6f20",
     ("chain_rule", 3.0):
-        "599882dd1463721262348758690483203235f06184cc89c6f61ff682e65898f2",
+        "7bfe55ce92c21f944da2cef63372a07ce74578975dafa2b1b37ad4c7b9c30f9e",
 }
 
 ORACLE_PINS = {
@@ -131,7 +131,7 @@ RESULTS = {
         "105a718e0989c6cf2e55959272678f109f27d9acc3d3a1e3969a47dd16d4cea9"),
     "outer_measure_lb": (
         _outer_measure_lb,
-        "e1c65d7e94bf22774bee44ee3792cf450c26266f9c2808f43c050800f7d84e29"),
+        "557fab8d4a0ea4fe16d2533a9ba5f34b333ba6e2a73fe56e2d2c15e248cd90a0"),
     "check_fold_identity": (
         _fold_identity,
         "2e23d1de262e7879daf03277d5dbdfded700d472c7c84c0dd7c2d982e504f4e4"),

@@ -51,17 +51,28 @@ def _assert_same_run(got, want):
         assert g.tobytes() == w.tobytes(), field
 
 
+def _forty_cells():
+    """Forty weight cells: about six pieces in each band at level 3."""
+    bounds = np.linspace(0.0, 1.0, 41)
+    return PLIntervalForm(2.0, weight=[(lo, hi, 1.0 + (i % 3)) for i, (lo, hi)
+                                       in enumerate(zip(bounds, bounds[1:]))])
+
+
 def test_batch_matches_lone_runs_field_for_field():
+    # a threshold's band is one sum per kernel call, so the rest of the
+    # batch moves no bit of it, also where many pieces make up each band
     groups = _groups()
-    batch = _identity_runs(FORM, groups, SCHED)
-    for (f, a), run in zip(groups, batch):
-        _assert_same_run(run, _identity_run(FORM, f, a, SCHED))
-    stops = [run.levels[-1] for run in batch]
-    assert len(set(stops)) >= 4, stops  # the groups leave at different levels
-    zero, flat = batch[-2], batch[-1]
-    assert zero.levels == (SCHED.n_min,) and zero.converged
-    assert not np.any(zero.energies)
-    assert flat.levels[-1] == SCHED.n_max and not flat.converged
+    for form, sched in ((FORM, SCHED),
+                        (_forty_cells(), FoldSchedule(3, 34, 1e-8))):
+        batch = _identity_runs(form, groups, sched)
+        for (f, a), run in zip(groups, batch):
+            _assert_same_run(run, _identity_run(form, f, a, sched))
+        stops = [run.levels[-1] for run in batch]
+        assert len(set(stops)) >= 4, stops  # groups leave at different levels
+        zero, flat = batch[-2], batch[-1]
+        assert zero.levels == (sched.n_min,) and zero.converged
+        assert not np.any(zero.energies)
+        assert flat.levels[-1] == sched.n_max and not flat.converged
 
 
 def test_exhausted_group_raises_as_it_would_alone():
@@ -76,34 +87,6 @@ def test_exhausted_group_raises_as_it_would_alone():
         runs[-1].limits()
     assert str(batched.value) == str(lone.value)
     assert batched.value.trace == lone.value.trace
-
-
-@pytest.mark.parametrize("chunk", [5, 17, 40])
-def test_kernel_chunks_never_split_a_threshold(monkeypatch, chunk):
-    # owner-aligned chunks: a threshold's band is one bincount, so neither
-    # the chunk size nor the rest of the batch moves a single bit.  Forty
-    # weight cells put about six pieces in each band at level 3, so a chunk
-    # cut inside a threshold would reorder its sum.
-    bounds = np.linspace(0.0, 1.0, 41)
-    form = PLIntervalForm(2.0, weight=[(lo, hi, 1.0 + (i % 3))
-                                       for i, (lo, hi)
-                                       in enumerate(zip(bounds, bounds[1:]))])
-    sched = FoldSchedule(n_min=3, n_max=34, rel_tol=1e-8)
-    groups = _groups()
-    lone = [_identity_run(form, f, a, sched) for f, a in groups]
-    monkeypatch.setattr(construction, "_NODE_CHUNK", chunk)
-    pieces = []
-    kernel = construction._band_energy
-
-    def counting(*args):
-        pieces.append(args[1].size)
-        return kernel(*args)
-
-    monkeypatch.setattr(construction, "_band_energy", counting)
-    batch = _identity_runs(form, groups, sched)
-    assert max(pieces) > chunk  # so a level runs in several chunks
-    for run, want in zip(batch, lone):
-        _assert_same_run(run, want)
 
 
 @pytest.mark.parametrize("make,batch", [
