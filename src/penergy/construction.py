@@ -37,10 +37,10 @@ An identity threshold need not run the early levels, which mostly confirm
 the 2^-n decay of its band.  On an identity row the lid has slope -1 and
 f the slope of its cell, so the row's band carries between w min(1,
 |f'|^p) and w max(1, |f'|^p) times its width.  When the batch is built,
-:func:`_first_levels` sums those bounds (:func:`_band_bounds`) and gives a
-group's thresholds a later first level where they prove that the run from
-there has the same values, stop level, quiet steps and misses as the run
-from n_min.  The levels listed stay n_min..stop, and a trace runs a late
+:func:`_first_levels` sums those bounds (:func:`_band_bounds`) and gives
+each threshold the latest first level at which they prove that the run
+from there has the same values, stop level, quiet steps and misses as the
+run from n_min.  The levels listed stay n_min..stop, and a trace runs a late
 threshold's skipped levels when it is asked for.
 
 Everything here requires the strongly local interval model; graph forms
@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import Cells, PLIntervalForm
+from .forms import Cells, PLIntervalForm, integrate, spans
 from .pl import (
     GEOM_TOL,
     MAX_CUT_LEVEL,
@@ -260,6 +260,10 @@ def _fold_below(span, d0, d1):
                              np.where(d0 < 0.0, root, span - root)))
 
 
+#: lattice indices are clipped to +-_K_CLIP to fit int64: uncrossed past it
+_K_CLIP = 2.0 ** 62
+
+
 def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
                  p: float) -> np.ndarray:
     """Energy of min(T_n o f, lid) over band pieces, summed per owner.
@@ -285,8 +289,10 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
     x0, x1, v0, fs, l0, ls, w = pieces
     eps, span, slope = 2.0 ** (-n), x1 - x0, np.abs(fs)
     v1 = v0 + fs * span
-    kmin = np.floor(np.minimum(v0, v1) / eps).astype(np.int64) + 1
-    kmax = np.ceil(np.maximum(v0, v1) / eps).astype(np.int64) - 1
+    kmin = np.floor(np.clip(np.minimum(v0, v1) / eps, -_K_CLIP, _K_CLIP)
+                    ).astype(np.int64) + 1
+    kmax = np.ceil(np.clip(np.maximum(v0, v1) / eps, -_K_CLIP, _K_CLIP)
+                   ).astype(np.int64) - 1
     crossed, teeth = kmax - kmin >= 0, np.maximum(kmax - kmin, 0)
     up = fs > 0.0
     first, last = np.where(up, kmin, kmax), np.where(up, kmax, kmin)
@@ -512,10 +518,9 @@ def _band_bounds(r: dict, level: np.ndarray, owner: np.ndarray, size: int):
 def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
                   is_ident: np.ndarray, drive, sched: FoldSchedule,
                   tol: float) -> np.ndarray:
-    """Each threshold's first level: n_min, or a later level s chosen per
-    group from the bounds of :func:`_band_bounds`, such that the run from
-    there keeps every value, stop level, quiet step and miss of the run
-    from n_min.
+    """Each threshold's first level: n_min, or a later level s chosen from
+    the bounds of :func:`_band_bounds`, such that the run from there keeps
+    every value, stop level, quiet step and miss of the run from n_min.
 
     A threshold whose band is certainly above the tolerance at a level is
     not quiet there.  If one threshold's is at every step up to a level m,
@@ -528,9 +533,9 @@ def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
     + U at the earliest stop, a level it runs; L never grows with the
     level, so the latest such s is found by a search that tests as many
     levels at once as _BOUND_CHUNK allows.
-    Of the levels s <= m, the group takes the one that skips the most
-    (threshold, level) pairs; the thresholds of a block with a witness g
-    always start at n_min.
+    Each threshold starts at its own latest such s <= m, m that of its
+    group; the thresholds of a block with a witness g always start at
+    n_min.
     """
     n_min, count = sched.n_min, sched.stall_count
     size = plateau.size
@@ -597,14 +602,7 @@ def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
         ok = plateau[rows, None] + low >= ceiling[rows, None]
         lo[rows] = np.max(np.where(ok, test, lo[rows, None]), axis=1)
         hi[rows] = np.min(np.where(ok, hi[rows, None], test - 1), axis=1)
-    # per group, the start n_min + d that skips the most (threshold,
-    # level) pairs: d times the count of its thresholds with lo >= d
-    most = int(lo.max()) + 1
-    late = np.cumsum(np.bincount(group * most + lo, minlength=sizes.size
-                                 * most).reshape(-1, most)[:, ::-1],
-                     axis=1)[:, ::-1]
-    d = np.argmax(late * np.arange(most), axis=1)[group]
-    return first + np.where(lo >= d, d, 0)
+    return first + lo
 
 
 def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
@@ -928,24 +926,11 @@ class EnergyMeasure:
         return float(self.masses.sum())
 
     def measure(self, target) -> float:
-        """Mass of an IntervalSet (or a single (lo, hi) pair).
-
-        Cells are prorated by overlap, exact for targets whose endpoints
-        lie on the node grid and for any target once the density is
-        constant on the straddled cells.
-        """
-        comps = target.components if isinstance(target, IntervalSet) \
-            else [tuple(target)]
-        dens = self.density
-        total = 0.0
-        for lo, hi in comps:
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValueError("a target's ends must not be NaN")
-            left = np.maximum(self.nodes[:-1], lo)
-            right = np.minimum(self.nodes[1:], hi)
-            overlap = np.clip(right - left, 0.0, None)
-            total += float(np.dot(dens, overlap))
-        return total
+        """Mass of an IntervalSet (or a single (lo, hi) pair), clipped to
+        [0, 1]: the oracle's :func:`penergy.forms.integrate` of the running
+        mass, which prorates a straddled cell by its overlap."""
+        return float(integrate(self.nodes, Cells.cumulative(self.masses),
+                               spans((target,)))[0])
 
     def cells(self):
         return zip(self.nodes[:-1], self.nodes[1:], self.density)

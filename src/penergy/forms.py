@@ -25,6 +25,9 @@ Every closed-form integral of the interval model, here and in
 :mod:`penergy.laws`, goes through :class:`Cells`: one merged partition of
 function breakpoints, weight bounds and extra nodes, on which densities are
 piecewise constant or linear, integrated over many target sets in one pass.
+A set family is read once, by :func:`spans`; :func:`integrate` sums F(hi) -
+F(lo) over its components for :meth:`Cells.integrate`, both mass routes of
+:mod:`penergy.laws` and :meth:`penergy.construction.EnergyMeasure.measure`.
 
 The module also houses the Clarkson-inequality checker and the assumption
 audit used by ``validate-form``.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,7 +116,7 @@ class PLIntervalForm:
     def energy_between(self, f: PLFunction, lo: float, hi: float) -> float:
         """Energy of the restriction to [lo, hi] (exact)."""
         cells = Cells(self, f)
-        return float(cells.integrate(cells.mass(f), [(lo, hi)])[0])
+        return float(cells.integrate(cells.mass(f), spans(((lo, hi),)))[0])
 
     def cumulative_energy(self, f: PLFunction) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and running energy integral; linear between nodes."""
@@ -151,14 +155,22 @@ def step_at(bounds: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     return values[np.minimum(np.maximum(idx, 0), values.size - 1)]
 
 
-def spans(targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, lo, hi): every component of every target, clipped to [0, 1].
+class Spans(NamedTuple):
+    """``size`` targets as components [lo, hi] in [0, 1] of target owner."""
+    size: int
+    owner: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def spans(targets) -> Spans:
+    """Every component of every target, clipped to [0, 1], once per family.
 
     A target is an IntervalSet or a bare (lo, hi) pair, whose ends must
-    not be NaN; ``owner`` is the index of each component's target.
-    Components empty after clipping are dropped, the rest keep their order.
+    not be NaN.  Components empty after clipping are dropped, the rest keep
+    their order.
     """
-    owner, lo, hi = [], [], []
+    targets, owner, lo, hi = tuple(targets), [], [], []
     for i, t in enumerate(targets):
         for c in (t.components if isinstance(t, IntervalSet) else (t,)):
             a, b = float(c[0]), float(c[1])
@@ -170,7 +182,25 @@ def spans(targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 owner.append(i)
                 lo.append(a)
                 hi.append(b)
-    return np.array(owner, dtype=int), np.array(lo), np.array(hi)
+    return Spans(len(targets), np.array(owner, dtype=int), np.array(lo),
+                 np.array(hi))
+
+
+#: the family of the one target [0, 1]
+WHOLE = spans(((0.0, 1.0),))
+
+
+def integrate(nodes: np.ndarray, cum: np.ndarray,
+              family: Spans) -> np.ndarray:
+    """F(hi) - F(lo) summed over each target's components, F the running
+    integral ``cum`` at ``nodes`` read linearly: exact at a node, and where
+    the density is constant per cell (else the ends must be nodes).
+    ``np.add.at`` adds a target's components in order, as a running sum."""
+    out = np.zeros(family.size)
+    if family.owner.size:
+        np.add.at(out, family.owner, np.interp(family.hi, nodes, cum)
+                  - np.interp(family.lo, nodes, cum))
+    return out
 
 
 class Cells:
@@ -224,22 +254,9 @@ class Cells:
         return np.concatenate(([0.0], np.cumsum(per_cell)))
 
     def integrate(self, per_cell: np.ndarray,
-                  targets=((0.0, 1.0),)) -> np.ndarray:
-        """The integral over each of a sequence of targets, from per-cell
-        integrals.
-
-        The running integral is read at every component end by linear
-        interpolation, exact where the density is constant per cell; a
-        density that is not must have the component ends among the nodes.
-        ``np.add.at`` adds each target's components in order, as a running
-        sum over them would.
-        """
-        cum = self.cumulative(per_cell)
-        owner, lo, hi = spans(targets)
-        out = np.zeros(len(targets))
-        np.add.at(out, owner, np.interp(hi, self.nodes, cum)
-                  - np.interp(lo, self.nodes, cum))
-        return out
+                  family: Spans = WHOLE) -> np.ndarray:
+        """:func:`integrate` of per-cell integrals over a family."""
+        return integrate(self.nodes, self.cumulative(per_cell), family)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,18 @@ density w |f'|^p exactly and is the reference; its slacks sit at roundoff.
 It and every other closed-form integral here (pairings, signed masses,
 budgets, cell masses) run on :class:`penergy.forms.Cells`, one partition
 per function family, each integrated over a whole set family in one pass.
+A law reads each set family once, into a :class:`penergy.forms.Spans`.
 The construction route differences identity-witness fold limits at component
-endpoints, so its error budget comes from the level schedule alone, with no
-proration involved.  Laws hand the construction route their functions in
-batches: those of every trial at once, or of one trial where trials differ in
-shape (total mass, homogeneity, two-variable differences), and one batch per
-form for domination.  A batch runs its fold limits in lock-step, one level at
-a time for all functions, and each function's limits come out bit for bit as
-they would alone.  Slacks are pushed in the order the functions were drawn,
-and a batch whose limits did not stall raises for the first such function in
-that order.
+endpoints, as the oracle differences its running integral, so its error
+budget comes from the level schedule alone, with no proration involved.
+Laws hand the construction route their functions in batches: those of
+every trial at once, or of one trial where trials differ in shape (total
+mass, homogeneity, two-variable differences), and one batch per form for
+domination.  A batch runs its fold limits in lock-step, one level at a
+time for all functions, and each function's limits come out bit for bit
+as they would alone.  Slacks are pushed in the order the functions were
+drawn, and a batch whose limits did not stall raises for the first such
+function in that order.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ from .construction import (
     _window_runs,
 )
 from .forms import (
+    WHOLE,
     Cells,
     PLIntervalForm,
     _clarkson_slacks,
     _signed_power,
+    integrate,
     spans,
     step_at,
 )
@@ -183,7 +187,7 @@ def default_set_family(sampler: PLSampler, levels: int = 5,
 
 def set_mass_oracle(form: PLIntervalForm, f: PLFunction, target) -> float:
     """Exact mu_f(target) by integrating the closed-form density."""
-    return float(_masses(form, [(f, (target,))], "oracle")[0][0])
+    return float(_masses(form, [(f, spans((target,)))], "oracle")[0][0])
 
 
 def set_masses(form: PLIntervalForm, f: PLFunction, targets,
@@ -196,26 +200,7 @@ def set_masses(form: PLIntervalForm, f: PLFunction, targets,
     the batch every construction-route law runs.
     """
     _require_pl(form)
-    return _set_masses(form, [(f, targets)], sched)[0]
-
-
-def _set_masses(form, jobs, sched: FoldSchedule) -> list[np.ndarray]:
-    """:func:`set_masses` for each (f, targets) job, all of them in one
-    lock-step batch; limits are read in job order, so a batch that did not
-    stall raises for the first job whose limits did not."""
-    ends = [spans(targets) for _, targets in jobs]
-    points = [np.unique(np.concatenate((lo, hi))) for _, lo, hi in ends]
-    runs = _identity_runs(
-        form, [(f, pts) for (f, _), pts in zip(jobs, points)], sched)
-    out = []
-    for (_, targets), (owner, lo, hi), pts, run in zip(jobs, ends, points,
-                                                       runs):
-        vals = run.limits()
-        mass = np.zeros(len(targets))
-        np.add.at(mass, owner, vals[np.searchsorted(pts, hi)]
-                  - vals[np.searchsorted(pts, lo)])
-        out.append(mass)
-    return out
+    return _masses(form, [(f, spans(targets))], "construction", sched)[0]
 
 
 def _check_route(route: str) -> None:
@@ -227,14 +212,21 @@ def _check_route(route: str) -> None:
 
 def _masses(form, jobs, route: str,
             sched: FoldSchedule = MEASURE_SCHEDULE) -> list[np.ndarray]:
-    """mu_f on its set family for each (f, sets) job, one array per job."""
-    if route == "construction":
-        return _set_masses(form, jobs, sched)
-    out = []
-    for f, sets in jobs:
-        cells = Cells(form, f)
-        out.append(cells.integrate(cells.mass(f), sets))
-    return out
+    """mu_f on its family for each (f, Spans) job, F(hi) - F(lo) with F the
+    oracle's running integral or the fold limits, all jobs in one batch read
+    in job order: one that did not stall raises for the first such job."""
+    if route == "oracle":
+        out = []
+        for f, family in jobs:
+            cells = Cells(form, f)
+            out.append(cells.integrate(cells.mass(f), family))
+        return out
+    ends = [np.unique(np.concatenate((family.lo, family.hi)))
+            for _, family in jobs]
+    runs = _identity_runs(form, [(f, pts) for (f, _), pts in zip(jobs, ends)],
+                          sched)
+    return [integrate(pts, run.limits(), family)
+            for (_, family), pts, run in zip(jobs, ends, runs)]
 
 
 def _route_tol(route: str) -> float:
@@ -248,17 +240,17 @@ def _route_tol(route: str) -> float:
 def signed_mass_oracle(form: PLIntervalForm, u: PLFunction, v: PLFunction,
                        target) -> float:
     """Exact nu_{u;v}(target) = int_target w sgn(u')|u'|^{p-1} v' dx."""
-    return float(_signed_masses(form, u, v, (target,))[0])
+    return float(_signed_masses(form, u, v, spans((target,)))[0])
 
 
-def _signed_masses(form, u, v, targets) -> np.ndarray:
+def _signed_masses(form, u, v, family) -> np.ndarray:
     """signed_mass_oracle over a set family, in one pass."""
     cells = Cells(form, u, v)
     return cells.integrate(cells.flux(u) * cells.slope(v) * cells.width,
-                           targets)
+                           family)
 
 
-def _pairings(form, f, terms, targets) -> np.ndarray:
+def _pairings(form, f, terms, family) -> np.ndarray:
     """Exact int_A w sgn(f')|f'|^{p-1} sum_i g_i h_i' dx for each target A.
 
     Each (g_i, h_i) contributes g_i * h_i'; with the component ends among
@@ -266,16 +258,16 @@ def _pairings(form, f, terms, targets) -> np.ndarray:
     exact.
     """
     cells = Cells(form, f, *(fn for term in terms for fn in term),
-                  nodes=spans(targets)[1:])
+                  nodes=(family.lo, family.hi))
     acc = sum(g.evaluate(cells.mid) * cells.slope(h) for g, h in terms)
-    return cells.integrate(cells.flux(f) * acc * cells.width, targets)
+    return cells.integrate(cells.flux(f) * acc * cells.width, family)
 
 
 def _pairing(form: PLIntervalForm, f: PLFunction, terms,
              target=None) -> float:
     """One target of :func:`_pairings`; ``None`` is the whole domain."""
-    target = (0.0, 1.0) if target is None else target
-    return float(_pairings(form, f, terms, (target,))[0])
+    family = WHOLE if target is None else spans((target,))
+    return float(_pairings(form, f, terms, family)[0])
 
 
 def _density_pairing(form: PLIntervalForm, f: PLFunction, g: PLFunction,
@@ -308,9 +300,10 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
             or any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("need >= 2 positive, strictly decreasing steps")
     sets = tuple(sets)
+    family = spans(sets)
     p = form.p
-    masses = _masses(form, [(u + v * s, sets) for t in steps for s in (t, -t)],
-                     route, sched)
+    masses = _masses(form, [(u + v * s, family) for t in steps
+                            for s in (t, -t)], route, sched)
     d = np.vstack([(plus - minus) / (2.0 * p * t) for t, plus, minus
                    in zip(steps, masses[0::2], masses[1::2])])
     rich = []
@@ -320,7 +313,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     values = rich[-1]
     err = np.abs(rich[-1] - rich[-2]) if len(rich) >= 2 \
         else np.abs(rich[-1] - d[-1])
-    closed = _signed_masses(form, u, v, sets)
+    closed = _signed_masses(form, u, v, family)
 
     e_scale = max(form.energy(u) + form.energy(v), 1e-12)
     floor = 1e-12 * e_scale if route == "oracle" \
@@ -350,14 +343,13 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
     _check_route(route)
     _require_pl(form)
     worst = _Worst()
-    full = IntervalSet.full()
     for k in range(trials):
         f = sampler.pl(k)
         variants = [(name, fn, _flat_zero_interior(fn)) for name, fn in
                     (("as_drawn", f), ("plateaued", _positive_part(f)))]
         jobs = []
         for _, fn, zero in variants:
-            jobs += [(fn, (full,))] + ([(fn, (zero,))] if zero else [])
+            jobs += [(fn, WHOLE)] + ([(fn, spans((zero,)))] if zero else [])
         masses = iter(_masses(form, jobs, route, sched))
         for name, fn, zero in variants:
             e = form.energy(fn)
@@ -395,7 +387,7 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
     """mu_{af} = |a|^p mu_f and mu_{|f-a|-|a|} = mu_f on the set family."""
     _check_route(route)
     _require_pl(form)
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     p = form.p
     worst = _Worst()
     for k in range(trials):
@@ -409,7 +401,7 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
         shifts = (("random", float(rng.uniform(-1.0, 1.0))),
                   ("at_max", float(f.values.max())))
         fns = [f, f * a] + [_reflected_abs(f, s) for _, s in shifts]
-        base, scaled, *shifted = _masses(form, [(fn, sets) for fn in fns],
+        base, scaled, *shifted = _masses(form, [(fn, family) for fn in fns],
                                          route, sched)
         gap = np.abs(scaled - abs(a) ** p * base)
         i = int(np.argmax(gap))
@@ -444,18 +436,18 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
     """
     _check_route(route)
     _require_pl(form)
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     p = form.p
     worst = _Worst()
     pairs = [sampler.pl_pair(k) for k in range(trials)]
-    masses = _masses(form, [(fn, sets) for u, v in pairs
+    masses = _masses(form, [(fn, family) for u, v in pairs
                             for fn in (u, v, u + v, u - v)], route, sched)
     for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) + form.energy(v), 1e-12)
         # schedule noise can leave a mass a hair below zero; clip before ^1/p
         mu = [np.maximum(m, 0.0) ** (1.0 / p)
               for m in masses[4 * k:4 * k + 4]]
-        for i in range(len(sets)):
+        for i in range(family.size):
             slacks = _clarkson_slacks(p, mu[0][i], mu[1][i], mu[2][i],
                                       mu[3][i])
             for name, s in slacks.items():
@@ -470,11 +462,11 @@ def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
     """mu_{f+g}(A)^{1/p} <= mu_f(A)^{1/p} + mu_g(A)^{1/p} on the family."""
     _check_route(route)
     _require_pl(form)
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     invp = 1.0 / form.p
     worst = _Worst()
     pairs = [sampler.pl_pair(k) for k in range(trials)]
-    masses = _masses(form, [(fn, sets) for u, v in pairs
+    masses = _masses(form, [(fn, family) for u, v in pairs
                             for fn in (u, v, u + v)], route, sched)
     for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) ** invp + form.energy(v) ** invp, 1e-9)
@@ -508,10 +500,10 @@ def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
         rng = sampler._rng(k, tag=12)
         h = _gap_bump(A, float(rng.uniform(-1.5, 1.5)),
                       float(rng.uniform(0.5, 2.0)))
-        cases.append((A, f, f + h))
-    masses = _masses(form, [(fn, (A,)) for A, f, g in cases for fn in (f, g)],
-                     route, sched)
-    for k, (A, f, g) in enumerate(cases):
+        cases.append((A, spans((A,)), f, f + h))
+    masses = _masses(form, [(fn, family) for _, family, f, g in cases
+                            for fn in (f, g)], route, sched)
+    for k, (A, _, f, g) in enumerate(cases):
         m_f, m_g = masses[2 * k][0], masses[2 * k + 1][0]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
         worst.push(-abs(m_f - m_g) / scale, trial=k,
@@ -546,7 +538,7 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
     """mu of f v (g-a) and f ^ (g+a) stay within c_p (mu_f + mu_g) setwise."""
     _check_route(route)
     _require_pl(form)
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     c_p = 2.0 ** abs(form.p - 2.0)
     worst = _Worst()
     cases = []
@@ -555,7 +547,7 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
         a = float(sampler._rng(k, tag=13).uniform(0.0, 1.5))
         cases.append((f, g, a, lattice(f, g - a, "max"),
                       lattice(f, g + a, "min")))
-    masses = _masses(form, [(fn, sets) for f, g, _, top, bot in cases
+    masses = _masses(form, [(fn, family) for f, g, _, top, bot in cases
                             for fn in (f, g, top, bot)], route, sched)
     for k, (f, g, a, _, _) in enumerate(cases):
         mf, mg, mt, mb = masses[4 * k:4 * k + 4]
@@ -621,6 +613,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
     p = form.p
     worst = _Worst()
     deriv_sets = dyadic_sets(2) if sets is None else tuple(sets)
+    deriv_family = spans(deriv_sets)
     dtol = _derivative_tol(p)
     dsteps = DERIVATIVE_STEPS if p >= 2.0 \
         else tuple(0.25 * t for t in DERIVATIVE_STEPS)
@@ -664,7 +657,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                 sample = two_variable_measure(form, u, partner, deriv_sets,
                                               steps=dsteps)
                 rhs = _chain_weighted_masses(form, fd, phi, partner,
-                                             deriv_sets)
+                                             deriv_family)
                 scale = max(float(np.max(np.abs(rhs))),
                             form.energy(fd) + form.energy(partner), 1e-12)
                 worst.push(-float(np.max(np.abs(sample.closed_form - rhs)))
@@ -676,7 +669,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                    _route_tol(route))
 
 
-def _chain_weighted_masses(form, f, phi, v, targets) -> np.ndarray:
+def _chain_weighted_masses(form, f, phi, v, family) -> np.ndarray:
     """Exact int_A w sgn(phi'of)|phi'of|^{p-1} sgn(f')|f'|^{p-1} v' dx for
     each target A."""
     kinks, _ = _with_level_crossings(f, phi.breakpoints[1:-1])
@@ -684,7 +677,7 @@ def _chain_weighted_masses(form, f, phi, v, targets) -> np.ndarray:
     outer = _signed_power(step_at(phi.breakpoints, phi.slopes,
                                   f.evaluate(cells.mid)), form.p - 1.0)
     return cells.integrate(cells.flux(f) * outer * cells.slope(v)
-                           * cells.width, targets)
+                           * cells.width, family)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +694,7 @@ def law_leibniz(form: PLIntervalForm, sampler: PLSampler, trials: int = 16,
     and gaps are rescaled so the report tolerance stays at the oracle line.
     """
     _require_pl(form)
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     worst = _Worst()
     for k in range(trials):
         f, g = sampler.pl_pair(k)
@@ -710,8 +703,8 @@ def law_leibniz(form: PLIntervalForm, sampler: PLSampler, trials: int = 16,
         budget = _product_pairing_budget(form, f, g, h)
         scale = max(_pairing_scale(form, f, g, h), 1e-12)
         allowed = ORACLE_TOL + budget / scale
-        lhs = _signed_masses(form, f, prod.fn, sets)
-        rhs = _pairings(form, f, [(g, h), (h, g)], sets)
+        lhs = _signed_masses(form, f, prod.fn, family)
+        rhs = _pairings(form, f, [(g, h), (h, g)], family)
         for i, rel in enumerate(np.abs(lhs - rhs) / scale):
             worst.push(-rel * ORACLE_TOL / allowed, trial=k, set=i,
                        budget=budget / scale)
@@ -857,7 +850,7 @@ def law_multivariable_chain(form: PLIntervalForm, sampler: PLSampler,
     slope error from the (piecewise linear-in-x) second derivative.
     """
     _require_pl(form)
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     n = phi.arity
     partials = [phi.partial(i) for i in range(n)]
     worst = _Worst()
@@ -869,8 +862,8 @@ def law_multivariable_chain(form: PLIntervalForm, sampler: PLSampler,
         budget = _poly_pairing_budget(form, f, phi, gs, base)
         scale = max(form.energy(f) + sum(form.energy(g) for g in gs), 1e-12)
         allowed = ORACLE_TOL + budget / scale
-        lhs = _signed_masses(form, f, comp, sets)
-        rhs = _poly_chain_rhs(form, f, partials, gs, sets)
+        lhs = _signed_masses(form, f, comp, family)
+        rhs = _poly_chain_rhs(form, f, partials, gs, family)
         for i, rel in enumerate(np.abs(lhs - rhs) / scale):
             worst.push(-rel * ORACLE_TOL / allowed, trial=k, set=i,
                        budget=budget / scale)
@@ -878,13 +871,13 @@ def law_multivariable_chain(form: PLIntervalForm, sampler: PLSampler,
                    ORACLE_TOL)
 
 
-def _poly_chain_rhs(form, f, partials, gs, targets) -> np.ndarray:
+def _poly_chain_rhs(form, f, partials, gs, family) -> np.ndarray:
     """Exact int_A w sp(f') sum_i d_i phi(g(x)) g_i'(x) dx for each target A.
 
     The integrand is a polynomial of degree <= 2 per cell once the
     component ends are among the nodes, so Simpson's rule is exact.
     """
-    cells = Cells(form, f, *gs, nodes=spans(targets)[1:])
+    cells = Cells(form, f, *gs, nodes=(family.lo, family.hi))
     at_nodes = [g.evaluate(cells.nodes) for g in gs]
     at_mid = [g.evaluate(cells.mid) for g in gs]
     slopes = [cells.slope(g) for g in gs]
@@ -895,7 +888,7 @@ def _poly_chain_rhs(form, f, partials, gs, targets) -> np.ndarray:
         right = right + at[1:] * slope
         mid = mid + dphi.value(at_mid) * slope
     simpson = (left + 4.0 * mid + right) / 6.0
-    return cells.integrate(cells.flux(f) * simpson * cells.width, targets)
+    return cells.integrate(cells.flux(f) * simpson * cells.width, family)
 
 
 def _poly_pairing_budget(form, f, phi, gs, base) -> float:
@@ -947,10 +940,10 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
         raise ValueError(
             f"weights are not ordered: w_lo={w_lo[i]:g} > w_hi={w_hi[i]:g} "
             f"near x={mids[i]:g}; domination needs w_lo <= w_hi cell-wise")
-    sets = default_set_family(sampler) if sets is None else tuple(sets)
+    family = spans(default_set_family(sampler) if sets is None else sets)
     worst = _Worst()
     fns = [sampler.pl(k) for k in range(trials)]
-    jobs = [(f, sets) for f in fns]
+    jobs = [(f, family) for f in fns]
     lows = _masses(form_lo, jobs, route, sched)
     highs = _masses(form_hi, jobs, route, sched)
     for k, (f, mu, nu) in enumerate(zip(fns, lows, highs)):
@@ -1098,7 +1091,7 @@ def _sublevel_masses(form, jobs, route: str,
                                    for f, levels in jobs], sched,
                             sched.rel_tol)
         return [run.limits() for run in runs]
-    return _masses(form, [(f, [sublevel_set(f, s) for s in levels])
+    return _masses(form, [(f, spans([sublevel_set(f, s) for s in levels]))
                           for f, levels in jobs], route)
 
 
@@ -1125,9 +1118,11 @@ def law_continuity(form: PLIntervalForm, sampler: PLSampler, trials: int = 8,
             worst.push(0.0, trial=k, note="degenerate sweep")
             continue
 
+        family = spans((A,))
+
         def sweep(ts):
-            return np.array([set_mass_oracle(form, f + g * t, A)
-                             for t in ts])
+            return np.array([m[0] for m in _masses(
+                form, [(f + g * t, family) for t in ts], "oracle")])
 
         vals_c = sweep(np.linspace(-1.0, 1.0, coarse + 1))
         vals_f = sweep(np.linspace(-1.0, 1.0, 10 * coarse + 1))
@@ -1150,6 +1145,7 @@ def law_two_variable(form: PLIntervalForm, sampler: PLSampler,
     """Differenced nu_{u;v} matches its closed form; nu_{u;u} = mu_u."""
     _require_pl(form)
     sets = dyadic_sets(2) if sets is None else tuple(sets)
+    family = spans(sets)
     p = form.p
     tol = _derivative_tol(p)
     src = sampler if p >= 2.0 else sampler.with_slope_floor(SLOPE_FLOOR)
@@ -1165,7 +1161,7 @@ def law_two_variable(form: PLIntervalForm, sampler: PLSampler,
         worst.push(-float(sample.mismatch[i]) / scale, trial=k, set=i,
                    check="closed_form")
         diag = two_variable_measure(form, u, u, sets, steps=steps)
-        mu, = _masses(form, [(u, sets)], "oracle")
+        mu, = _masses(form, [(u, family)], "oracle")
         j = int(np.argmax(np.abs(diag.values - mu)))
         worst.push(-float(np.abs(diag.values - mu)[j]) / scale, trial=k,
                    set=j, check="diagonal")

@@ -10,6 +10,8 @@ breakpoints and weight bounds, empty sets, and bare pairs reaching outside
 import numpy as np
 import pytest
 
+from penergy import forms, laws
+from penergy.construction import reference_measure
 from penergy.forms import Cells, PLIntervalForm, _signed_power, spans
 from penergy.laws import (
     DEFAULT_POLY,
@@ -21,6 +23,7 @@ from penergy.laws import (
     _poly_chain_rhs,
     _signed_masses,
     default_set_family,
+    law_measure_clarkson,
     set_mass_oracle,
     signed_mass_oracle,
 )
@@ -123,7 +126,7 @@ def test_batched_oracle_masses_keep_the_bits(form):
         nodes, cum = form.cumulative_energy(f)
         want = [float(sum(np.interp(hi, nodes, cum) - np.interp(lo, nodes, cum)
                           for lo, hi in _clipped(A))) for A in sets]
-        got, = _masses(form, [(f, sets)], "oracle")
+        got, = _masses(form, [(f, spans(sets))], "oracle")
         assert got.tolist() == want
         assert [set_mass_oracle(form, f, A) for A in sets] == want
 
@@ -143,7 +146,7 @@ def test_signed_masses_match_per_component_sums():
             return w * _signed_power(_cell_slope(u, grid), form.p - 1.0) \
                 * _cell_slope(v, grid)
 
-        _check(form, sets, _signed_masses(form, u, v, sets),
+        _check(form, sets, _signed_masses(form, u, v, spans(sets)),
                (u.breakpoints, v.breakpoints), dens)
 
 
@@ -158,7 +161,8 @@ def test_pairings_match_per_component_sums():
             return w * _signed_power(_cell_slope(f, grid), form.p - 1.0) * acc
 
         nodes = (f.breakpoints, g.breakpoints, h.breakpoints)
-        _check(form, sets, _pairings(form, f, terms, sets), nodes, dens)
+        _check(form, sets, _pairings(form, f, terms, spans(sets)), nodes,
+               dens)
         _check(form, sets, [_pairing(form, f, terms, A) for A in sets],
                nodes, dens)
 
@@ -192,7 +196,8 @@ def test_chain_weighted_masses_match_per_component_sums():
             return (form.weight_at(mid) * _signed_power(phi.slopes[seg], e)
                     * _signed_power(fs, e) * _cell_slope(v, grid))
 
-        _check(form, sets, _chain_weighted_masses(form, f, phi, v, sets),
+        _check(form, sets,
+               _chain_weighted_masses(form, f, phi, v, spans(sets)),
                (kinks, v.breakpoints), dens)
 
 
@@ -209,30 +214,58 @@ def test_poly_chain_rhs_matches_per_component_sums():
                       for d, gi in zip(partials, gs))
             return w * _signed_power(_cell_slope(f, grid), form.p - 1.0) * acc
 
-        _check(form, sets, _poly_chain_rhs(form, f, partials, gs, sets),
+        _check(form, sets,
+               _poly_chain_rhs(form, f, partials, gs, spans(sets)),
                [f.breakpoints] + [gi.breakpoints for gi in gs], dens)
 
 
 def test_spans_clip_drop_and_keep_order():
-    owner, lo, hi = spans([IntervalSet([(0.1, 0.2), (0.5, 0.7)]),
-                           IntervalSet.empty(), (-0.5, 0.3), (1.2, 1.5),
-                           (0.9, 0.4), (0.6, 1.8)])
+    _, owner, lo, hi = spans([IntervalSet([(0.1, 0.2), (0.5, 0.7)]),
+                              IntervalSet.empty(), (-0.5, 0.3), (1.2, 1.5),
+                              (0.9, 0.4), (0.6, 1.8)])
     assert owner.tolist() == [0, 0, 2, 5]
     assert lo.tolist() == [0.1, 0.5, 0.0, 0.6]
     assert hi.tolist() == [0.2, 0.7, 0.3, 1.0]
-    assert [a.size for a in spans([])] == [0, 0, 0]
+    assert [a.size for a in spans([])[1:]] == [0, 0, 0]
 
 
 def test_cells_merge_extra_nodes_and_integrate_linear_density():
     form = FORMS[1]
     f = PLFunction([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-    cells = Cells(form, f, nodes=spans([(0.1, 0.45)])[1:])
+    cells = Cells(form, f, nodes=spans([(0.1, 0.45)])[2:])
     assert {0.1, 0.3, 0.45, 0.5, 0.7} <= set(cells.nodes.tolist())
     # int_0.1^0.45 w(x) x dx with w = 1 below 0.3 and 2.5 above
     got = cells.integrate(cells.weight * cells.mid * cells.width,
-                          [(0.1, 0.45)])[0]
+                          spans([(0.1, 0.45)]))[0]
     want = 0.5 * (0.3 ** 2 - 0.1 ** 2) + 2.5 * 0.5 * (0.45 ** 2 - 0.3 ** 2)
     assert got == pytest.approx(want, rel=1e-14)
     # an end a hair below a weight bound does not displace the bound
     near = Cells(form, f, nodes=(np.array([0.3 - 1e-13, 0.5 + 1e-13]),))
     assert near.nodes.tolist() == [0.0, 0.3, 0.5, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("route", ["oracle", "construction"])
+def test_a_law_reads_its_set_family_once(monkeypatch, route):
+    calls = []
+
+    def counted(targets):
+        calls.append(len(targets))
+        return spans(targets)
+
+    monkeypatch.setattr(forms, "spans", counted)
+    monkeypatch.setattr(laws, "spans", counted)
+    rep = law_measure_clarkson(PLIntervalForm(2.0), PLSampler(1), trials=3,
+                               route=route)
+    assert rep.passed
+    # one call, over the 71 sets of the default family
+    assert calls == [71]
+
+
+def test_measure_queries_are_the_oracle_integral():
+    form = FORMS[1]
+    sets = default_set_family(SAMPLER) + ((-0.25, 0.4), (0.6, 1.3))
+    for k in range(8):
+        f = SAMPLER.pl(k)
+        exact = reference_measure(form, f)
+        assert [exact.measure(A) for A in sets] \
+            == [set_mass_oracle(form, f, A) for A in sets]

@@ -473,6 +473,19 @@ def test_band_kernel_takes_a_piece_of_2_to_40_crossings():
     assert got == pytest.approx(w * (s + 1.0) * eps / 2.0, rel=1e-9)
 
 
+def test_band_kernel_lattice_indices_fit_int64():
+    # |f| 2^n is about 1.1e20 at n = 40, past int64: the kernel clips its
+    # lattice indices instead of casting out of range, and a piece with
+    # both ends past the clip stays uncrossed
+    f = PLFunction([0.0, 0.5, 1.0], [1e8, 1e8 + 1.0, 1e8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _identity_run(PLIntervalForm(2.0), f,
+                            np.array([0.25, 0.5, 0.75]), FoldSchedule(40, 40))
+    assert run.values.tolist() == [1.000000000003638, 2.000000000003638,
+                                   3.000000000003638]
+
+
 @pytest.mark.parametrize("slope,p,cells", STEEP_CASES)
 def test_set_masses_with_ends_next_to_nodes(slope, p, cells):
     # each end sits 3e-11, 1e-8 or 2^-20 off a breakpoint or weight bound,

@@ -588,7 +588,7 @@ def test_registry_calls_every_sampled_law_directly():
 
 def test_nan_slack_fails_the_report(monkeypatch):
     def nan_masses(form, jobs, route, sched=MEASURE_SCHEDULE):
-        return [np.full(len(sets), np.nan) for _, sets in jobs]
+        return [np.full(sets.size, np.nan) for _, sets in jobs]
 
     monkeypatch.setattr(laws, "_masses", nan_masses)
     rep = law_total_mass(UNIFORM2, SAMPLER, trials=2)

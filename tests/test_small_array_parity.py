@@ -476,9 +476,9 @@ def test_cells_and_integrals_match(form, f, g, extra, data):
         min_size=cells.width.size, max_size=cells.width.size)))
     for targets in (data.draw(st.lists(_TARGET, min_size=1, max_size=1)),
                     data.draw(st.lists(_TARGET, max_size=6))):
-        got = _outcome(lambda: spans(targets))
+        got = _outcome(lambda: spans(targets)[1:])
         assert got == _outcome(old_spans, targets)
-        got = _outcome(lambda: (cells.integrate(per_cell, targets),))
+        got = _outcome(lambda: (cells.integrate(per_cell, spans(targets)),))
         assert got == _outcome(
             lambda: (old_integrate(cells.nodes, per_cell, targets),))
 
@@ -486,7 +486,7 @@ def test_cells_and_integrals_match(form, f, g, extra, data):
 def test_integrate_turns_a_negative_zero_part_into_zero():
     cells = Cells(PLIntervalForm(2.0), PLFunction.identity())
     for targets in ([(0.2, 0.6)], [(0.2, 0.6), (0.0, 0.1), (0.5, 0.5)]):
-        out = cells.integrate(np.array([-0.0]), targets)
+        out = cells.integrate(np.array([-0.0]), spans(targets))
         assert out.tobytes() == np.zeros(len(targets)).tobytes()
 
 
