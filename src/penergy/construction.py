@@ -30,8 +30,11 @@ fall to the plateau like 2^-n, slowly when |g'|^(p-1) is large.  One level
 loop, :func:`_drive`, runs groups (one function f with its windows)
 through the levels in lock-step: each group stops once all its thresholds,
 band residual included, are quiet, and its rows, numbered once per batch,
-are then masked out of the one kernel call per level.  A group's rows,
-stop level and trace do not depend on the other groups in its batch.
+are then masked out of the kernel's work.  The kernel takes a block of
+levels per call: the levels up to the first at which some group could
+stop, so each call sends exactly the rows that a call per level would,
+and each level's sums add the same terms in the same order.  A group's
+rows, stop level and trace do not depend on the other groups in its batch.
 
 An identity threshold need not run the early levels, which mostly confirm
 the 2^-n decay of its band.  On an identity row the lid has slope -1 and
@@ -40,8 +43,10 @@ f the slope of its cell, so the row's band carries between w min(1,
 :func:`_first_levels` sums those bounds (:func:`_band_bounds`) and gives
 each threshold the latest first level at which they prove that the run
 from there has the same values, stop level, quiet steps and misses as the
-run from n_min.  The levels listed stay n_min..stop, and a trace runs a late
-threshold's skipped levels when it is asked for.
+run from n_min.  The same proof bounds the blocks: no group stops before
+the level its threshold of steepest band is first quiet at, plus
+stall_count.  The levels listed stay n_min..stop, and a trace runs a late
+threshold's skipped levels, in one call, when it is asked for.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -68,7 +73,6 @@ from .pl import (
     shifted_cut,
     sublevel_set,
     triangle_fold,
-    triangle_wave,
 )
 
 __all__ = [
@@ -264,30 +268,30 @@ def _fold_below(span, d0, d1):
 _K_CLIP = 2.0 ** 62
 
 
-def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
-                 p: float) -> np.ndarray:
+def _band_energy(pieces, eps, owner: np.ndarray, size: int) -> np.ndarray:
     """Energy of min(T_n o f, lid) over band pieces, summed per owner.
 
-    ``pieces`` holds per-piece arrays (x0, x1, v0, fs, l0, ls, w): on
-    [x0, x1], with x0 < x1, f runs from v0 at slope fs, the lid from l0 at
-    slope ls, and the weight is w; ``owner`` maps each piece to one of
-    ``size`` thresholds.  Folding keeps |f'|, so the fold carries w |f'|^p
-    and the lid w |lid'|^p on the stretches where each is lower.  The
-    preimages of the half-period lattice k 2^-n, where the fold peaks (odd
-    k) or vanishes (even k), cut a piece into three parts.  On the head,
-    before the first crossing, and the tail, after the last, fold and lid
-    are affine, so the lower one changes at most once, at their root.  On
-    each whole half-tooth in between, the fold runs its full height while
-    the lid stays in [0, 2^-n]: the fold is lower on one stretch at the
-    valley end, lambda / (|f'| - lid') long on a rising tooth and lambda /
-    (|f'| + lid') on a falling one, lambda the lid at the valley.  lambda
-    is affine in the crossing, so each kind sums as an arithmetic series,
-    and a piece costs the same at any slope.  The fold's share is kept in
-    [0, width], so a piece carries between w min(|f'|^p, |lid'|^p) and
-    w max(|f'|^p, |lid'|^p) times its width.
+    ``pieces`` holds per-piece arrays (x0, x1, v0, fs, l0, ls, w, S, Sl):
+    on [x0, x1], with x0 < x1, f runs from v0 at slope fs, the lid from l0
+    at slope ls, the weight is w, and S = |fs|^p and Sl = |ls|^p; ``eps``
+    is each piece's 2^-n, or one for all, and ``owner`` maps each piece to
+    one of ``size`` sums.  Folding keeps |f'|, so the fold carries w S and
+    the lid w Sl on the stretches where each is lower.  The preimages of
+    the half-period lattice k 2^-n, where the fold peaks (odd k) or
+    vanishes (even k), cut a piece into three parts.  On the head, before
+    the first crossing, and the tail, after the last, fold and lid are
+    affine, so the lower one changes at most once, at their root.  On each
+    whole half-tooth in between, the fold runs its full height while the
+    lid stays in [0, 2^-n]: the fold is lower on one stretch at the valley
+    end, lambda / (|f'| - lid') long on a rising tooth and lambda / (|f'|
+    + lid') on a falling one, lambda the lid at the valley.  lambda is
+    affine in the crossing, so each kind sums as an arithmetic series, and
+    a piece costs the same at any slope.  The fold's share is kept in [0,
+    width], so a piece carries between w min(S, Sl) and w max(S, Sl) times
+    its width.
     """
-    x0, x1, v0, fs, l0, ls, w = pieces
-    eps, span, slope = 2.0 ** (-n), x1 - x0, np.abs(fs)
+    x0, x1, v0, fs, l0, ls, w, fp, lp = pieces
+    span, slope, period = x1 - x0, np.abs(fs), eps + eps
     v1 = v0 + fs * span
     kmin = np.floor(np.clip(np.minimum(v0, v1) / eps, -_K_CLIP, _K_CLIP)
                     ).astype(np.int64) + 1
@@ -296,15 +300,18 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
     crossed, teeth = kmax - kmin >= 0, np.maximum(kmax - kmin, 0)
     up = fs > 0.0
     first, last = np.where(up, kmin, kmax), np.where(up, kmax, kmin)
+    # T_n, as pl.triangle_wave, at both ends
+    t0, t1 = np.mod(v0, period), np.mod(v1, period)
+    t0, t1 = np.minimum(t0, period - t0), np.minimum(t1, period - t1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # k 2^-n - v0 has the sign of fs, so a crossing is never below x0
         xf, xl = (np.where(crossed, np.minimum(
             x1, x0 + (k * eps - v0) / fs), x1) for k in (first, last))
         lf, ll = l0 + ls * (xf - x0), l0 + ls * (xl - x0)
-        head = _fold_below(xf - x0, triangle_wave(v0, n) - l0, np.where(
-            crossed, eps * (first & 1), triangle_wave(v1, n)) - lf)
+        head = _fold_below(xf - x0, t0 - l0, np.where(
+            crossed, eps * (first & 1), t1) - lf)
         tail = _fold_below(x1 - xl, eps * (last & 1) - ll,
-                           triangle_wave(v1, n) - (l0 + ls * span))
+                           t1 - (l0 + ls * span))
         # the valleys are the crossings j = j0, j0 + 2, ... of even k, with
         # lid lf + j dl; a rising tooth starts at one, a falling one ends there
         j0 = first & 1
@@ -315,7 +322,7 @@ def _band_energy(pieces, owner: np.ndarray, size: int, n: int,
         # fmax drops a 0/0: where |lid'| = |f'| any split costs the same
         fold = np.minimum(head + np.fmin(np.fmax(lower, 0.0), xl - xf)
                           + tail, span)
-    energy = w * (slope ** p * fold + np.abs(ls) ** p * (span - fold))
+    energy = w * (fp * fold + lp * (span - fold))
     return np.bincount(owner, weights=energy, minlength=size)
 
 
@@ -333,7 +340,8 @@ class _LevelRun:
     A threshold that starts past the first level holds inf at the levels
     before its own; its running minimum is certified to lie among the
     levels it ran, so :attr:`values` need not look at the others, and
-    :meth:`trace` runs them, threshold j alone, by ``rerun(j, levels)``.
+    :meth:`trace` runs them, threshold j alone and in one call, by
+    ``rerun(j, levels)``.
     """
 
     thresholds: np.ndarray
@@ -379,21 +387,34 @@ def _cat(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _drive(energies_at, groups, first: np.ndarray, sched: FoldSchedule,
+def _drive(energies_at, groups, first: np.ndarray, stops: np.ndarray,
+           load: np.ndarray, sched: FoldSchedule,
            tol: float) -> list[_LevelRun]:
-    """Run groups of fold limits through levels n_min..n_max in lock-step.
+    """Run groups of fold limits through levels n_min..n_max in lock-step,
+    one block of levels per call.
 
     ``groups`` holds one (thresholds, reference) pair per group, and all
     thresholds are numbered once, group after group; ``first`` gives each
-    threshold's first level.  ``energies_at(n, live)`` gives (energy, band
-    residual) for all of them; only the rows flagged in ``live``, those of
-    running groups whose first level is at most n, need be worked out.  A
-    step is quiet when the energy change and the band residual, which
-    bounds the distance left to the limit, are both at most ``tol`` times
-    the largest of the two energies and the group's ``reference``; a
-    threshold's first level is no step.  A group stops once all its
-    thresholds have had ``stall_count`` quiet steps in a row; its run,
-    sliced out of the full rows, is the one it would have had alone.
+    threshold's first level, ``stops`` each group's earliest possible stop
+    level and ``load`` each threshold's rows.  ``energies_at(levels,
+    first)`` gives (energy, band residual) rows, one per level of the
+    block, for all thresholds; only a threshold's levels from its ``first``
+    on need be worked out, and a ``first`` past n_max runs none: that of
+    the thresholds of stopped groups.  A step is quiet when the energy
+    change and the band residual, which bounds the distance left to the
+    limit, are both at most ``tol`` times the largest of the two energies
+    and the group's ``reference``; a threshold's first level is no step.
+    A group stops once all its thresholds have had ``stall_count`` quiet
+    steps in a row; its run, sliced out of the full rows, is the one it
+    would have had alone.
+
+    A block runs from the next level to the first at which some running
+    group could stop: not before its ``stops`` level, nor before the level
+    at which each of its thresholds could have had ``stall_count`` quiet
+    steps, one more per level.  So no group stops inside a block, and each
+    call sends the rows that a call per level would.  A block holds at most
+    _BOUND_CHUNK rows, unless its one level alone holds more.  Its levels
+    pass the stall test one by one.
 
     A zero ``reference`` is E(f) = 0, and 0 <= F_f^g(a) <= E(f) forces
     every limit to be exactly 0: the group returns zeros, converged, at
@@ -409,43 +430,68 @@ def _drive(energies_at, groups, first: np.ndarray, sched: FoldSchedule,
         first[s:s + t.size])
         for (t, _), run, s in zip(groups, running, starts)]
     filled = sizes > 0  # reduceat reads one entry past an empty group
-    heads, quiet = starts[filled], np.zeros(len(groups), dtype=bool)
+    heads, least = starts[filled], np.zeros(len(groups), dtype=int)
     floor = np.repeat(np.maximum(reference, 1e-300), sizes)
     quiet_run = np.zeros(floor.size, dtype=int)
     miss = np.full(floor.size, np.inf)
     rows, prev, levels = [], None, sched.levels
+    count, never = sched.stall_count, sched.n_max + 1
+    # a group stops once its shortest quiet run is stall_count long, and
+    # a quiet run grows by one step a level from a threshold's first level
+    reach = stops.copy()
+    reach[filled] = np.maximum(stops[filled], np.maximum.reduceat(
+        first, heads) + count)
 
     def rerun(row, at):
-        live = np.zeros(floor.size, dtype=bool)
-        live[row] = True
-        return [energies_at(n, live)[0][row] for n in at]
+        alone = np.full(floor.size, never)
+        alone[row] = at[0]
+        return energies_at(np.asarray(at), alone)[0][:, row]
 
-    for i, n in enumerate(levels):
-        if not running.any():
-            break
-        live = np.repeat(running, sizes) & (first <= n)
-        e, band = energies_at(n, live)
-        if prev is not None:
-            limit = tol * np.maximum(np.maximum(e, prev), floor)
-            step = np.maximum(np.abs(e - prev), band)
-            miss = step / limit  # read only once a threshold has run a step
-            still = (step <= limit) & (first < n)  # a first level is no step
-            quiet_run = np.where(still, quiet_run + 1, 0)
-        prev = e
-        rows.append(e)
-        quiet[filled] = (np.minimum.reduceat(quiet_run, heads)
-                         >= sched.stall_count)
-        stop = running & quiet if i + 1 < len(levels) else running
-        for g in np.flatnonzero(stop):
-            s, k = starts[g], sizes[g]
-            energies = np.array([r[s:s + k] for r in rows])
-            # a late threshold's levels before its first hold inf
-            energies[np.less.outer(levels[:i + 1], first[s:s + k])] = np.inf
-            runs[g] = _LevelRun(
-                groups[g][0], tuple(levels[:i + 1]), energies,
-                quiet_run[s:s + k], miss[s:s + k], bool(quiet[g]),
-                first[s:s + k], lambda j, at, s=s: rerun(s + j, at))
-        running = running & ~stop
+    def running_rows():
+        """Each threshold's first level, never for a stopped group's, and
+        the rows that run at each level."""
+        live = np.repeat(running, sizes)
+        return np.where(live, first, never), np.cumsum(np.bincount(
+            first - sched.n_min, load * live, len(levels)))
+
+    runs_from, held = running_rows()
+    i = 0
+    while i < len(levels) and running.any():
+        # the first level at which a running group could stop
+        end = min(int(np.maximum(reach, levels[i] - 1 + count - np.minimum(
+            least, count))[running].min()), sched.n_max)
+        m = max(int(np.searchsorted(np.cumsum(
+            held[i:end - sched.n_min + 1]), _BOUND_CHUNK, side="right")), 1)
+        block = energies_at(np.arange(levels[i], levels[i] + m), runs_from)
+        for e, band in zip(*block):
+            n = levels[i]
+            if prev is not None:
+                limit = tol * np.maximum(np.maximum(e, prev), floor)
+                step = np.maximum(np.abs(e - prev), band)
+                # read only once a threshold has run a step
+                miss = step / limit
+                # a first level is no step
+                still = (step <= limit) & (first < n)
+                quiet_run = np.where(still, quiet_run + 1, 0)
+            prev = e
+            rows.append(e)
+            least[filled] = np.minimum.reduceat(quiet_run, heads)
+            quiet = least >= count
+            stop = running & quiet if i + 1 < len(levels) else running
+            for g in np.flatnonzero(stop):
+                s, k = starts[g], sizes[g]
+                energies = np.array([r[s:s + k] for r in rows])
+                # a late threshold's levels before its first hold inf
+                late = np.less.outer(levels[:i + 1], first[s:s + k])
+                energies[late] = np.inf
+                runs[g] = _LevelRun(
+                    groups[g][0], tuple(levels[:i + 1]), energies,
+                    quiet_run[s:s + k], miss[s:s + k], bool(quiet[g]),
+                    first[s:s + k], lambda j, at, s=s: rerun(s + j, at))
+            if stop.any():
+                running = running & ~stop
+                runs_from, held = running_rows()
+            i += 1
     return runs
 
 
@@ -486,8 +532,11 @@ def _band_ends(r: dict, top):
 #: few roundings off its range, and one threshold's terms, up to 2^22 rows,
 #: add up within a factor 1 +- _KAPPA.
 _KAPPA = 2.0 ** -30
-#: (pair, level) entries per bounds call in the search for late starts
-_BOUND_CHUNK = 1 << 15
+#: (row, level) entries per bounds call in the search for late starts, and
+#: per block of levels the driver asks for: past some 2^13 entries the
+#: kernel's temporaries leave the cache, and an entry costs half as much
+#: again
+_BOUND_CHUNK = 1 << 13
 #: the columns of an identity row that its bounds read
 _RATES = ("c", "xa", "xb", "ha", "hb", "xc", "w", "S")
 
@@ -515,12 +564,14 @@ def _band_bounds(r: dict, level: np.ndarray, owner: np.ndarray, size: int):
                                     (np.maximum(col["S"], 1.0), 1.0)))
 
 
-def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
-                  is_ident: np.ndarray, drive, sched: FoldSchedule,
-                  tol: float) -> np.ndarray:
-    """Each threshold's first level: n_min, or a later level s chosen from
-    the bounds of :func:`_band_bounds`, such that the run from there keeps
-    every value, stop level, quiet step and miss of the run from n_min.
+def _first_levels(table: dict, plateau: np.ndarray, is_ident: np.ndarray,
+                  drive, sched: FoldSchedule,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each threshold's first level, and each group's earliest stop level.
+
+    The first level is n_min, or a later level s chosen from the bounds of
+    :func:`_band_bounds`, such that the run from there keeps every value,
+    stop level, quiet step and miss of the run from n_min.
 
     A threshold whose band is certainly above the tolerance at a level is
     not quiet there.  If one threshold's is at every step up to a level m,
@@ -535,15 +586,16 @@ def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
     levels at once as _BOUND_CHUNK allows.
     Each threshold starts at its own latest such s <= m, m that of its
     group; the thresholds of a block with a witness g always start at
-    n_min.
+    n_min.  The earliest stop level, m + stall_count, bounds the blocks of
+    levels :func:`_drive` asks for; a group with no proof (no identity
+    rows, E(f) = 0 or no band of positive rate) has m = n_min.
     """
     n_min, count = sched.n_min, sched.stall_count
     size = plateau.size
     first = np.full(size, n_min)
     if not is_ident.any():
-        return first
+        return first, np.full(len(drive), n_min + count)
     ident = _live(table, is_ident)
-    ident = {**ident, "S": np.abs(ident["fs"]) ** form.p}
     sizes = np.array([t.size for t, _ in drive], dtype=int)
     reference = np.array([e for _, e in drive], dtype=float)
     group = np.repeat(np.arange(sizes.size), sizes)
@@ -575,7 +627,7 @@ def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
     proof[usable] += np.logical_and.accumulate(busy, axis=1).sum(axis=1)
     cap = (proof - n_min)[group]
     if not cap.any():
-        return first
+        return first, proof + count
 
     # each threshold's latest start n_min + k: k counts the levels m =
     # n_min, ... with plateau + L_m >= plateau + U at the earliest stop,
@@ -602,7 +654,7 @@ def _first_levels(form: PLIntervalForm, table: dict, plateau: np.ndarray,
         ok = plateau[rows, None] + low >= ceiling[rows, None]
         lo[rows] = np.max(np.where(ok, test, lo[rows, None]), axis=1)
         hi[rows] = np.min(np.where(ok, hi[rows, None], test - 1), axis=1)
-    return first + lo
+    return first + lo, proof + count
 
 
 def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
@@ -615,18 +667,20 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     the identity, whose blocks are one-sided; a NaN bound is rejected.  The
     plateau, f's energy on the window, is read once off its cumulative
     energy.  Only the bands g in (hi, hi + 2^-n) and (lo - 2^-n, lo) need
-    the fold's nodes, and each level sends all of them through one kernel
-    call.  A row is one threshold c, side h and cell of the grid x of f,
-    the weight and g, where the cell's range of h = g (for c = hi) or h =
-    -g (for c = -lo) meets the band (c, c + 2^-n) at the first level; the
-    identity's grid is that of f and the weight, and its h is x.  Each row
-    reads, once, f's value at the cell's left end and f's slope and the
-    weight on the cell of :class:`Cells` holding it, the partition the
-    plateau is read from.  Each level cuts the cell down to its band at the
-    exact crossings of c, where the lid is 2^-n, and of c + 2^-n, where it
-    is 0; at a cell end inside the band the lid is c + 2^-n - h.
-    Thresholds and rows are numbered once, when the batch is built; a
-    stopped group's rows are masked out.
+    the fold's nodes, and each block of levels :func:`_drive` asks for sends
+    all of them through one kernel call.  A row is one threshold c, side h
+    and cell of the grid x of f, the weight and g, where the cell's range of
+    h = g (for c = hi) or h = -g (for c = -lo) meets the band (c, c + 2^-n)
+    at the first level; the identity's grid is that of f and the weight, and
+    its h is x.  Each row reads, once, f's value at the cell's left end and
+    f's slope and the weight on the cell of :class:`Cells` holding it, the
+    partition the plateau is read from.  Each level cuts the cell down to
+    its band at the exact crossings of c, where the lid is 2^-n, and of
+    c + 2^-n, where it is 0; at a cell end inside the band the lid is
+    c + 2^-n - h.
+    Thresholds and rows are numbered once, when the batch is built, and
+    the rows put in order of their first level; a stopped group's rows are
+    masked out.
     """
     eps_max = 2.0 ** (-sched.n_min)
     drive, plateau, rows, is_ident = [], [], [], []
@@ -677,25 +731,60 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     plateau, size, is_ident = _cat(plateau), start, _cat(is_ident)
     rows = dict(zip(("owner", "c", "xa", "xb", "ha", "hb", "xc", "ls", "fa",
                      "fs", "w"), map(_cat, zip(*rows))))
+    rows.update(S=np.abs(rows["fs"]) ** form.p,
+                Sl=np.abs(rows["ls"]) ** form.p)
+    first, stops = _first_levels(rows, plateau, is_ident, drive, sched, tol)
+    # rows in order of their first level, so that the rows a level runs
+    # are a prefix of those that run at all; each column is this batch's
+    # own, and is sorted in place
+    order = first[rows["owner"]]
+    if np.any(order[1:] < order[:-1]):
+        order = np.argsort(order, kind="stable")
+        for column in rows.values():
+            column[:] = column[order]
     live = {}
 
-    def energies_at(n, run):
-        if live.get("key") != run.tobytes():
-            live.update(key=run.tobytes(), rows=_live(rows, run))
-        r, eps = live["rows"], 2.0 ** (-n)
-        top = r["c"] + eps
-        x0, x1 = _band_ends(r, top)
+    def energies_at(levels, runs_from):
+        # the rows that run, kept while the caller passes the same array
+        if live.get("key") is not runs_from:
+            r = _live(rows, runs_from <= sched.n_max)
+            live.update(key=runs_from, rows=r, upto=np.cumsum(np.bincount(
+                runs_from[r["owner"]] - sched.n_min,
+                minlength=len(sched.levels))))
+        r, k = live["rows"], levels.size
+        held = live["upto"][levels - sched.n_min]
+        if not held.any():
+            band = np.zeros((k, size))
+            return plateau + band, band
+        # entries level by level, each level's in row order; one level's
+        # rows are a prefix of r, taken as views
+        if k == 1:
+            level, pick = 0, slice(0, held[0])
+        else:
+            level, pick = _ragged(held)
+        eps = np.ldexp(1.0, -levels)[level]
+        ends = {name: r[name][pick] for name in ("c", "xa", "xb", "ha", "hb",
+                                                "xc")}
+        top = ends["c"] + eps
+        x0, x1 = _band_ends(ends, top)
         keep = np.flatnonzero(x1 > x0)
-        x0, x1, top = x0[keep], x1[keep], top[keep]
-        xa, ha, fa, fs, ls, w, owner = (r[name][keep] for name in (
-            "xa", "ha", "fa", "fs", "ls", "w", "owner"))
+        x0, x1, top, xa, ha = (v[keep] for v in (
+            x0, x1, top, ends["xa"], ends["ha"]))
+        if k == 1:
+            pick = keep
+        else:
+            level, pick, eps = level[keep], pick[keep], eps[keep]
+        fa, fs, ls, w, fp, lp, owner = (r[name][pick] for name in (
+            "fa", "fs", "ls", "w", "S", "Sl", "owner"))
+        # one sum per level and threshold
         band = _band_energy((x0, x1, fa + fs * (x0 - xa), fs,
-                             np.clip(top - ha, 0.0, eps), ls, w),
-                            owner, size, n, form.p)
+                             np.clip(top - ha, 0.0, eps), ls, w, fp, lp),
+                            eps, owner + level * size, k * size
+                            ).reshape(k, size)
         return plateau + band, band
 
-    first = _first_levels(form, rows, plateau, is_ident, drive, sched, tol)
-    return _drive(energies_at, drive, first, sched, tol)
+    return _drive(energies_at, drive, first, stops,
+                  np.bincount(rows["owner"], minlength=size), sched, tol)
 
 
 def _identity_runs(form: PLIntervalForm, groups,

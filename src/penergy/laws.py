@@ -20,11 +20,11 @@ budget comes from the level schedule alone, with no proration involved.
 Laws hand the construction route their functions in batches: those of
 every trial at once, or of one trial where trials differ in shape (total
 mass, homogeneity, two-variable differences), and one batch per form for
-domination.  A batch runs its fold limits in lock-step, one level at a
-time for all functions, and each function's limits come out bit for bit
-as they would alone.  Slacks are pushed in the order the functions were
-drawn, and a batch whose limits did not stall raises for the first such
-function in that order.
+domination.  A batch runs its fold limits in lock-step, one block of
+levels at a time for all functions, and each function's limits come out
+bit for bit as they would alone.  Slacks are pushed in the order the
+functions were drawn, and a batch whose limits did not stall raises for
+the first such function in that order.
 """
 
 from __future__ import annotations

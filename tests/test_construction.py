@@ -443,20 +443,35 @@ def _exact_piece(piece, n, p):
                        + float(abs(ls)) ** p * float(width - lower))
 
 
+def _kernel(pieces, n, p):
+    """Each piece's band energy, from pieces (x0, x1, v0, fs, l0, ls, w)
+    at levels n, as the producer hands them over: with |fs|^p and |ls|^p
+    and a 2^-n of their own."""
+    cols = [np.asarray(v, dtype=float) for v in zip(*pieces)]
+    eps = np.ldexp(1.0, -np.asarray(n))
+    return construction._band_energy(
+        (*cols, np.abs(cols[3]) ** p, np.abs(cols[5]) ** p), eps,
+        np.arange(len(pieces)), len(pieces))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_band_kernel_matches_exact_pieces(seed):
-    for piece, n, p in _random_pieces(np.random.default_rng(seed), 40):
-        got, = construction._band_energy(
-            tuple(np.array([v]) for v in piece), np.zeros(1, dtype=int), 1,
-            n, p)
-        x0, x1, v0, fs, _, ls, w = piece
-        # the kernel rounds the ends of a piece's parts by an ulp of x, or
-        # of f over |f'|: a few of those, not one per crossing
-        delta = np.spacing(x1) + np.spacing(
-            max(abs(v0), abs(v0 + fs * (x1 - x0)))) / abs(fs)
-        bound = w * max(abs(fs) ** p, abs(ls) ** p) * (
-            1e-12 * (x1 - x0) + 4.0 * delta)
-        assert abs(got - _exact_piece(piece, n, p)) <= bound
+    # one call for pieces at levels 6..48 and powers p: each reads its own
+    # 2^-n and its own |f'|^p, |lid'|^p
+    cases = list(_random_pieces(np.random.default_rng(seed), 40))
+    for p in (1.5, 2.0, 3.0):
+        at = [c for c in cases if c[2] == p]
+        got = _kernel([piece for piece, _, _ in at], [n for _, n, _ in at],
+                      p)
+        for value, (piece, n, _) in zip(got, at):
+            x0, x1, v0, fs, _, ls, w = piece
+            # the kernel rounds the ends of a piece's parts by an ulp of x,
+            # or of f over |f'|: a few of those, not one per crossing
+            delta = np.spacing(x1) + np.spacing(
+                max(abs(v0), abs(v0 + fs * (x1 - x0)))) / abs(fs)
+            bound = w * max(abs(fs) ** p, abs(ls) ** p) * (
+                1e-12 * (x1 - x0) + 4.0 * delta)
+            assert abs(value - _exact_piece(piece, n, p)) <= bound
 
 
 def test_band_kernel_takes_a_piece_of_2_to_40_crossings():
@@ -465,9 +480,7 @@ def test_band_kernel_takes_a_piece_of_2_to_40_crossings():
     # 1) / 2 times its width, S = |f'|^p, inside [w, w S] times the width
     n, w, p = 20, 2.5, 1.5
     eps = 2.0 ** -n
-    piece = tuple(np.array([v]) for v in (
-        0.5, 0.5 + eps, 0.3, 2.0 ** 40, eps, -1.0, w))
-    got, = construction._band_energy(piece, np.zeros(1, dtype=int), 1, n, p)
+    got, = _kernel([(0.5, 0.5 + eps, 0.3, 2.0 ** 40, eps, -1.0, w)], [n], p)
     s = 2.0 ** (40 * p)
     assert w * eps <= got <= w * s * eps
     assert got == pytest.approx(w * (s + 1.0) * eps / 2.0, rel=1e-9)

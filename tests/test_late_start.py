@@ -33,9 +33,10 @@ SCHED = FoldSchedule(n_min=6, n_max=34, rel_tol=1e-8)
 WEIGHT = [(0.0, 0.3, 1.0), (0.3, 0.45, 0.0), (0.45, 1.0, 2.5)]
 
 
-def _from_n_min(form, ident, plateau, is_ident, drive, sched, tol):
-    """The start chooser of a run from n_min."""
-    return np.full(plateau.size, sched.n_min)
+def _from_n_min(table, plateau, is_ident, drive, sched, tol):
+    """The start chooser of a run from n_min, which proves no stop level."""
+    return (np.full(plateau.size, sched.n_min),
+            np.full(len(drive), sched.n_min + sched.stall_count))
 
 
 def _both(monkeypatch, make):
@@ -178,14 +179,14 @@ def test_bounds_hold_the_kernel_band(monkeypatch, seed):
     kernel, chooser = construction._band_energy, construction._first_levels
     seen = {}
 
-    def kernel_spy(pieces, owner, size, n, p):
-        seen.update(pieces=pieces, owner=owner,
-                    band=kernel(pieces, owner, size, n, p))
+    def kernel_spy(pieces, eps, owner, size):
+        seen.update(pieces=pieces, eps=eps, owner=owner,
+                    band=kernel(pieces, eps, owner, size))
         return seen["band"]
 
-    def chooser_spy(form, rows, *args):
+    def chooser_spy(rows, *args):
         seen["rows"] = rows
-        return chooser(form, rows, *args)
+        return chooser(rows, *args)
 
     monkeypatch.setattr(construction, "_band_energy", kernel_spy)
     monkeypatch.setattr(construction, "_first_levels", chooser_spy)
@@ -197,10 +198,12 @@ def test_bounds_hold_the_kernel_band(monkeypatch, seed):
             _identity_runs(form, [(f, a)], FoldSchedule(n, n))
             if "band" not in seen:  # E(f) = 0: no level runs
                 continue
-            x0, x1, _, fs, _, ls, w = seen["pieces"]
-            assert np.all(ls == -1.0)
-            one = kernel(seen["pieces"], np.arange(x0.size), x0.size, n, p)
-            width, s = w * (x1 - x0), np.abs(fs) ** p
+            x0, x1, _, fs, _, ls, w, s, sl = seen["pieces"]
+            assert np.all(ls == -1.0) and np.all(sl == 1.0)
+            assert np.array_equal(s, np.abs(fs) ** p)
+            one = kernel(seen["pieces"], seen["eps"], np.arange(x0.size),
+                         x0.size)
+            width = w * (x1 - x0)
             assert np.all(one >= width * np.minimum(1.0, s) * (1.0 - 1e-12))
             assert np.all(one <= width * np.maximum(1.0, s) * (1.0 + 1e-12))
             rows = seen["rows"]
@@ -226,9 +229,9 @@ def test_anchor_sends_at_most_forty_percent_of_the_row_levels(monkeypatch):
     sent = []
     kernel = construction._band_energy
 
-    def counting(pieces, owner, size, n, p):
+    def counting(pieces, eps, owner, size):
         sent[-1] += owner.size
-        return kernel(pieces, owner, size, n, p)
+        return kernel(pieces, eps, owner, size)
 
     monkeypatch.setattr(construction, "_band_energy", counting)
 
