@@ -501,7 +501,7 @@ def cmd_ks_energy(cfg: dict, args, out_dir: Path) -> int:
 
 
 def cmd_sg_renorm(cfg: dict, args, out_dir: Path) -> int:
-    # the gasket loads scipy, which no other command needs
+    # only this command needs the gasket
     from .gasket import renormalization_constant
     results = [renormalization_constant(p, cfg["grid_size"], cfg["tol"],
                                         cfg["max_iterations"])

@@ -8,9 +8,9 @@ deduplication exact.
 ``harmonic_extension`` minimises E = sum |d|^p over interior values x, with
 edge differences d = B_int x + B_bnd b from the edge incidence matrix B.
 One damped Newton solver, with Hessian B_int^T diag(h) B_int, does every p:
-p = 2 is one solve with the graph Laplacian L = B_int^T B_int (this is
-``exact_p2_extension``), p > 2 starts from it, and p < 2 follows the
-smoothed energies sum (d^2 + eps^2)^(p/2) as eps shrinks to a floor.  It
+p = 2 is one solve with unit h, the Laplacian L (``exact_p2_extension``),
+p > 2 starts from it, and p < 2 follows the smoothed energies sum (d^2 +
+eps^2)^(p/2) as eps shrinks to a floor.  Solves eliminate cell by cell.  It
 stops on a Fenchel duality gap, not a gradient norm: projecting the flux
 q0 = p|d|^(p-1) sgn d onto interior-divergence-free fields, q = q0 -
 B_int L^-1 B_int^T q0, gives q.(B_bnd b) - (p-1) sum (|q|/p)^(p/(p-1)) <=
@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import splu
 
 from .forms import _check_p
 
@@ -121,42 +119,63 @@ def graph_energy(graph: GasketGraph, p: float, values: np.ndarray) -> float:
     return float(np.sum(np.abs(v[graph.edge_j] - v[graph.edge_i]) ** p))
 
 
-def _factor(mat):
-    # minimum degree on A + A^T suits these symmetric graph matrices: it
-    # leaves about 3/4 of COLAMD's fill and halves the factorisation time
-    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+def _divergence(graph: GasketGraph, flux: np.ndarray) -> np.ndarray:
+    """B^T flux as a vertex vector: B_int^T flux at the interior."""
+    return np.bincount(graph.edge_j, flux, graph.n_vertices) \
+        - np.bincount(graph.edge_i, flux, graph.n_vertices)
 
 
-def _laplacian_system(graph: GasketGraph, bv: np.ndarray):
-    """B_int, the boundary part c = B_bnd bv, and the factorised L.
+def _eliminate(graph: GasketGraph, h: np.ndarray):
+    """Eliminate each cell's midpoints x = m01, y = m02, z = m12 from the
+    Laplacian with edge conductances h, smallest cells first.
 
-    Row e of the incidence matrix B is -1 at ``edge_i[e]`` and +1 at
-    ``edge_j[e]``, so the edge differences of the vertex vector with
-    interior values x are B_int x + c.
+    A cell meets the rest of the graph at its corners a, b, c only, so it
+    acts as a triangle of conductances.  Cell i's children 3i, 3i + 1 and
+    3i + 2 start at its corners; x, y are child 0's others and z is child
+    1's last.  Star-mesh steps at x, y, z add only positive terms, so no
+    pivot is needed.  Each level keeps [M | W]: M inverts its midpoint
+    block and W maps its corner values to midpoint values.
     """
-    m = graph.edge_i.size
-    b = csr_matrix((np.tile([-1.0, 1.0], m),
-                    np.column_stack([graph.edge_i, graph.edge_j]).ravel(),
-                    np.arange(0, 2 * m + 1, 2)),
-                   shape=(m, graph.n_vertices))
-    b_int = b[:, graph.interior]
-    return b_int, b[:, list(graph.boundary)] @ bv, _factor(b_int.T @ b_int)
+    cond, cells, out = h.reshape(-1, 3), graph.cells, []
+    for _ in range(graph.level):
+        kids = cells.reshape(-1, 3, 3)
+        cells, mids = kids[:, :, 0], kids[:, [0, 0, 1], [1, 2, 2]].T.copy()
+        ax, ay, xy, bx, bz, xz, cy, cz, yz = cond.reshape(-1, 9).T
+        dx = ax + bx + xy + xz
+        wxy, wxz = xy / dx, xz / dx
+        ya, yb, yz = ay + ax * wxy, bx * wxy, yz + xy * wxz
+        dy = ya + yb + cy + yz
+        wyz = yz / dy
+        z = (ax * wxz + ya * wyz, bz + bx * wxz + yb * wyz, cz + cy * wyz)
+        one, zero = np.ones_like(dx), np.zeros_like(dx)
+        mw = np.empty((3, 6, dx.size))   # back substitution, rows z, y, x
+        mw[2] = np.divide((wxz + wyz * wxy, wyz, one) + z, sum(z))
+        mw[1] = np.divide((wxy, one, zero, ya, yb, cy), dy) + wyz * mw[2]
+        mw[0] = np.divide((one, zero, zero, ax, bx, zero), dx) \
+            + wxy * mw[1] + wxz * mw[2]
+        cond = np.vstack([ax * mw[0, 4:] + ay * mw[1, 4:],      # -L_cm W
+                          bx * mw[0, 5] + bz * mw[2, 5]]).T
+        out.append((cells.T.ravel(), mids, mw))
+    return out
+
+
+def _solve(elim, load, v) -> np.ndarray:
+    """v's boundary values extended by the vertex values whose Laplacian
+    is ``load`` at the interior: going up, each cell passes W^T times its
+    midpoints' loads to its corners; going down, [M | W] gives them values.
+    """
+    load, v, kept = np.array(load, dtype=float), np.array(v, dtype=float), []
+    for cells, mids, mw in elim:
+        kept.append(load[mids])
+        push = (mw[:, 3:] * kept[-1][:, None]).sum(0)
+        load += np.bincount(cells, push.ravel(), load.size)
+    for (cells, mids, mw), lm in zip(reversed(elim), reversed(kept)):
+        v[mids] = (mw * np.concatenate([lm, v[cells.reshape(3, -1)]])).sum(1)
+    return v
 
 
 def _smoothed(p, d, eps):
     return np.sum((d * d + eps * eps) ** (0.5 * p))
-
-
-def _certificate(p, d, energy, c, b_int, lap):
-    """Duality gap (module docstring) and interior gradient at differences d.
-
-    Fenchel-Young on each edge makes the bound hold for every x.
-    """
-    flux = p * np.abs(d) ** (p - 1.0) * np.sign(d)
-    grad = b_int.T @ flux
-    q = flux - b_int @ lap.solve(grad)
-    lower = q @ c - (p - 1.0) * np.sum((np.abs(q) / p) ** (p / (p - 1.0)))
-    return float(energy - lower), grad
 
 
 @dataclass(frozen=True)
@@ -194,28 +213,40 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
     bv = np.asarray(boundary_values, dtype=float)
     if bv.size != 3:
         raise ValueError("need exactly 3 boundary values")
+    n, bnd = graph.n_vertices, list(graph.boundary)
+    i, j = graph.edge_i, graph.edge_j
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (graph.n_vertices,) or not np.all(np.isfinite(x0)):
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (n,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must hold one finite value per vertex")
-    b_int, c, lap = _laplacian_system(graph, bv)
-    x = lap.solve(-(b_int.T @ c)) if x0 is None else x0[graph.interior]
-    scale = float(np.abs(b_int @ x + c).max())
+        x0[bnd] = bv
+    unit = _eliminate(graph, np.ones(i.size))
+    b = np.bincount(bnd, bv, n)
+    x = _solve(unit, np.zeros(n), b) if x0 is None else x0
+    c = b[j] - b[i]                                  # B_bnd b
+    scale = float(np.abs(x[j] - x[i]).max())
     floor = _EPS_FLOOR * scale
     eps = scale if p < 2.0 else floor
     steps = 0
     while True:
-        d = b_int @ x + c
+        d = x[j] - x[i]
         energy = float(np.sum(np.abs(d) ** p))
-        gap, grad = _certificate(p, d, energy, c, b_int, lap)
+        # duality gap (module docstring), by Fenchel-Young on each edge; z
+        # has zero boundary values, as (B_int z + c) - c would lose ulp(c)
+        flux = p * np.abs(d) ** (p - 1.0) * np.sign(d)
+        grad = _divergence(graph, flux)
+        z = _solve(unit, grad, np.zeros(n))
+        q = flux - (z[j] - z[i])
+        lower = q @ c - (p - 1.0) * np.sum((np.abs(q) / p) ** (p / (p - 1.0)))
+        gap = float(energy - lower)
         if gap <= tol * energy or steps == _MAX_STEPS:
             break
         # damped Newton step on the smoothed energy
         r = d * d + eps * eps
-        g = b_int.T @ (p * d * r ** (0.5 * p - 1.0))
+        g = _divergence(graph, p * d * r ** (0.5 * p - 1.0))
         h = p * r ** (0.5 * p - 2.0) * ((p - 1.0) * d * d + eps * eps)
-        delta = _factor(b_int.T @ diags(h) @ b_int).solve(-g)
-        slope, bd = float(g @ delta), b_int @ delta
+        delta = _solve(_eliminate(graph, h), -g, np.zeros(n))
+        slope, bd = float(g @ delta), delta[j] - delta[i]
         now, t = _smoothed(p, d, eps), 1.0
         while (new := _smoothed(p, d + t * bd, eps)) > now + 1e-4 * t * slope \
                 and t > 1e-12:
@@ -227,9 +258,8 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
             break            # no descent left at the floor: rounding level
         if t == 1.0 or new >= now:
             eps = max(_EPS_SHRINK * eps, floor)
-    vals = np.empty(graph.n_vertices)
-    vals[list(graph.boundary)], vals[graph.interior] = bv, x
-    return HarmonicExtension(vals, energy, gap,
+    grad[bnd] = 0.0
+    return HarmonicExtension(x, energy, gap,
                              float(np.abs(grad).max(initial=0.0)), steps,
                              gap <= tol * energy)
 
@@ -237,8 +267,8 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
 def exact_p2_extension(graph: GasketGraph, boundary_values) -> np.ndarray:
     """2-harmonic extension (the p = 2 oracle).
 
-    This is the start of ``harmonic_extension``: one solve with the graph
-    Laplacian, which the p = 2 duality gap certifies before any Newton step.
+    This is the start of ``harmonic_extension``: one cell-by-cell solve
+    with unit weights, which the p = 2 duality gap certifies at once.
     """
     return harmonic_extension(graph, 2.0, boundary_values).values
 

@@ -39,7 +39,7 @@ PINS = {
         "ks-energy", "ks_energy.csv",
         {"seed": 7, "space": "interval", "n": 2000, "p": 3.0,
          "profile": "sine"},
-        "bbc8bc59196512f359a983cfdc85715007cbb01aa45a277eb888a01a63f6486e"),
+        "c03cedff473b3f06fdb8fbac068792c60e0422a1fdbe14f05352659e5774aed3"),
     "ks-energy interval r_list": (
         "ks-energy", "ks_energy.csv",
         {"seed": 7, "space": "interval", "n": 4000, "p": 2.0,

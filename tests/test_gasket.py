@@ -168,6 +168,59 @@ def _fenchel_lower_bound(g, p, boundary_values, values):
     return float(np.sum(np.abs(d) ** p)), float(lower)
 
 
+def _weighted_laplacian(g, h):
+    """B^T diag(h) B, assembled edge by edge as a sparse matrix."""
+    i, j = g.edge_i, g.edge_j
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([i, j, j, i])
+    vals = np.concatenate([h, h, -h, -h])
+    return coo_matrix((vals, (rows, cols)),
+                      shape=(g.n_vertices, g.n_vertices)).tocsr()
+
+
+def _backward_error(lap, inner, x, load):
+    """max |L x - load| over interior rows, relative to |L| |x| + |load|."""
+    rows = lap[inner]
+    res = rows @ x - load[inner]
+    scale = (abs(rows).sum(axis=1).max() * np.abs(x).max()
+             + np.abs(load[inner]).max(initial=0.0))
+    return float(np.abs(res).max(initial=0.0) / scale)
+
+
+@pytest.mark.parametrize("weights", ["unit", "16 decades"])
+@pytest.mark.parametrize("level", range(8))
+def test_cell_solver_matches_a_sparse_solve(level, weights):
+    g = gasket.build_gasket(level)
+    rng = np.random.default_rng(100 + level)
+    h = np.ones(g.edge_i.size) if weights == "unit" \
+        else 10.0 ** rng.uniform(-8.0, 8.0, g.edge_i.size)
+    load = rng.normal(size=g.n_vertices)
+    bv = rng.normal(size=3)
+    corners = np.zeros(g.n_vertices)
+    corners[list(g.boundary)] = bv
+    elim = gasket._eliminate(g, h)
+    got = gasket._solve(elim, load, corners)
+    # one elimination serves any number of solves, bit for bit
+    assert gasket._solve(elim, load, corners).tobytes() == got.tobytes()
+    assert got[list(g.boundary)].tobytes() == bv.tobytes()
+    inner = g.interior
+    if level < 2:    # no interior vertex at level 0, three at level 1
+        assert inner.size == 3 * level
+    if inner.size == 0:
+        assert got.tobytes() == corners.tobytes()
+        return
+    lap = _weighted_laplacian(g, h)
+    ref = corners.copy()
+    ref[inner] = spsolve(lap[inner][:, inner].tocsc(),
+                         load[inner] - lap[inner][:, list(g.boundary)] @ bv)
+    mine = _backward_error(lap, inner, got, load)
+    theirs = _backward_error(lap, inner, ref, load)
+    assert mine <= theirs + 1e-12
+    if weights == "unit":
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("boundary", [(0.0, 1.0, 0.3), (1.0, 0.0, 0.0)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 6.0])
 @pytest.mark.parametrize("level", [5, 6, 7])

@@ -18,6 +18,7 @@ from penergy.ks import (
     CanonicalComparison,
     KSKernel,
     SampledSpace,
+    _abs_power,
     _membership,
     _offset_cap,
     ball_measure,
@@ -75,11 +76,19 @@ def literal_cap(h, r, limit):
     return m
 
 
+def abs_power(d, p):
+    """|d|^p by the program's rule: by multiplication at integer p."""
+    d = np.array(d, dtype=float)
+    _abs_power(d, p, np.empty_like(d))
+    return d
+
+
 def per_radius_ks(space, u, kernel):
     """One radius at a time, every offset's power taken afresh and every
     pair's term weighted by its own ball factors: the loop the batched
     scan kernels evaluate, bit for bit on restricted intervals and to
-    roundoff elsewhere."""
+    roundoff elsewhere.  Powers follow the program's rule, since the
+    subject here is the order of summation."""
     h = space.spacing
     p = kernel.p
     acc = 0.0
@@ -93,7 +102,7 @@ def per_radius_ks(space, u, kernel):
                   - np.maximum(idx - k_max, 0) + 1)
         side = _membership(space, kernel.restriction) / (counts * h)
         for k in range(1, k_max + 1):
-            dp = np.abs(u[k:] - u[:-k]) ** p
+            dp = abs_power(u[k:] - u[:-k], p)
             acc += float(np.sum(dp * (side[k:] + side[:-k])))
         return acc * h * h / kernel.r ** p
     n_side = space.side
@@ -110,7 +119,7 @@ def per_radius_ks(space, u, kernel):
                     or not np.sqrt(wa * wa + wb * wb) < kernel.r:
                 continue
             shifted = np.roll(np.roll(grid, a, axis=0), b, axis=1)
-            acc += float(np.sum(np.abs(grid - shifted) ** p))
+            acc += float(np.sum(abs_power(grid - shifted, p)))
             count += 1
     if count == 0:
         return 0.0
@@ -221,6 +230,46 @@ def test_kernel_rejects_non_finite_scale_and_exponent():
         KSKernel(math.inf, 2.0)
     with pytest.raises(ValueError, match="must be finite"):
         KSKernel(0.1, math.inf)
+
+
+# -- powers -----------------------------------------------------------------
+
+SIGNED = np.random.default_rng(41).normal(size=4096) \
+    * np.logspace(-6.0, 6.0, 4096)
+
+
+def test_integer_power_at_two_is_the_square():
+    got = abs_power(SIGNED, 2.0)
+    assert got.tobytes() == (SIGNED * SIGNED).tobytes()
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 8.0])
+def test_integer_power_within_p_minus_one_roundings(p):
+    # a product of p factors takes p - 1 roundings of 2^-53 each; np.power
+    # adds at most as much again, so the gap is within p - 1 epsilons
+    want = np.abs(SIGNED) ** p
+    got = abs_power(SIGNED, p)
+    assert np.all(np.abs(got - want) <= (p - 1.0) * np.finfo(float).eps
+                  * want)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 7.0, 1.5, 2.5])
+def test_power_of_signed_zeros_is_positive_zero(p):
+    got = abs_power(np.array([0.0, -0.0, 0.0, -0.0]), p)
+    assert got.tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0000000000000004, 6.2])
+def test_non_integer_power_is_numpys(p):
+    got = abs_power(SIGNED, p)
+    assert got.tobytes() == (np.abs(SIGNED) ** p).tobytes()
+
+
+def test_integer_power_ignores_what_the_scratch_row_holds():
+    # the result lands in d; base is scratch, so its input is never read
+    d = SIGNED.copy()
+    _abs_power(d, 3.0, np.full_like(d, np.nan))
+    assert d.tobytes() == abs_power(SIGNED, 3.0).tobytes()
 
 
 # -- ks_energy --------------------------------------------------------------
