@@ -39,14 +39,17 @@ rows, stop level and trace do not depend on the other groups in its batch.
 An identity threshold need not run the early levels, which mostly confirm
 the 2^-n decay of its band.  On an identity row the lid has slope -1 and
 f the slope of its cell, so the row's band carries between w min(1,
-|f'|^p) and w max(1, |f'|^p) times its width.  When the batch is built,
-:func:`_first_levels` sums those bounds (:func:`_band_bounds`) and gives
-each threshold the latest first level at which they prove that the run
-from there has the same values, stop level, quiet steps and misses as the
-run from n_min.  The same proof bounds the blocks: no group stops before
-the level its threshold of steepest band is first quiet at, plus
+|f'|^p) and w max(1, |f'|^p) times its width.  Before any row is built,
+:func:`_first_levels` reads bounds on each band off the cumulative sums of
+those two rates on the :class:`Cells` partition (:func:`_rate_bounds`)
+and gives each threshold the latest first level at which they prove that
+the run from there has the same values, stop level, quiet steps and
+misses as the run from n_min; the threshold's rows are then built for its
+band at that level.  The same proof bounds the blocks: no group stops
+before the level its threshold of steepest band is first quiet at, plus
 stall_count.  The levels listed stay n_min..stop, and a trace runs a late
-threshold's skipped levels, in one call, when it is asked for.
+threshold's skipped levels, on rows built for its band at n_min, in one
+call, when it is asked for.
 
 Everything here requires the strongly local interval model; graph forms
 expose their measures directly by edge decomposition instead.
@@ -387,8 +390,8 @@ def _cat(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _drive(energies_at, groups, first: np.ndarray, stops: np.ndarray,
-           load: np.ndarray, sched: FoldSchedule,
+def _drive(energies_at, rerun, groups, first: np.ndarray,
+           stops: np.ndarray, load: np.ndarray, sched: FoldSchedule,
            tol: float) -> list[_LevelRun]:
     """Run groups of fold limits through levels n_min..n_max in lock-step,
     one block of levels per call.
@@ -396,17 +399,19 @@ def _drive(energies_at, groups, first: np.ndarray, stops: np.ndarray,
     ``groups`` holds one (thresholds, reference) pair per group, and all
     thresholds are numbered once, group after group; ``first`` gives each
     threshold's first level, ``stops`` each group's earliest possible stop
-    level and ``load`` each threshold's rows.  ``energies_at(levels,
+    level, no earlier than any of its thresholds' first level plus
+    stall_count, and ``load`` each threshold's rows.  ``energies_at(levels,
     first)`` gives (energy, band residual) rows, one per level of the
     block, for all thresholds; only a threshold's levels from its ``first``
     on need be worked out, and a ``first`` past n_max runs none: that of
-    the thresholds of stopped groups.  A step is quiet when the energy
-    change and the band residual, which bounds the distance left to the
-    limit, are both at most ``tol`` times the largest of the two energies
-    and the group's ``reference``; a threshold's first level is no step.
-    A group stops once all its thresholds have had ``stall_count`` quiet
-    steps in a row; its run, sliced out of the full rows, is the one it
-    would have had alone.
+    the thresholds of stopped groups.  ``rerun(j, levels)`` gives threshold
+    j's energies at levels before its first.  A step is quiet when the
+    energy change and the band residual, which bounds the distance left to
+    the limit, are both at most ``tol`` times the largest of the two
+    energies and the group's ``reference``; a threshold's first level is no
+    step.  A group stops once all its thresholds have had ``stall_count``
+    quiet steps in a row; its run, sliced out of the full rows, is the one
+    it would have had alone.
 
     A block runs from the next level to the first at which some running
     group could stop: not before its ``stops`` level, nor before the level
@@ -436,16 +441,6 @@ def _drive(energies_at, groups, first: np.ndarray, stops: np.ndarray,
     miss = np.full(floor.size, np.inf)
     rows, prev, levels = [], None, sched.levels
     count, never = sched.stall_count, sched.n_max + 1
-    # a group stops once its shortest quiet run is stall_count long, and
-    # a quiet run grows by one step a level from a threshold's first level
-    reach = stops.copy()
-    reach[filled] = np.maximum(stops[filled], np.maximum.reduceat(
-        first, heads) + count)
-
-    def rerun(row, at):
-        alone = np.full(floor.size, never)
-        alone[row] = at[0]
-        return energies_at(np.asarray(at), alone)[0][:, row]
 
     def running_rows():
         """Each threshold's first level, never for a stopped group's, and
@@ -458,7 +453,7 @@ def _drive(energies_at, groups, first: np.ndarray, stops: np.ndarray,
     i = 0
     while i < len(levels) and running.any():
         # the first level at which a running group could stop
-        end = min(int(np.maximum(reach, levels[i] - 1 + count - np.minimum(
+        end = min(int(np.maximum(stops, levels[i] - 1 + count - np.minimum(
             least, count))[running].min()), sched.n_max)
         m = max(int(np.searchsorted(np.cumsum(
             held[i:end - sched.n_min + 1]), _BOUND_CHUNK, side="right")), 1)
@@ -495,12 +490,6 @@ def _drive(energies_at, groups, first: np.ndarray, stops: np.ndarray,
     return runs
 
 
-def _live(table: dict, live: np.ndarray) -> dict:
-    """The rows of live thresholds: the table itself while all are."""
-    keep = live[table["owner"]]
-    return table if keep.all() else {k: v[keep] for k, v in table.items()}
-
-
 def _preimage(x0, x1, s0, s1, level):
     """Where s, affine from s0 at x0 to s1 at x1, meets the level, clamped
     to [x0, x1]; a flat s gives x0 below it, x1 above it and NaN on it."""
@@ -532,46 +521,95 @@ def _band_ends(r: dict, top):
 #: few roundings off its range, and one threshold's terms, up to 2^22 rows,
 #: add up within a factor 1 +- _KAPPA.
 _KAPPA = 2.0 ** -30
-#: (row, level) entries per bounds call in the search for late starts, and
-#: per block of levels the driver asks for: past some 2^13 entries the
-#: kernel's temporaries leave the cache, and an entry costs half as much
-#: again
+#: (row, level) entries per block of levels the driver asks for: past some
+#: 2^13 entries the kernel's temporaries leave the cache, and an entry costs
+#: half as much again
 _BOUND_CHUNK = 1 << 13
-#: the columns of an identity row that its bounds read
-_RATES = ("c", "xa", "xb", "ha", "hb", "xc", "w", "S")
+#: how far short of a node in [0, 1] the producer can end the band of a cell
+#: the band covers: a few ulps of 1, as _preimage rounds three times
+_SHORT = 2.0 ** -50
 
 
-def _band_bounds(r: dict, level: np.ndarray, owner: np.ndarray, size: int):
-    """L <= band <= U for the band energy the kernel gives the identity rows
-    of table ``r`` at the levels of the matching row of ``level`` (shape
-    (rows or 1, k)); each is summed per ``owner`` of ``size`` and level
-    column, shape (size, k).
+def _rank(key: np.ndarray, group, x, side: str) -> np.ndarray:
+    """np.searchsorted of x among the nodes of its group, as an index into
+    ``key``, which holds every group's nodes as group + 1j node: numpy
+    orders complex numbers by real, then imaginary part.  The nodes lie in
+    [0, 1], and the clip keeps 1j x finite."""
+    return np.searchsorted(key, group + 1j * np.clip(x, -1.0, 2.0), side)
 
-    On an identity row the lid has slope -1 exactly and f the slope fs of
-    its cell, S = |fs|^p, so on each stretch of the band the lid, of weight
-    w, or the fold, of weight w S, is the lower: the row carries between w
-    min(1, S) and w max(1, S) times the width of its band, read from
-    :func:`_band_ends` as the kernel's producer reads it.  L never grows
-    with the level: each row's band only shrinks.
+
+def _identity_rows(grid: dict, ident: dict, k: np.ndarray, level) -> dict:
+    """The rows of identity thresholds k at ``level`` (one, or one per
+    threshold): the cells from each one's own to the last below c + 2^-n,
+    by threshold, then cell, as :func:`_band_rows` gives them; a threshold
+    at or past its group's last node has none."""
+    c, own = ident["c"][k], ident["own"][k]
+    last = np.minimum(_rank(grid["key"], ident["g"][k], c + np.ldexp(
+        1.0, -level), "left") - 1, ident["end"][k])
+    row, pos = _ragged(np.maximum(last - own + 1, 0) * (c < ident["xb"][k]))
+    cell, c = own[row] + pos, c[row]
+    xa, xb = grid["x"][cell], grid["x"][cell + 1]
+    # the lid of the identity has slope -1, and |-1|^p = 1
+    return dict(owner=ident["t"][k][row], c=c, xa=xa, xb=xb, ha=xa, hb=xb,
+                xc=_preimage(xa, xb, xa, xb, c), ls=np.full(c.size, -1.0),
+                Sl=np.ones(c.size), **{name: grid[name][cell] for name in (
+                    "fa", "fs", "w", "S")})
+
+
+def _rate_bounds(grid: dict, ident: dict, level):
+    """L <= band <= U for the band energy the kernel gives identity
+    thresholds (the columns of ``ident``, each of the shape of ``level`` or
+    ``level`` a scalar) at ``level``.
+
+    On an identity row the lid has slope -1 exactly and f the slope of its
+    cell, so the row carries between r_lo = w min(1, |f'|^p) and r_hi = w
+    max(1, |f'|^p) times the width of its band.  The band (c, c + 2^-n)
+    runs from c's own cell to a last cell j; on those two its width is the
+    producer's own, read by :func:`_preimage` as the producer reads it, so
+    a band inside one cell, every fine level's, is one product with no
+    cancellation.  The cells in between are whole, and their share is a
+    difference of the cumulative rates R_lo and R_hi at the nodes.  The
+    producer can end each whole cell's band _SHORT short of its node, which
+    R_lo takes off every cell, and a difference of R over k cells is off by
+    at most k ulps of R at its far end, a margin that widens both.  The
+    kernel's own sum is within _KAPPA.
     """
-    col = {name: r[name][:, None] for name in _RATES}
-    x0, x1 = _band_ends(col, col["c"] + np.ldexp(1.0, -level))
-    span, k = col["w"] * np.where(x1 > x0, x1 - x0, 0.0), level.shape[1]
-    at = (owner[:, None] * k + np.arange(k)).ravel()
-    return tuple(np.bincount(at, (span * rate).ravel(), size * k)
-                 .reshape(size, k) * (1.0 + side * _KAPPA)
-                 for rate, side in ((np.minimum(col["S"], 1.0), -1.0),
-                                    (np.maximum(col["S"], 1.0), 1.0)))
+    top = ident["c"] + np.ldexp(1.0, -level)
+    xa, xb, own = ident["xa"], ident["xb"], ident["own"]
+    head = _preimage(xa, xb, xa, xb, top) - ident["x0"]
+    low, high = ident["lo"] * head, ident["hi"] * head
+    cross = (top > xb) & (own < ident["end"])
+    if cross.any():
+        g, after, end, top = (v[cross] for v in (
+            ident["g"], own + 1, ident["end"], top))
+        j = np.minimum(_rank(grid["key"], g, top, "left") - 1, end)
+        xj, xk = grid["x"][j], grid["x"][j + 1]
+        tail = _preimage(xj, xk, xj, xk, top) - xj
+        whole = np.ldexp(j - after, -52)
+        for bound, side, r in ((low, -1.0, "lo"), (high, 1.0, "hi")):
+            R = grid["R" + r]
+            bound[cross] += grid[r][j] * tail + np.maximum(
+                R[j] * (1.0 + side * whole) - R[after], 0.0)
+    return low * (1.0 - _KAPPA), high * (1.0 + _KAPPA)
 
 
-def _first_levels(table: dict, plateau: np.ndarray, is_ident: np.ndarray,
-                  drive, sched: FoldSchedule,
+def _first_levels(grid: dict, ident: dict, plateau: np.ndarray,
+                  reference: np.ndarray, sched: FoldSchedule,
                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each threshold's first level, and each group's earliest stop level.
+    """Each identity threshold's first level, and each group's earliest
+    stop level.
 
     The first level is n_min, or a later level s chosen from the bounds of
-    :func:`_band_bounds`, such that the run from there keeps every value,
-    stop level, quiet step and miss of the run from n_min.
+    :func:`_rate_bounds`, such that the run from there keeps every value,
+    stop level, quiet step and miss of the run from n_min; any such level
+    would do.  ``plateau`` is each threshold's plateau and ``reference``
+    each group's E(f).  The bounds are read off cumulative rates, not off
+    rows, and widened by what the rows' rounding can move: the ends of a
+    band in its first and last cell are the producer's own, each whole
+    cell between may end a few ulps of 1 short of its node, a difference
+    of cumulative sums is off by an ulp of its far end per cell, and the
+    kernel's sum by _KAPPA.  So they hold at every level, also where a
+    band is a few ulps wide.
 
     A threshold whose band is certainly above the tolerance at a level is
     not quiet there.  If one threshold's is at every step up to a level m,
@@ -581,80 +619,40 @@ def _first_levels(table: dict, plateau: np.ndarray, is_ident: np.ndarray,
     threshold tested at every level, is its one of steepest band at fine
     levels.  A threshold's running minimum is unchanged if each skipped
     level's energy, at least plateau + L_{s-1}, is no smaller than plateau
-    + U at the earliest stop, a level it runs; L never grows with the
-    level, so the latest such s is found by a search that tests as many
-    levels at once as _BOUND_CHUNK allows.
-    Each threshold starts at its own latest such s <= m, m that of its
-    group; the thresholds of a block with a witness g always start at
-    n_min.  The earliest stop level, m + stall_count, bounds the blocks of
-    levels :func:`_drive` asks for; a group with no proof (no identity
-    rows, E(f) = 0 or no band of positive rate) has m = n_min.
+    + U at the earliest stop, a level it runs.  The bounds hold the bands
+    the kernel sums, which only shrink with the level, so L_{s-1} bounds
+    every skipped level's band, whatever the rounding of L at other levels;
+    the latest such s <= m, m that of its group, is found bit by bit.  The
+    earliest stop level, m + stall_count, bounds the blocks of levels
+    :func:`_drive` asks for; a group whose probe's band is not certainly
+    busy at n_min + 1 has m = n_min.
     """
-    n_min, count = sched.n_min, sched.stall_count
-    size = plateau.size
-    first = np.full(size, n_min)
-    if not is_ident.any():
-        return first, np.full(len(drive), n_min + count)
-    ident = _live(table, is_ident)
-    sizes = np.array([t.size for t, _ in drive], dtype=int)
-    reference = np.array([e for _, e in drive], dtype=float)
-    group = np.repeat(np.arange(sizes.size), sizes)
-    owner = ident["owner"]
-
-    # the probe: per group, the threshold whose own cell, the one from
-    # its threshold on, has the largest w min(1, |f'|^p)
-    own = (ident["xa"] <= ident["c"]) & (ident["c"] < ident["xb"])
-    rate = np.bincount(owner, np.where(own, ident["w"] * np.minimum(
-        ident["S"], 1.0), 0.0), size)
-    filled = sizes > 0
-    best = np.zeros(sizes.size)
-    best[filled] = np.maximum.reduceat(rate, (np.cumsum(sizes) - sizes)[
-        filled])
-    usable = filled & (reference > 0.0) & (best > 0.0)
-    best_rows = np.flatnonzero((rate == best[group]) & usable[group])
-    probe = best_rows[np.diff(group[best_rows], prepend=-1) != 0]
-    is_probe = np.zeros(size, dtype=bool)
-    is_probe[probe] = True
-    pick = np.flatnonzero(is_probe[owner])
-    slot = (np.cumsum(is_probe) - 1)[owner[pick]]
-    levels = np.arange(n_min, sched.n_max + 1)
-    low, high = _band_bounds({k: ident[k][pick] for k in _RATES},
-                             levels[None, :], slot, probe.size)
-    busy = low[:, 1:] > tol * (reference[usable][:, None] + np.maximum(
+    n_min, count, group = sched.n_min, sched.stall_count, ident["g"]
+    # the probe: per group, the threshold whose own cell, the one from its
+    # threshold on, has the largest w min(1, |f'|^p)
+    rate = np.where(ident["xa"] <= ident["c"], ident["lo"], 0.0)
+    best = np.zeros(reference.size)
+    np.maximum.at(best, group, rate)
+    tops = np.flatnonzero(rate == best[group])
+    probe = tops[np.diff(group[tops], prepend=-1) != 0]
+    # a proof past n_max - stall_count proves nothing
+    levels = np.arange(n_min, sched.n_max - count + 1)
+    low, high = _rate_bounds(grid, {k: np.broadcast_to(v[probe, None], (
+        probe.size, levels.size)) for k, v in ident.items()}, levels)
+    busy = low[:, 1:] > tol * (reference[group[probe], None] + np.maximum(
         high[:, 1:], high[:, :-1])) * (1.0 + 2.0 ** -40)
-    busy &= levels[1:] + count <= sched.n_max
-    proof = np.full(sizes.size, n_min)
-    proof[usable] += np.logical_and.accumulate(busy, axis=1).sum(axis=1)
-    cap = (proof - n_min)[group]
-    if not cap.any():
-        return first, proof + count
-
-    # each threshold's latest start n_min + k: k counts the levels m =
-    # n_min, ... with plateau + L_m >= plateau + U at the earliest stop,
-    # up to cap; k lies in [lo, hi], and each round tests levels spread
-    # over that range
-    _, top = _band_bounds(ident, (proof + count)[group][owner, None], owner,
-                          size)
-    ceiling = plateau + top[:, 0]
-    lo, hi = np.zeros(size, dtype=int), np.where(is_ident, cap, 0)
-    while True:
-        live = lo < hi
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        keep = live[owner]
-        k = int(min(max(_BOUND_CHUNK // max(int(keep.sum()), 1), 1),
-                    (hi - lo).max()))
-        rank = (np.cumsum(live) - 1)[owner[keep]]
-        gap = (hi - lo)[rows]
-        test = lo[rows, None] + (gap[:, None] * np.arange(1, k + 1) + k) \
-            // (k + 1)  # (row, j) counts to test, spread over [lo+1, hi]
-        low, _ = _band_bounds({name: ident[name][keep] for name in _RATES},
-                              n_min - 1 + test[rank], rank, rows.size)
-        ok = plateau[rows, None] + low >= ceiling[rows, None]
-        lo[rows] = np.max(np.where(ok, test, lo[rows, None]), axis=1)
-        hi[rows] = np.min(np.where(ok, hi[rows, None], test - 1), axis=1)
-    return first + lo, proof + count
+    proof = np.full(reference.size, n_min)
+    proof[group[probe]] += np.logical_and.accumulate(busy, axis=1).sum(axis=1)
+    # each threshold's latest start n_min + k, k at most its group's m -
+    # n_min: k counts the levels n_min, ... with plateau + L >= plateau + U
+    # at the earliest stop, and is found bit by bit, highest first
+    cap, k = (proof - n_min)[group], np.zeros(group.size, dtype=int)
+    ceiling = plateau + _rate_bounds(grid, ident, (proof + count)[group])[1]
+    for bit in 1 << np.arange(int(cap.max(initial=0)).bit_length())[::-1]:
+        up = k + bit
+        k = np.where((up <= cap) & (plateau + _rate_bounds(
+            grid, ident, n_min - 1 + up)[0] >= ceiling), up, k)
+    return n_min + k, proof + count
 
 
 def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
@@ -671,24 +669,28 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     all of them through one kernel call.  A row is one threshold c, side h
     and cell of the grid x of f, the weight and g, where the cell's range of
     h = g (for c = hi) or h = -g (for c = -lo) meets the band (c, c + 2^-n)
-    at the first level; the identity's grid is that of f and the weight, and
-    its h is x.  Each row reads, once, f's value at the cell's left end and
-    f's slope and the weight on the cell of :class:`Cells` holding it, the
-    partition the plateau is read from.  Each level cuts the cell down to
-    its band at the exact crossings of c, where the lid is 2^-n, and of
-    c + 2^-n, where it is 0; at a cell end inside the band the lid is
-    c + 2^-n - h.
-    Thresholds and rows are numbered once, when the batch is built, and
-    the rows put in order of their first level; a stopped group's rows are
-    masked out.
+    at the threshold's first level; the identity's grid is that of f and
+    the weight, and its h is x.  Each row reads, once, f's value at the
+    cell's left end and f's slope and the weight on the cell of
+    :class:`Cells` holding it, the partition the plateau is read from.
+    Each level cuts the cell down to its band at the exact crossings of c,
+    where the lid is 2^-n, and of c + 2^-n, where it is 0; at a cell end
+    inside the band the lid is c + 2^-n - h.
+    Thresholds are numbered once, when the batch is built.  A witness
+    threshold's rows are built at sched.n_min; an identity threshold's first
+    level is chosen by :func:`_first_levels` from rates on the same
+    partition, before any of its rows exist, and its rows are built at that
+    level, in order of first level, so that the rows a level runs are a
+    prefix of those that run at all.  A stopped group's rows are masked
+    out.
     """
-    eps_max = 2.0 ** (-sched.n_min)
-    drive, plateau, rows, is_ident = [], [], [], []
+    drive, plateau, rows, grids, idents = [], [], [], [], []
     start = 0  # thresholds so far
-    for f, blocks in groups:
+    for group, (f, blocks) in enumerate(groups):
         cells = Cells(form, f)
         grid, fs = cells.nodes, cells.slope(f)
-        cum = cells.cumulative(cells.mass(f))
+        S = np.abs(fs) ** form.p
+        cum = cells.cumulative(cells.weight * S * cells.width)
         his = []
         for g, lo, hi in blocks:
             sides = 1 if lo is None else 2
@@ -698,61 +700,74 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
             if np.isnan(hi).any() or np.isnan(lo).any():
                 raise ValueError("fold-limit thresholds must not be NaN")
             his.append(hi)
-            is_ident.append(np.full(hi.size, g is None))
             row0, start = start, start + hi.size
             if g is None:
-                x = gx = grid
                 plateau.append(np.interp(hi, grid, cum))
-            else:
-                x = _merge_sorted_grids(grid, g.breakpoints)
-                gx = g.evaluate(x)
-                # the plateau: f's energy where lo <= g <= hi, cell by cell
-                # (a flat cell all or nothing)
-                ga, gb, top, bottom = gx[:-1], gx[1:], hi[:, None], lo[:, None]
-                p0, p1 = (_preimage(x[:-1], x[1:], ga, gb, v)
-                          for v in (bottom, top))
-                a0 = np.where(ga == gb, x[:-1], np.minimum(p0, p1))
-                a1 = np.where(ga == gb, np.where(
-                    (bottom <= ga) & (ga <= top), x[1:], x[:-1]),
-                    np.maximum(p0, p1))
-                plateau.append(np.sum(np.where(a1 > a0, np.interp(
-                    a1, grid, cum) - np.interp(a0, grid, cum), 0.0), axis=1))
+                idents.append((np.arange(row0, start), hi,
+                               np.full(hi.size, group)))
+                continue
+            x = _merge_sorted_grids(grid, g.breakpoints)
+            gx = g.evaluate(x)
+            # the plateau: f's energy where lo <= g <= hi, cell by cell (a
+            # flat cell all or nothing)
+            ga, gb, top, bottom = gx[:-1], gx[1:], hi[:, None], lo[:, None]
+            p0, p1 = (_preimage(x[:-1], x[1:], ga, gb, v)
+                      for v in (bottom, top))
+            a0 = np.where(ga == gb, x[:-1], np.minimum(p0, p1))
+            a1 = np.where(ga == gb, np.where(
+                (bottom <= ga) & (ga <= top), x[1:], x[:-1]),
+                np.maximum(p0, p1))
+            plateau.append(np.sum(np.where(a1 > a0, np.interp(
+                a1, grid, cum) - np.interp(a0, grid, cum), 0.0), axis=1))
             # each cell of x lies in one cell of the partition
             at = np.searchsorted(grid, 0.5 * (x[:-1] + x[1:])) - 1
             fx = f.evaluate(x)
             for h, c in ((gx, hi), (-gx, -lo))[:sides]:
-                t, cell = _band_rows(h[:-1], h[1:], c, eps_max)
+                t, cell = _band_rows(h[:-1], h[1:], c, 2.0 ** -sched.n_min)
                 xa, xb, ha, hb = x[cell], x[cell + 1], h[cell], h[cell + 1]
-                rows.append((t + row0, c[t], xa, xb, ha, hb,
-                             _preimage(xa, xb, ha, hb, c[t]),
-                             (ha - hb) / (xb - xa), fx[cell], fs[at[cell]],
-                             cells.weight[at[cell]]))
+                ls, on = (ha - hb) / (xb - xa), at[cell]
+                rows.append(dict(
+                    owner=t + row0, c=c[t], xa=xa, xb=xb, ha=ha, hb=hb,
+                    xc=_preimage(xa, xb, ha, hb, c[t]), ls=ls, fa=fx[cell],
+                    fs=fs[on], w=cells.weight[on], S=S[on],
+                    Sl=np.abs(ls) ** form.p))
+        if any(g is None for g, _, _ in blocks):
+            # the identity's grid, each cell's columns at its left node
+            r_lo, r_hi = (cells.weight * v(S, 1.0) for v in (np.minimum,
+                                                             np.maximum))
+            grids.append((group + 1j * grid, grid, f.evaluate(grid), *(
+                np.append(v, 0.0) for v in (fs, cells.weight, S, r_lo, r_hi)),
+                cells.cumulative(r_lo * (cells.width - _SHORT)),
+                cells.cumulative(r_hi * cells.width)))
         drive.append((_cat(his), float(cum[-1])))
-    plateau, size, is_ident = _cat(plateau), start, _cat(is_ident)
-    rows = dict(zip(("owner", "c", "xa", "xb", "ha", "hb", "xc", "ls", "fa",
-                     "fs", "w"), map(_cat, zip(*rows))))
-    rows.update(S=np.abs(rows["fs"]) ** form.p,
-                Sl=np.abs(rows["ls"]) ** form.p)
-    first, stops = _first_levels(rows, plateau, is_ident, drive, sched, tol)
-    # rows in order of their first level, so that the rows a level runs
-    # are a prefix of those that run at all; each column is this batch's
-    # own, and is sorted in place
-    order = first[rows["owner"]]
-    if np.any(order[1:] < order[:-1]):
-        order = np.argsort(order, kind="stable")
-        for column in rows.values():
-            column[:] = column[order]
+    plateau, size = _cat(plateau), start
+    first = np.full(size, sched.n_min)
+    stops = np.full(len(drive), sched.n_min + sched.stall_count)
+    if idents:
+        grid = dict(zip(("key", "x", "fa", "fs", "w", "S", "lo", "hi", "Rlo",
+                         "Rhi"), map(_cat, zip(*grids))))
+        t, c, group = map(_cat, zip(*idents))
+        # each threshold's own cell, clipped to its group's, of rates 0 at
+        # or past the group's last node
+        start, end = (np.searchsorted(grid["key"].real, group, side) - d
+                      for side, d in (("left", 0), ("right", 2)))
+        own = np.clip(_rank(grid["key"], group, c, "right") - 1, start, end)
+        xa, xb = grid["x"][own], grid["x"][own + 1]
+        ident = dict(t=t, c=c, g=group, own=own, end=end, xa=xa, xb=xb,
+                     x0=_preimage(xa, xb, xa, xb, c), **{
+                         r: np.where(c < xb, grid[r][own], 0.0)
+                         for r in ("lo", "hi")})
+        first[t], stops = _first_levels(grid, ident, plateau[t], np.array(
+            [e for _, e in drive]), sched, tol)
+        order = np.argsort(first[t], kind="stable")
+        rows.append(_identity_rows(grid, ident, order, first[t][order]))
+    rows = {name: _cat([r[name] for r in rows]) for name in rows[0]}
     live = {}
 
-    def energies_at(levels, runs_from):
-        # the rows that run, kept while the caller passes the same array
-        if live.get("key") is not runs_from:
-            r = _live(rows, runs_from <= sched.n_max)
-            live.update(key=runs_from, rows=r, upto=np.cumsum(np.bincount(
-                runs_from[r["owner"]] - sched.n_min,
-                minlength=len(sched.levels))))
-        r, k = live["rows"], levels.size
-        held = live["upto"][levels - sched.n_min]
+    def energies_at(r, levels, held):
+        """(energy, band residual) rows, one per level, where level l sends
+        the first held[l] rows of table r."""
+        k = levels.size
         if not held.any():
             band = np.zeros((k, size))
             return plateau + band, band
@@ -783,7 +798,23 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                             ).reshape(k, size)
         return plateau + band, band
 
-    return _drive(energies_at, drive, first, stops,
+    def batch(levels, runs_from):
+        # the rows that run, kept while the caller passes the same array
+        if live.get("key") is not runs_from:
+            keep = (runs_from <= sched.n_max)[rows["owner"]]
+            r = rows if keep.all() else {k: v[keep] for k, v in rows.items()}
+            live.update(key=runs_from, rows=r, upto=np.cumsum(np.bincount(
+                runs_from[r["owner"]], minlength=sched.n_max + 1)))
+        return energies_at(live["rows"], levels, live["upto"][levels])
+
+    def rerun(j, levels):
+        # a late identity threshold's rows, built at the first level asked
+        levels = np.asarray(levels)
+        r = _identity_rows(grid, ident, ident["t"] == j, levels[0])
+        return energies_at(r, levels, np.full(levels.size, r["owner"].size)
+                           )[0][:, j]
+
+    return _drive(batch, rerun, drive, first, stops,
                   np.bincount(rows["owner"], minlength=size), sched, tol)
 
 

@@ -267,10 +267,16 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
 def exact_p2_extension(graph: GasketGraph, boundary_values) -> np.ndarray:
     """2-harmonic extension (the p = 2 oracle).
 
-    This is the start of ``harmonic_extension``: one cell-by-cell solve
-    with unit weights, which the p = 2 duality gap certifies at once.
+    This is the start of ``harmonic_extension``, one cell-by-cell solve
+    with unit weights, and at p = 2 the minimiser itself, which the duality
+    gap there certifies at once.
     """
-    return harmonic_extension(graph, 2.0, boundary_values).values
+    bv = np.asarray(boundary_values, dtype=float)
+    if bv.size != 3:
+        raise ValueError("need exactly 3 boundary values")
+    n = graph.n_vertices
+    return _solve(_eliminate(graph, np.ones(graph.edge_i.size)),
+                  np.zeros(n), np.bincount(list(graph.boundary), bv, n))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,21 @@ def test_deep_p2_extension_matches_sparse_solve():
     assert np.allclose(ext.values, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("level", range(8))
+def test_p2_oracle_is_the_p2_extension_to_the_bit(level):
+    # the oracle is the extension's start solve alone; at p = 2 the
+    # extension takes no Newton step from it
+    g = gasket.build_gasket(level)
+    for bv in ([1.0, 0.0, 0.0], [1.0, -0.5, 0.25], [0.0, 0.3, 1.0],
+               [-2.0, 7.5, 1e-3]):
+        ext = gasket.harmonic_extension(g, 2.0, bv)
+        assert ext.iterations == 0 and ext.converged
+        assert gasket.exact_p2_extension(g, bv).tobytes() == \
+            ext.values.tobytes()
+    with pytest.raises(ValueError, match="3 boundary values"):
+        gasket.exact_p2_extension(g, [1.0, 0.0])
+
+
 def test_p3_extension_unique_minimiser():
     g = gasket.build_gasket(2)
     a = gasket.harmonic_extension(g, 3.0, [1.0, 0.0, -1.0])

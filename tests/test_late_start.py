@@ -19,9 +19,9 @@ from penergy.construction import (
     MEASURE_SCHEDULE,
     ConvergenceError,
     FoldSchedule,
-    _band_bounds,
     _band_energy,
     _identity_runs,
+    _rate_bounds,
     _window_runs,
     energy_measure,
 )
@@ -33,20 +33,10 @@ SCHED = FoldSchedule(n_min=6, n_max=34, rel_tol=1e-8)
 WEIGHT = [(0.0, 0.3, 1.0), (0.3, 0.45, 0.0), (0.45, 1.0, 2.5)]
 
 
-def _from_n_min(table, plateau, is_ident, drive, sched, tol):
-    """The start chooser of a run from n_min, which proves no stop level."""
-    return (np.full(plateau.size, sched.n_min),
-            np.full(len(drive), sched.n_min + sched.stall_count))
-
-
-def _both(monkeypatch, make):
+def _both(from_n_min, make):
     """(late, full) results of make(), the second with every start at
     n_min."""
-    late = make()
-    with monkeypatch.context() as m:
-        m.setattr(construction, "_first_levels", _from_n_min)
-        full = make()
-    return late, full
+    return make(), from_n_min(make)
 
 
 def _groups():
@@ -85,10 +75,10 @@ def _assert_as_full(late, full):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 6.0])
-def test_late_runs_match_the_run_from_n_min(monkeypatch, p):
+def test_late_runs_match_the_run_from_n_min(from_n_min, p):
     form = PLIntervalForm(p, weight=WEIGHT)
     groups = _groups()
-    late, full = _both(monkeypatch,
+    late, full = _both(from_n_min,
                        lambda: _identity_runs(form, groups, SCHED))
     for x, y in zip(late, full):
         _assert_as_full(x, y)
@@ -101,7 +91,7 @@ def test_late_runs_match_the_run_from_n_min(monkeypatch, p):
     assert np.any(flat.first > SCHED.n_min) == (p < 6.0)
 
 
-def test_witness_rows_start_at_n_min(monkeypatch):
+def test_witness_rows_start_at_n_min(from_n_min):
     # a group mixing an identity block with a witness block: the witness
     # rows keep n_min, the identity rows may start late
     form = PLIntervalForm(2.0, weight=WEIGHT)
@@ -109,14 +99,14 @@ def test_witness_rows_start_at_n_min(monkeypatch):
     g = PLSampler(seed=3).pl(7)
     groups = [(f, [(None, None, a), (g, None, np.linspace(*g.value_range(),
                                                           9))])]
-    late, full = _both(monkeypatch, lambda: _window_runs(
+    late, full = _both(from_n_min, lambda: _window_runs(
         form, groups, SCHED, SCHED.rel_tol))
     _assert_as_full(late[0], full[0])
     assert np.all(late[0].first[a.size:] == SCHED.n_min)
     assert np.any(late[0].first[:a.size] > SCHED.n_min)
 
 
-def test_negative_mass_error_traces_a_late_row(monkeypatch):
+def test_negative_mass_error_traces_a_late_row(monkeypatch, from_n_min):
     # lower one threshold's last energy so that the cell below it comes
     # out negative; the error names the threshold before it, a late one,
     # whose trace must still hold every level from n_min
@@ -135,7 +125,7 @@ def test_negative_mass_error_traces_a_late_row(monkeypatch):
         return dataclasses.replace(run, energies=energies)
 
     monkeypatch.setattr(construction, "_identity_run", dented)
-    late, full = _both(monkeypatch, lambda: pytest.raises(
+    late, full = _both(from_n_min, lambda: pytest.raises(
         ConvergenceError, energy_measure, form, f, 64, MEASURE_SCHEDULE))
     assert "negative cell mass" in str(late.value)
     assert str(late.value) == str(full.value)
@@ -184,9 +174,9 @@ def test_bounds_hold_the_kernel_band(monkeypatch, seed):
                     band=kernel(pieces, eps, owner, size))
         return seen["band"]
 
-    def chooser_spy(rows, *args):
-        seen["rows"] = rows
-        return chooser(rows, *args)
+    def chooser_spy(grid, ident, *args):
+        seen.update(grid=grid, ident=ident)
+        return chooser(grid, ident, *args)
 
     monkeypatch.setattr(construction, "_band_energy", kernel_spy)
     monkeypatch.setattr(construction, "_first_levels", chooser_spy)
@@ -206,10 +196,7 @@ def test_bounds_hold_the_kernel_band(monkeypatch, seed):
             width = w * (x1 - x0)
             assert np.all(one >= width * np.minimum(1.0, s) * (1.0 - 1e-12))
             assert np.all(one <= width * np.maximum(1.0, s) * (1.0 + 1e-12))
-            rows = seen["rows"]
-            low, high = (v[:, 0] for v in _band_bounds(
-                {**rows, "S": np.abs(rows["fs"]) ** p}, np.full((1, 1), n),
-                rows["owner"], a.size))
+            low, high = _rate_bounds(seen["grid"], seen["ident"], n)
             band = seen["band"]
             assert np.all(low <= band) and np.all(band <= high)
             assert np.all(np.isfinite(high))
@@ -221,7 +208,8 @@ def test_bounds_hold_the_kernel_band(monkeypatch, seed):
     assert checked > 1000
 
 
-def test_anchor_sends_at_most_forty_percent_of_the_row_levels(monkeypatch):
+def test_anchor_sends_at_most_forty_percent_of_the_row_levels(
+        monkeypatch, from_n_min):
     # the resolution-32768 anchor: the pieces the kernel integrates, late
     # start against the run from n_min, with the same values
     form = PLIntervalForm(2.0)
@@ -239,7 +227,7 @@ def test_anchor_sends_at_most_forty_percent_of_the_row_levels(monkeypatch):
         sent.append(0)
         return energy_measure(form, f, 32768, MEASURE_SCHEDULE)
 
-    late, full = _both(monkeypatch, build)
+    late, full = _both(from_n_min, build)
     assert late.levels_used == full.levels_used
     assert late.masses.tobytes() == full.masses.tobytes()
     assert sent[0] <= 0.4 * sent[1], sent
