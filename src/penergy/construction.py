@@ -72,6 +72,7 @@ from .pl import (
     IntervalSet,
     PLFunction,
     _merge_sorted_grids,
+    dyadic_mod,
     lattice,
     shifted_cut,
     sublevel_set,
@@ -262,8 +263,8 @@ def _fold_below(span, d0, d1):
     """The stretch of [0, span] on which d, affine from d0 to d1, is at most
     0: the fold's share where d is fold minus lid."""
     root = span * (d0 / (d0 - d1))
-    return np.where((d0 <= 0.0) & (d1 <= 0.0), span,
-                    np.where((d0 >= 0.0) & (d1 >= 0.0), 0.0,
+    return np.where(np.maximum(d0, d1) <= 0.0, span,
+                    np.where(np.minimum(d0, d1) >= 0.0, 0.0,
                              np.where(d0 < 0.0, root, span - root)))
 
 
@@ -304,7 +305,7 @@ def _band_energy(pieces, eps, owner: np.ndarray, size: int) -> np.ndarray:
     up = fs > 0.0
     first, last = np.where(up, kmin, kmax), np.where(up, kmax, kmin)
     # T_n, as pl.triangle_wave, at both ends
-    t0, t1 = np.mod(v0, period), np.mod(v1, period)
+    t0, t1 = dyadic_mod(v0, period), dyadic_mod(v1, period)
     t0, t1 = np.minimum(t0, period - t0), np.minimum(t1, period - t1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # k 2^-n - v0 has the sign of fs, so a crossing is never below x0

@@ -207,7 +207,8 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
     it; the solver stops once the duality gap is at most ``tol`` times the
     energy, when a line search finds no descent, or after ``_MAX_STEPS``.
     ``x0`` holds one finite value per vertex in builder order; its boundary
-    entries are ignored.
+    entries are ignored.  Equal boundary values give the constant extension,
+    of energy and gap 0, with no step taken and ``x0`` unused.
     """
     _check_p(p)
     bv = np.asarray(boundary_values, dtype=float)
@@ -220,6 +221,8 @@ def harmonic_extension(graph: GasketGraph, p: float, boundary_values,
         if x0.shape != (n,) or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must hold one finite value per vertex")
         x0[bnd] = bv
+    if bv.min() == bv.max():
+        return HarmonicExtension(np.full(n, bv[0]), 0.0, 0.0, 0.0, 0, True)
     unit = _eliminate(graph, np.ones(i.size))
     b = np.bincount(bnd, bv, n)
     x = _solve(unit, np.zeros(n), b) if x0 is None else x0

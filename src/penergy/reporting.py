@@ -4,6 +4,9 @@ Same inputs must give byte-identical files: header keys are sorted, floats
 are written with repr (shortest round-trip form), nothing timestamps or
 environment-dependent ever enters the output.  SVG charts are static
 polyline plots assembled by hand; they depend only on the data series.
+Linear axes map arrays in one numpy pass, in the scalar mapping's order of
+operations, so the text is a point-by-point loop's; log axes map point by
+point, as np.log and math.log may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -120,6 +123,13 @@ class _Axis:
     def px(self, v: float) -> float:
         return self.px_lo + self._t(v) * (self.px_hi - self.px_lo)
 
+    def pxs(self, v: np.ndarray) -> list:
+        """px of every entry, in one numpy pass on a linear axis."""
+        if self.log:
+            return [self.px(t) for t in v.tolist()]
+        return (self.px_lo + (v - self.lo) / (self.hi - self.lo)
+                * (self.px_hi - self.px_lo)).tolist()
+
     def ticks(self, count: int = 5):
         if self.log:
             return [float(t) for t in
@@ -183,12 +193,11 @@ def svg_chart(series, *, title: str, x_label: str, y_label: str,
     # series
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = []
-        for x, y in zip(np.asarray(xs, float), np.asarray(ys, float)):
-            if (log_x and x <= 0) or (log_y and y <= 0):
-                continue
-            pts.append(f"{x_axis.px(float(x)):.2f},{y_axis.px(float(y)):.2f}")
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        keep = ~((log_x & (xs <= 0)) | (log_y & (ys <= 0)))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(
+            x_axis.pxs(xs[keep]), y_axis.pxs(ys[keep]))))
+        parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.8"/>')
         ly = mt + 16 + 18 * i
         parts.append(f'<rect x="{ml + 10}" y="{ly - 9}" width="12" '

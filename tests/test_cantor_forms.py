@@ -41,7 +41,7 @@ def test_cantor_form_has_its_cells():
         [1 / 27, 2 / 27, 25 / 27, 26 / 27])
 
 
-@pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
 def test_construction_matches_the_oracle(k):
     # criterion 01's tolerances: sup density gap 1e-4, mass gap 1e-6
     form = cantor_form(k)

@@ -131,6 +131,19 @@ def test_p2_oracle_is_the_p2_extension_to_the_bit(level):
         gasket.exact_p2_extension(g, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("level", range(8))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_constant_boundary_data_give_the_constant(level, p):
+    # energy 0 and gap 0 at once, with no Newton step and x0 unused
+    g = gasket.build_gasket(level)
+    x0 = np.linspace(-1.0, 1.0, g.n_vertices)
+    for start in (None, x0):
+        ext = gasket.harmonic_extension(g, p, (0.3, 0.3, 0.3), x0=start)
+        assert np.all(ext.values == 0.3) and ext.values.size == g.n_vertices
+        assert (ext.energy, ext.gap, ext.gradient_norm) == (0.0, 0.0, 0.0)
+        assert ext.iterations == 0 and ext.converged
+
+
 def test_p3_extension_unique_minimiser():
     g = gasket.build_gasket(2)
     a = gasket.harmonic_extension(g, 3.0, [1.0, 0.0, -1.0])

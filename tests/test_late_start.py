@@ -137,7 +137,7 @@ def test_negative_mass_error_traces_a_late_row(monkeypatch, from_n_min):
 def _random_bands(rng):
     """(form, f, thresholds, levels): flat and steep pieces, zero and unit
     weights, and thresholds a few ulps off a node, whose bands end in
-    slivers, at levels up to 50."""
+    slivers, at levels up to 50; then narrow whole cells."""
     for _ in range(60):
         p = float(rng.choice([1.5, 2.0, 6.0]))
         x = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 3))))
@@ -159,6 +159,17 @@ def _random_bands(rng):
     # taken from v0 can round past the band's end
     yield (PLIntervalForm(2.0), PLFunction([0.0, 1.0], [17.0, 15.7]),
            np.linspace(0.01, 0.99, 99), [48, 49, 50])
+    # 48 weight cells 1e-7 wide after a cell of weight 1e6: each band
+    # covers whole cells, whose share is a difference of cumulative rates
+    # near 5e5 that rounding moves by thousands of times _KAPPA of the
+    # band; the band's top lies a few ulps either side of a node
+    ends = 0.75 + 1e-7 * np.arange(49)
+    yield (PLIntervalForm(2.0, weight=[(0.0, 0.75, 1e6)] + [
+        (lo, hi, 1.0 + i % 3) for i, (lo, hi) in enumerate(
+            zip(ends[:-1], ends[1:]))] + [(ends[-1], 1.0, 1.0)]),
+           PLFunction([0.0, 1.0], [0.0, 1.0]), np.sort(np.concatenate([
+               ends[12:-4] - 2.0 ** -21 + k * 2.0 ** -53
+               for k in range(-2, 6)])), [21])
 
 
 @pytest.mark.parametrize("seed", range(4))

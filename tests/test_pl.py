@@ -12,6 +12,7 @@ from penergy.pl import (
     affine_combine,
     compose,
     cut,
+    dyadic_mod,
     lattice,
     pl_product,
     pl_power_interp,
@@ -77,6 +78,45 @@ def test_triangle_fold_pointwise(idx, n):
     f = SAMPLER.pl(idx)
     h = triangle_fold(f, n)
     assert oracle_gap(h, triangle_wave(f(GRID), n)) <= 1e-12
+
+
+def _mod_cases(period, rng):
+    """Random v of every magnitude up to 1.7e308, and the edge cases: +-0,
+    +-period and its neighbours, subnormals, and multiples past 2^1024
+    period, where v / period overflows."""
+    edges = np.array([5e-324, 1e-310, 2.2e-308, np.nextafter(period, 0.0),
+                      period, np.nextafter(period, 1.0), 2.0 * period])
+    big = np.array([2.0 ** 1023 * period, 1e300, 1.7e308])
+    v = np.concatenate((
+        rng.uniform(-1.0, 1.0, 2000),
+        rng.uniform(-1.0, 1.0, 2000) * period * 2.0 ** rng.integers(0, 60,
+                                                                   2000),
+        np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-1074, 1024,
+                                                           2000)),
+        edges, big, [0.0]))
+    return np.concatenate((v, -v))
+
+
+@pytest.mark.parametrize("n", range(2, 62))
+def test_dyadic_mod_is_np_mod_bit_for_bit(n):
+    # periods 2^-1 to 2^-60; T_n's bits as those of min(m, period - m) on
+    # np.mod
+    period = 2.0 ** (1 - n)
+    v = _mod_cases(period, np.random.default_rng(n))
+    m = np.mod(v, period)
+    assert dyadic_mod(v, period).tobytes() == m.tobytes()
+    assert triangle_wave(v, n).tobytes() == \
+        np.minimum(m, period - m).tobytes()
+    # per-entry periods, as the band kernel passes them
+    assert dyadic_mod(v, np.full(v.size, period)).tobytes() == m.tobytes()
+
+
+def test_dyadic_mod_of_inf_and_nan_is_np_mod_nan():
+    # both warn of the invalid value
+    v = np.array([np.inf, -np.inf, np.nan, -np.nan])
+    with np.errstate(invalid="ignore"):
+        m, want = dyadic_mod(v, 0.25), np.mod(v, 0.25)
+    assert np.all(np.isnan(m)) and m.tobytes() == want.tobytes()
 
 
 def test_triangle_fold_identity_level_one():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penergy.reporting import (
+    PALETTE,
+    _Axis,
     _header_value,
     csv_text,
     format_cell,
@@ -125,3 +127,62 @@ def test_svg_constant_series():
     text = svg_chart([("flat", [0.0, 1.0], [2.0, 2.0])],
                      title="t", x_label="x", y_label="y")
     ET.fromstring(text)
+
+
+def _scalar_polylines(series, log_x=False, log_y=False):
+    """svg_chart's polyline lines as the per-point loop wrote them: the
+    same axes, two scalar _Axis.px calls and an f-string a point."""
+    xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
+    if log_x:
+        xs_all = xs_all[xs_all > 0]
+    if log_y:
+        ys_all = ys_all[ys_all > 0]
+    x_axis = _Axis(float(xs_all.min()), float(xs_all.max()), 72, 696, log_x)
+    y_axis = _Axis(float(ys_all.min()), float(ys_all.max()), 404, 48, log_y)
+    lines = []
+    for i, (_, xs, ys) in enumerate(series):
+        pts = []
+        for x, y in zip(np.asarray(xs, float), np.asarray(ys, float)):
+            if (log_x and x <= 0) or (log_y and y <= 0):
+                continue
+            pts.append(f"{x_axis.px(float(x)):.2f},{y_axis.px(float(y)):.2f}")
+        lines.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+                     f'stroke="{PALETTE[i]}" stroke-width="1.8"/>')
+    return lines
+
+
+def _svg_cases():
+    rng = np.random.default_rng(5)
+    xs = np.sort(rng.uniform(-3.0, 7.0, 400))
+    ys = rng.normal(0.0, 1e3, 400)
+    signed = [("a", xs, ys), ("b", xs[::-1], np.sin(xs))]
+    dented = np.where(rng.random(400) < 0.1, np.nan, ys)
+    yield pytest.param(signed, False, False, id="linear")
+    for log_x, log_y in ((True, False), (False, True), (True, True)):
+        # non-positive and NaN points on a log axis
+        yield pytest.param([("a", xs, dented), (
+            "b", np.append(xs, np.nan), np.append(np.abs(ys), 0.0))],
+            log_x, log_y, id=f"log x {log_x}, log y {log_y}")
+    # x within an ulp of where px, 72 + (x + 3) / 10 * 624, rounds to the
+    # other cent: any other order of operations moves some of them
+    edge = (np.arange(2000) / 100.0 + 0.005) / 624.0 * 10.0 - 3.0
+    edge = np.concatenate(([-3.0, 7.0], np.nextafter(edge, -np.inf), edge,
+                           np.nextafter(edge, np.inf)))
+    yield pytest.param([("a", edge, np.linspace(-1.0, 1.0, edge.size))],
+                       False, False, id="rounding edges")
+    yield pytest.param([("flat", [0.0, 0.5, 1.0], [2.0, 2.0, 2.0])],
+                       False, False, id="constant")
+    # a step series of 20,000 points
+    nodes = np.sort(rng.uniform(0.0, 1.0, 10001))
+    yield pytest.param([("density", *step_series(nodes, rng.uniform(
+        0.0, 5.0, 10000)))], False, False, id="step")
+
+
+@pytest.mark.parametrize("series, log_x, log_y", _svg_cases())
+def test_svg_polylines_are_those_of_the_scalar_loop(series, log_x, log_y):
+    text = svg_chart(series, title="t", x_label="x", y_label="y",
+                     log_x=log_x, log_y=log_y)
+    got = [line for line in text.splitlines()
+           if line.startswith("<polyline")]
+    assert got == _scalar_polylines(series, log_x, log_y)
