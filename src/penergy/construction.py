@@ -683,8 +683,10 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     partition, before any of its rows exist, and its rows are built at that
     level, in order of first level, so that the rows a level runs are a
     prefix of those that run at all.  A stopped group's rows are masked
-    out.
+    out.  A batch with no groups has no runs.
     """
+    if not groups:
+        return []
     drive, plateau, rows, grids, idents = [], [], [], [], []
     start = 0  # thresholds so far
     for group, (f, blocks) in enumerate(groups):

@@ -8,8 +8,11 @@ slack = -gap (never positive); laws whose per-trial budget varies (product or
 power interpolants) rescale the gap so a single tolerance line applies to the
 whole report, with the budget recorded in the worst-case witness.
 
-Masses flow through two routes.  The oracle route integrates the closed-form
-density w |f'|^p exactly and is the reference; its slacks sit at roundoff.
+Masses flow through two route objects, each with a method per kind of
+mass read, a tolerance and an extrapolation floor; a public function looks
+its route up once by name, and every mass read goes through one of them.
+The oracle route integrates the closed-form density w |f'|^p exactly and
+is the reference; its slacks sit at roundoff.
 It and every other closed-form integral here (pairings, signed masses,
 budgets, cell masses) run on :class:`penergy.forms.Cells`, one partition
 per function family, each integrated over a whole set family in one pass.
@@ -187,7 +190,7 @@ def default_set_family(sampler: PLSampler, levels: int = 5,
 
 def set_mass_oracle(form: PLIntervalForm, f: PLFunction, target) -> float:
     """Exact mu_f(target) by integrating the closed-form density."""
-    return float(_masses(form, [(f, spans((target,)))], "oracle")[0][0])
+    return float(_ORACLE.masses(form, [(f, spans((target,)))])[0][0])
 
 
 def set_masses(form: PLIntervalForm, f: PLFunction, targets,
@@ -200,37 +203,66 @@ def set_masses(form: PLIntervalForm, f: PLFunction, targets,
     the batch every construction-route law runs.
     """
     _require_pl(form)
-    return _masses(form, [(f, spans(targets))], "construction", sched)[0]
+    return _CONSTRUCTION.masses(form, [(f, spans(targets))], sched)[0]
 
 
-def _check_route(route: str) -> None:
-    """Reject an unknown mass route; every function that takes a route calls
-    this first, so the helpers below see only the two known ones."""
-    if route not in ("oracle", "construction"):
-        raise ValueError(f"unknown mass route {route!r}")
+class _OracleRoute:
+    """Masses of the closed-form density w |f'|^p, integrated on Cells."""
+
+    tol = ORACLE_TOL
+
+    def masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        cells = [Cells(form, f) for f, _ in jobs]
+        return [c.integrate(c.mass(f), family)
+                for c, (f, family) in zip(cells, jobs)]
+
+    def cell_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        return [cells.mass(fn) for fn, cells in jobs]
+
+    def sublevel_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        return self.masses(form, [(f, spans([sublevel_set(f, s)
+                                             for s in levels]))
+                                  for f, levels in jobs])
+
+    def floor(self, e_scale, p, step, sched):
+        return 1e-12 * e_scale
 
 
-def _masses(form, jobs, route: str,
-            sched: FoldSchedule = MEASURE_SCHEDULE) -> list[np.ndarray]:
-    """mu_f on its family for each (f, Spans) job, F(hi) - F(lo) with F the
-    oracle's running integral or the fold limits, all jobs in one batch read
-    in job order: one that did not stall raises for the first such job."""
-    if route == "oracle":
-        out = []
-        for f, family in jobs:
-            cells = Cells(form, f)
-            out.append(cells.integrate(cells.mass(f), family))
-        return out
-    ends = [np.unique(np.concatenate((family.lo, family.hi)))
-            for _, family in jobs]
-    runs = _identity_runs(form, [(f, pts) for (f, _), pts in zip(jobs, ends)],
-                          sched)
-    return [integrate(pts, run.limits(), family)
-            for (_, family), pts, run in zip(jobs, ends, runs)]
+class _ConstructionRoute:
+    """Masses from fold limits, all jobs of a call in one lock-step batch."""
+
+    tol = CONSTRUCTION_TOL
+
+    def masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        ends = [np.unique(np.concatenate((fam.lo, fam.hi))) for _, fam in jobs]
+        runs = _identity_runs(form, [(f, pts) for (f, _), pts
+                                     in zip(jobs, ends)], sched)
+        return [integrate(pts, run.limits(), family)
+                for (_, family), pts, run in zip(jobs, ends, runs)]
+
+    def cell_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        runs = _identity_runs(form, [(fn, cells.nodes) for fn, cells in jobs],
+                              sched)
+        return [np.diff(run.limits()) for run in runs]
+
+    def sublevel_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        runs = _window_runs(form, [(f, [(f, None, a)]) for f, a in jobs],
+                            sched, sched.rel_tol)
+        return [run.limits() for run in runs]
+
+    def floor(self, e_scale, p, step, sched):
+        # the stall rule's band residual through a quotient at the step
+        return sched.rel_tol * e_scale / (p * step)
 
 
-def _route_tol(route: str) -> float:
-    return ORACLE_TOL if route == "oracle" else CONSTRUCTION_TOL
+_ORACLE, _CONSTRUCTION = _OracleRoute(), _ConstructionRoute()
+
+
+def _route(name: str):
+    """The route ``name`` selects, read per call so a test can swap it."""
+    if name not in ("oracle", "construction"):
+        raise ValueError(f"unknown mass route {name!r}")
+    return {"oracle": _ORACLE, "construction": _CONSTRUCTION}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +325,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     rides along in ``closed_form`` for cross-checks.  Raises
     ExtrapolationError when extrapolants disagree beyond the raw deltas.
     """
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     steps = tuple(float(t) for t in steps)
     if len(steps) < 2 or any(t <= 0.0 for t in steps) \
@@ -302,8 +334,8 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     sets = tuple(sets)
     family = spans(sets)
     p = form.p
-    masses = _masses(form, [(u + v * s, family) for t in steps
-                            for s in (t, -t)], route, sched)
+    masses = via.masses(form, [(u + v * s, family) for t in steps
+                               for s in (t, -t)], sched)
     d = np.vstack([(plus - minus) / (2.0 * p * t) for t, plus, minus
                    in zip(steps, masses[0::2], masses[1::2])])
     rich = []
@@ -316,8 +348,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     closed = _signed_masses(form, u, v, family)
 
     e_scale = max(form.energy(u) + form.energy(v), 1e-12)
-    floor = 1e-12 * e_scale if route == "oracle" \
-        else sched.rel_tol * e_scale / (p * steps[-1])
+    floor = via.floor(e_scale, p, steps[-1], sched)
     raw = np.abs(d[-1] - d[-2])
     bad = err > 4.0 * raw + 16.0 * floor
     if bad.any():
@@ -340,7 +371,7 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
     Sampled draws rarely hit exact zeros, so each trial also checks a
     plateaued variant (f - median)^+ whose zero set has genuine interior.
     """
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     worst = _Worst()
     for k in range(trials):
@@ -350,7 +381,7 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
         jobs = []
         for _, fn, zero in variants:
             jobs += [(fn, WHOLE)] + ([(fn, spans((zero,)))] if zero else [])
-        masses = iter(_masses(form, jobs, route, sched))
+        masses = iter(via.masses(form, jobs, sched))
         for name, fn, zero in variants:
             e = form.energy(fn)
             scale = e if e > 0.0 else 1.0
@@ -361,8 +392,7 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
                 mass = next(masses)[0]
                 worst.push(-abs(mass) / scale, trial=k, variant=name,
                            check="zero_interior")
-    return _report("total_mass", form, sampler.seed, trials, worst,
-                   _route_tol(route))
+    return _report("total_mass", form, sampler.seed, trials, worst, via.tol)
 
 
 def _positive_part(f: PLFunction) -> PLFunction:
@@ -385,7 +415,7 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
                           trials: int = 16, route: str = "oracle", sets=None,
                           sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """mu_{af} = |a|^p mu_f and mu_{|f-a|-|a|} = mu_f on the set family."""
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     family = spans(default_set_family(sampler) if sets is None else sets)
     p = form.p
@@ -401,8 +431,8 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
         shifts = (("random", float(rng.uniform(-1.0, 1.0))),
                   ("at_max", float(f.values.max())))
         fns = [f, f * a] + [_reflected_abs(f, s) for _, s in shifts]
-        base, scaled, *shifted = _masses(form, [(fn, family) for fn in fns],
-                                         route, sched)
+        base, scaled, *shifted = via.masses(
+            form, [(fn, family) for fn in fns], sched)
         gap = np.abs(scaled - abs(a) ** p * base)
         i = int(np.argmax(gap))
         worst.push(-float(gap[i]) / (abs(a) ** p * e), trial=k,
@@ -413,7 +443,7 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
             worst.push(-float(gap[i]) / e, trial=k, identity="shift",
                        shift=tag, set=i)
     return _report("homogeneity_shift", form, sampler.seed, trials, worst,
-                   _route_tol(route))
+                   via.tol)
 
 
 def _reflected_abs(f: PLFunction, s: float) -> PLFunction:
@@ -434,14 +464,14 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
     Slacks are normalised by the pair's total energy (the p-power scale), so
     sets of tiny mass do not amplify schedule noise.
     """
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     family = spans(default_set_family(sampler) if sets is None else sets)
     p = form.p
     worst = _Worst()
     pairs = [sampler.pl_pair(k) for k in range(trials)]
-    masses = _masses(form, [(fn, family) for u, v in pairs
-                            for fn in (u, v, u + v, u - v)], route, sched)
+    masses = via.masses(form, [(fn, family) for u, v in pairs
+                               for fn in (u, v, u + v, u - v)], sched)
     for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) + form.energy(v), 1e-12)
         # schedule noise can leave a mass a hair below zero; clip before ^1/p
@@ -453,21 +483,21 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
             for name, s in slacks.items():
                 worst.push(s / scale, trial=k, set=i, inequality=name)
     return _report("measure_clarkson", form, sampler.seed, trials, worst,
-                   _route_tol(route))
+                   via.tol)
 
 
 def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
                          trials: int = 40, route: str = "oracle", sets=None,
                          sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """mu_{f+g}(A)^{1/p} <= mu_f(A)^{1/p} + mu_g(A)^{1/p} on the family."""
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     family = spans(default_set_family(sampler) if sets is None else sets)
     invp = 1.0 / form.p
     worst = _Worst()
     pairs = [sampler.pl_pair(k) for k in range(trials)]
-    masses = _masses(form, [(fn, family) for u, v in pairs
-                            for fn in (u, v, u + v)], route, sched)
+    masses = via.masses(form, [(fn, family) for u, v in pairs
+                               for fn in (u, v, u + v)], sched)
     for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) ** invp + form.energy(v) ** invp, 1e-9)
         su, sv, ssum = (np.maximum(m, 0.0) ** invp
@@ -476,7 +506,7 @@ def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
         i = int(np.argmin(margin))
         worst.push(float(margin[i]) / scale, trial=k, set=i)
     return _report("measure_triangle", form, sampler.seed, trials, worst,
-                   _route_tol(route))
+                   via.tol)
 
 
 def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
@@ -489,9 +519,9 @@ def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
     route runs at tolerance 1e-6 relative to E(f) + E(g): endpoint limits
     carry schedule-level error only, well under that line.
     """
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
-    tol = ORACLE_TOL if route == "oracle" else 1e-6
+    tol = min(via.tol, 1e-6)
     worst = _Worst()
     cases = []
     for k in range(trials):
@@ -501,8 +531,8 @@ def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
         h = _gap_bump(A, float(rng.uniform(-1.5, 1.5)),
                       float(rng.uniform(0.5, 2.0)))
         cases.append((A, spans((A,)), f, f + h))
-    masses = _masses(form, [(fn, family) for _, family, f, g in cases
-                            for fn in (f, g)], route, sched)
+    masses = via.masses(form, [(fn, family) for _, family, f, g in cases
+                               for fn in (f, g)], sched)
     for k, (A, _, f, g) in enumerate(cases):
         m_f, m_g = masses[2 * k][0], masses[2 * k + 1][0]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
@@ -536,7 +566,7 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
                      trials: int = 32, route: str = "oracle", sets=None,
                      sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """mu of f v (g-a) and f ^ (g+a) stay within c_p (mu_f + mu_g) setwise."""
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     family = spans(default_set_family(sampler) if sets is None else sets)
     c_p = 2.0 ** abs(form.p - 2.0)
@@ -547,16 +577,15 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
         a = float(sampler._rng(k, tag=13).uniform(0.0, 1.5))
         cases.append((f, g, a, lattice(f, g - a, "max"),
                       lattice(f, g + a, "min")))
-    masses = _masses(form, [(fn, family) for f, g, _, top, bot in cases
-                            for fn in (f, g, top, bot)], route, sched)
+    masses = via.masses(form, [(fn, family) for f, g, _, top, bot in cases
+                               for fn in (f, g, top, bot)], sched)
     for k, (f, g, a, _, _) in enumerate(cases):
         mf, mg, mt, mb = masses[4 * k:4 * k + 4]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
         margin = c_p * (mf + mg) - np.maximum(mt, mb)
         i = int(np.argmin(margin))
         worst.push(float(margin[i]) / scale, trial=k, set=i, a=a)
-    return _report("minmax_bound", form, sampler.seed, trials, worst,
-                   _route_tol(route))
+    return _report("minmax_bound", form, sampler.seed, trials, worst, via.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -582,17 +611,6 @@ def default_map_family(lo: float, hi: float) -> tuple[PLMap, ...]:
     )
 
 
-def _cell_masses(form, jobs, route, sched) -> list[np.ndarray]:
-    """mu_f of every cell for each (f, cells) job; the construction route
-    differences limits at the nodes, all jobs in one lock-step batch."""
-    if route == "oracle":
-        return [cells.mass(fn) for fn, cells in jobs]
-    runs = _identity_runs(form, [(fn, cells.nodes) for fn, cells in jobs],
-                          sched)
-    limits = [run.limits() for run in runs]
-    return [lim[1:] - lim[:-1] for lim in limits]
-
-
 def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                    trials: int = 12, route: str = "construction", sets=None,
                    sched: FoldSchedule = MEASURE_SCHEDULE,
@@ -608,7 +626,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
     sgn(phi' o f)|phi' o f|^{p-1} through two_variable_measure, rescaled
     into this report's tolerance.
     """
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     p = form.p
     worst = _Worst()
@@ -629,7 +647,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
         drawn.append((f, per_map))
     jobs = [job for f, per_map in drawn for _, cells, g in per_map
             for job in ((g, cells), (f, cells))]
-    masses = iter(_cell_masses(form, jobs, route, sched))
+    masses = iter(via.cell_masses(form, jobs, sched))
     for k, (f, per_map) in enumerate(drawn):
         e_ref = max(form.energy(f), 1e-12)
         for j, (phi, cells, g) in enumerate(per_map):
@@ -665,8 +683,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                 rel = float(np.max(np.abs(sample.values - rhs))) / scale
                 worst.push(-rel * CONSTRUCTION_TOL / dtol, trial=k,
                            check="weighting_derivative")
-    return _report("chain_rule", form, sampler.seed, trials, worst,
-                   _route_tol(route))
+    return _report("chain_rule", form, sampler.seed, trials, worst, via.tol)
 
 
 def _chain_weighted_masses(form, f, phi, v, family) -> np.ndarray:
@@ -927,7 +944,7 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
                    route: str = "oracle", sets=None,
                    sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
     """The smaller form's measure is dominated setwise by the larger's."""
-    _check_route(route)
+    via = _route(route)
     _require_pl(form_lo)
     _require_pl(form_hi)
     if form_lo.p != form_hi.p:
@@ -944,15 +961,14 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
     worst = _Worst()
     fns = [sampler.pl(k) for k in range(trials)]
     jobs = [(f, family) for f in fns]
-    lows = _masses(form_lo, jobs, route, sched)
-    highs = _masses(form_hi, jobs, route, sched)
+    lows = via.masses(form_lo, jobs, sched)
+    highs = via.masses(form_hi, jobs, sched)
     for k, (f, mu, nu) in enumerate(zip(fns, lows, highs)):
         scale = max(form_hi.energy(f), 1e-12)
         margin = nu - mu
         i = int(np.argmin(margin))
         worst.push(float(margin[i]) / scale, trial=k, set=i)
-    return _report("domination", form_lo, sampler.seed, trials, worst,
-                   _route_tol(route))
+    return _report("domination", form_lo, sampler.seed, trials, worst, via.tol)
 
 
 def dominant_measure(form: PLIntervalForm, basis) -> tuple[np.ndarray,
@@ -1035,7 +1051,7 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
     mass exactly and the residue estimates the atom.  Every trial is drawn
     first, so the construction route runs all their levels as one batch.
     """
-    _check_route(route)
+    via = _route(route)
     _require_pl(form)
     drawn = []  # (trial, f, probe values, half-widths, levels) per trial
     for k in range(trials):
@@ -1063,7 +1079,7 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
         drawn.append((k, f, targets, widths, levels))
     jobs = [(f, levels.ravel()) for _, f, _, _, levels in drawn
             if f is not None]
-    masses = iter(_sublevel_masses(form, jobs, route, sched))
+    masses = iter(via.sublevel_masses(form, jobs, sched))
     worst = _Worst()
     for k, f, targets, widths, levels in drawn:
         if f is None:
@@ -1075,24 +1091,6 @@ def law_image_density(form: PLIntervalForm, sampler: PLSampler,
             worst.push(-abs(float(atom)), trial=k, value=float(t), width=d)
     return _report("image_density", form, sampler.seed, trials, worst,
                    ATOM_TOL)
-
-
-def _sublevel_masses(form, jobs, route: str,
-                     sched: FoldSchedule) -> list[np.ndarray]:
-    """mu_f({f <= s}) for every level s of each (f, levels) job, through the
-    requested route.
-
-    The construction route runs the levels of all the jobs as one
-    lock-step batch and reads the limits in job order, so a batch that did
-    not stall raises for the first job whose limits did not.
-    """
-    if route == "construction":
-        runs = _window_runs(form, [(f, [(f, None, levels)])
-                                   for f, levels in jobs], sched,
-                            sched.rel_tol)
-        return [run.limits() for run in runs]
-    return _masses(form, [(f, spans([sublevel_set(f, s) for s in levels]))
-                          for f, levels in jobs], route)
 
 
 # ---------------------------------------------------------------------------
@@ -1121,8 +1119,8 @@ def law_continuity(form: PLIntervalForm, sampler: PLSampler, trials: int = 8,
         family = spans((A,))
 
         def sweep(ts):
-            return np.array([m[0] for m in _masses(
-                form, [(f + g * t, family) for t in ts], "oracle")])
+            return np.array([m[0] for m in _ORACLE.masses(
+                form, [(f + g * t, family) for t in ts])])
 
         vals_c = sweep(np.linspace(-1.0, 1.0, coarse + 1))
         vals_f = sweep(np.linspace(-1.0, 1.0, 10 * coarse + 1))
@@ -1161,7 +1159,7 @@ def law_two_variable(form: PLIntervalForm, sampler: PLSampler,
         worst.push(-float(sample.mismatch[i]) / scale, trial=k, set=i,
                    check="closed_form")
         diag = two_variable_measure(form, u, u, sets, steps=steps)
-        mu, = _masses(form, [(u, family)], "oracle")
+        mu, = _ORACLE.masses(form, [(u, family)])
         j = int(np.argmax(np.abs(diag.values - mu)))
         worst.push(-float(np.abs(diag.values - mu)[j]) / scale, trial=k,
                    set=j, check="diagonal")

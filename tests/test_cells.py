@@ -15,9 +15,9 @@ from penergy.construction import reference_measure
 from penergy.forms import Cells, PLIntervalForm, _signed_power, spans
 from penergy.laws import (
     DEFAULT_POLY,
+    _ORACLE,
     _chain_weighted_masses,
     _density_pairing,
-    _masses,
     _pairing,
     _pairings,
     _poly_chain_rhs,
@@ -126,7 +126,7 @@ def test_batched_oracle_masses_keep_the_bits(form):
         nodes, cum = form.cumulative_energy(f)
         want = [float(sum(np.interp(hi, nodes, cum) - np.interp(lo, nodes, cum)
                           for lo, hi in _clipped(A))) for A in sets]
-        got, = _masses(form, [(f, spans(sets))], "oracle")
+        got, = _ORACLE.masses(form, [(f, spans(sets))])
         assert got.tolist() == want
         assert [set_mass_oracle(form, f, A) for A in sets] == want
 

@@ -252,6 +252,11 @@ def test_check_laws_crossed_weights(tmp_path):
         == EXIT_CONFIG
 
 
+def test_check_laws_rejects_zero_trials(tmp_path):
+    cfg = write_config(tmp_path, seed=3, trials=0)
+    assert main(["--config", cfg, "check-laws"]) == EXIT_CONFIG
+
+
 def test_check_laws_rejects_graph_form(tmp_path):
     cfg = write_config(
         tmp_path, seed=3,

@@ -37,7 +37,7 @@ from penergy.construction import (
 )
 from penergy.construction import _identity_run
 from penergy.forms import PLIntervalForm
-from penergy.laws import _sublevel_masses, set_mass_oracle, set_masses
+from penergy.laws import _ORACLE, set_mass_oracle, set_masses
 from penergy.pl import (IntervalSet, PLFunction, lattice,
                         shifted_cut, sublevel_set, triangle_fold,
                         triangle_wave)
@@ -796,8 +796,8 @@ def test_two_sided_cut_rejects_malformed_window(low, high):
     lambda form, f: reflection_gap(form, f, IDENT, np.nan),
     lambda form, f: set_masses(form, f, [(0.2, np.nan)]),
     lambda form, f: set_mass_oracle(form, f, (np.nan, 0.5)),
-    lambda form, f: _sublevel_masses(form, [(f, np.array([0.2, np.nan]))],
-                                     "oracle", LAW_SCHEDULE),
+    lambda form, f: _ORACLE.sublevel_masses(
+        form, [(f, np.array([0.2, np.nan]))], LAW_SCHEDULE),
 ], ids=["F_value", "reflection_gap", "set_masses", "set_mass_oracle",
         "sublevel_masses_oracle"])
 def test_nan_thresholds_are_rejected_not_read_as_empty(call):
