@@ -74,16 +74,13 @@ from .pl import (
     _merge_sorted_grids,
     dyadic_mod,
     lattice,
-    shifted_cut,
     sublevel_set,
-    triangle_fold,
 )
 
 __all__ = [
     "FoldSchedule",
     "DEFAULT_SCHEDULE",
     "MEASURE_SCHEDULE",
-    "LAW_SCHEDULE",
     "ConvergenceError",
     "EmptyFamilyError",
     "CoverHypothesisError",
@@ -92,7 +89,6 @@ __all__ = [
     "DistributionSamples",
     "CoveringReport",
     "EnergyMeasure",
-    "cell_function",
     "F_value",
     "two_sided_cut_limit",
     "distribution",
@@ -174,7 +170,6 @@ DEFAULT_SCHEDULE = FoldSchedule()
 # functions stall only once 2^-n drops below rel_tol * E(f); n_max = 48
 # covers energies down to about 1e-6 * w_max.
 MEASURE_SCHEDULE = FoldSchedule(n_min=6, n_max=48, rel_tol=1e-8)
-LAW_SCHEDULE = FoldSchedule(n_min=6, n_max=24, rel_tol=1e-5)
 
 
 @dataclass(frozen=True)
@@ -236,21 +231,6 @@ def _require_pl(form) -> PLIntervalForm:
 
 # ---------------------------------------------------------------------------
 # cell functions and their energies
-
-
-def cell_function(f: PLFunction, g: PLFunction, a: float,
-                  n: int) -> PLFunction:
-    """The capped fold min(T_n o f, S_n^a o g), materialised literally.
-
-    Exponential in n; the defining object, and the cross-check of the
-    fold limits at small levels, which never build it.  The PL algebra
-    rounds the lid's crossings and merges nodes closer than GEOM_TOL, so
-    where a band of g is narrower than that the lid ramps on to the end of
-    g's piece, and this differs from the level energies of the fold limits.
-    """
-    folded = triangle_fold(f, n)
-    lid = shifted_cut(g, a, n)
-    return lattice(folded, lid, "min")
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,6 @@ from .pl import (
     compose,
     cut,
     lattice,
-    triangle_fold,
 )
 
 
@@ -93,12 +92,16 @@ class PLIntervalForm:
         else:
             cells = sorted((float(lo), float(hi), float(w)) for lo, hi, w in weight)
             bounds = np.array([c[0] for c in cells] + [cells[-1][1]])
+            highs = np.array([c[1] for c in cells])
             vals = np.array([c[2] for c in cells])
-            if not (np.isfinite(bounds).all() and np.isfinite(vals).all()):
+            if not (np.isfinite(bounds).all() and np.isfinite(highs).all()
+                    and np.isfinite(vals).all()):
                 raise ValueError("weight cells must be finite numbers")
             if abs(bounds[0]) > GEOM_TOL or abs(bounds[-1] - 1.0) > GEOM_TOL:
                 raise ValueError("weight cells must cover [0, 1]")
-            if (bounds[1:] - bounds[:-1] <= 0).any():
+            # each cell ends where the next begins: no gap, no overlap
+            if (bounds[1:] - bounds[:-1] <= 0).any() \
+                    or (np.abs(highs[:-1] - bounds[1:-1]) > GEOM_TOL).any():
                 raise ValueError("weight cells must be consecutive")
             if (vals < 0.0).any():
                 raise ValueError("weight must be nonnegative")
@@ -480,11 +483,8 @@ def _clarkson_slacks(p: float, fu: float, fv: float, fplus: float,
     return out
 
 
-# Roundoff lines of the sampled Clarkson audit and of the fold identity,
-# and the number of triangle folds the fold identity applies.
+# Roundoff line of the sampled Clarkson audit.
 CLARKSON_TOL = 1e-9
-FOLD_IDENTITY_TOL = 1e-9
-FOLD_LEVELS = 8
 
 
 def check_clarkson(form, sampler, trials: int = 64) -> ClarksonReport:
@@ -620,61 +620,3 @@ def _random_normal_contraction(sampler, k, f) -> PLMap:
                            np.cumsum(slopes * (kinks[1:] - kinks[:-1]))))
     vals -= np.interp(0.0, kinks, vals)
     return PLMap(kinks, vals)
-
-
-# ---------------------------------------------------------------------------
-# fold identity
-
-
-@dataclass
-class FoldIdentityReport:
-    """Relative gaps of the piecewise-affine fold decomposition."""
-    descriptor: dict
-    partition: tuple
-    lipschitz: tuple
-    lhs: float
-    rhs: float
-    rel_gap: float
-    fold_invariance_gap: float
-    tolerance: float
-    passed: bool
-
-
-def check_fold_identity(form: PLIntervalForm, f: PLFunction, phi: PLMap,
-                        partition) -> FoldIdentityReport:
-    """Verify the cut decomposition of E(phi o f) for piecewise-affine phi.
-
-    ``partition`` must list the kink positions of phi (including the ends of
-    its domain) in increasing order with phi(0) = 0; the energy of the
-    composition then equals the sum over partition cells of
-    ``Lip(phi on cell)^p * E(double cut of f at the cell)``.  As a companion,
-    the energy invariance of the triangle fold, E(T_n o f) = E(f), is checked
-    for n = 1 .. FOLD_LEVELS.  Both gaps must stay within FOLD_IDENTITY_TOL.
-    """
-    part = np.asarray(partition, dtype=float)
-    if part.ndim != 1 or part.size < 2 or (part[1:] - part[:-1] <= 0).any():
-        raise ValueError("partition must be strictly increasing")
-    lo, hi = f.value_range()
-    if part[0] > lo + GEOM_TOL or part[-1] < hi - GEOM_TOL:
-        raise ValueError("partition must span the value range of f")
-    if abs(phi.evaluate(0.0)) > GEOM_TOL:
-        raise ValueError("phi must fix 0")
-    for kink in phi.breakpoints[1:-1]:
-        if np.min(np.abs(part - kink)) > GEOM_TOL:
-            raise ValueError("phi must be affine on every partition cell")
-
-    lips = tuple(abs((phi.evaluate(part[i + 1]) - phi.evaluate(part[i]))
-                     / (part[i + 1] - part[i])) for i in range(part.size - 1))
-    lhs = form.energy(compose(phi, f))
-    rhs = sum(l ** form.p * form.energy(cut(f, part[i], part[i + 1]))
-              for i, l in enumerate(lips))
-    scale = max(form.energy(f), lhs, 1e-30)
-    rel_gap = abs(lhs - rhs) / scale
-
-    ef = form.energy(f)
-    inv_gap = max(abs(form.energy(triangle_fold(f, n)) - ef) / max(ef, 1e-30)
-                  for n in range(1, FOLD_LEVELS + 1))
-    passed = rel_gap <= FOLD_IDENTITY_TOL and inv_gap <= FOLD_IDENTITY_TOL
-    return FoldIdentityReport(form.to_descriptor(), tuple(part), lips,
-                              lhs, rhs, rel_gap, inv_gap, FOLD_IDENTITY_TOL,
-                              passed)

@@ -77,10 +77,6 @@ class GasketGraph:
         return np.nonzero(mask)[0]
 
 
-def vertex_count(level: int) -> int:
-    return 3 * (3 ** level + 1) // 2
-
-
 def build_gasket(level: int) -> GasketGraph:
     """Level-L gasket graph with deterministic vertex order."""
     if level < 0:
@@ -286,11 +282,6 @@ def exact_p2_extension(graph: GasketGraph, boundary_values) -> np.ndarray:
 # one-step subdivision minima
 
 
-def triangle_energy(p: float, values) -> float:
-    a, b, c = (float(t) for t in values)
-    return abs(a - b) ** p + abs(a - c) ** p + abs(b - c) ** p
-
-
 def _harmonic_midpoints(u: np.ndarray) -> np.ndarray:
     """Classical 2-harmonic midpoint rule (2 near + 1 far) / 5, row-wise."""
     m = np.empty_like(u)
@@ -298,29 +289,6 @@ def _harmonic_midpoints(u: np.ndarray) -> np.ndarray:
     m[..., 1] = (2.0 * u[..., 0] + 2.0 * u[..., 2] + u[..., 1]) / 5.0
     m[..., 2] = (2.0 * u[..., 1] + 2.0 * u[..., 2] + u[..., 0]) / 5.0
     return m
-
-
-@dataclass(frozen=True)
-class MinExtension:
-    energy: float
-    midpoints: np.ndarray
-    gradient_norm: float
-
-
-def min_extension_energy(p: float, boundary_values) -> MinExtension:
-    """Minimal level-1 energy over the three midpoint values.
-
-    The three corner cells of the subdivided triangle contribute
-    ``triangle_energy`` each and the removed middle triangle contributes
-    nothing, so this is ``harmonic_extension`` on the level-1 graph, run
-    to a duality gap of 1e-15 times the energy.  The midpoints come in
-    (m01, m02, m12) order.
-    """
-    graph = build_gasket(1)
-    ext = harmonic_extension(graph, p, boundary_values, tol=1e-15)
-    # builder order: cells[0] = (u0, m01, m02) and cells[1] = (u1, m01, m12)
-    mids = ext.values[graph.cells[[0, 0, 1], [1, 2, 2]]]
-    return MinExtension(ext.energy, mids, ext.gradient_norm)
 
 
 def renormalization_p2_oracle() -> Fraction:

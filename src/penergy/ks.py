@@ -484,39 +484,6 @@ def ks_limit_scan(space: SampledSpace, u, p: float,
                         float(slope), divergent)
 
 
-@dataclass(frozen=True)
-class WeakMonotonicityReport:
-    """Empirical constant in sup_r J <= C liminf_{r -> 0} J."""
-
-    c_star: float
-    sup_value: float
-    liminf_estimate: float
-    scan: KSScanReport = field(repr=False)
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.c_star)
-
-
-def check_weak_monotonicity(space: SampledSpace, u, p: float,
-                            r_sequence) -> WeakMonotonicityReport:
-    """Ratio of the running sup to the small-r window minimum.
-
-    No universal constant is asserted; the report records the empirical
-    C* and whether it is finite.  A constant profile makes the ratio 0/0
-    and raises instead of reporting.
-    """
-    scan = ks_limit_scan(space, u, p, r_sequence)
-    if scan.sup_value == 0.0:
-        raise ValueError("constant profile: weak monotonicity is vacuous")
-    if scan.liminf_estimate <= 0.0:
-        c_star = math.inf
-    else:
-        c_star = scan.sup_value / scan.liminf_estimate
-    return WeakMonotonicityReport(float(c_star), scan.sup_value,
-                                  scan.liminf_estimate, scan)
-
-
 # ---------------------------------------------------------------------------
 # comparison against the interval form
 

@@ -681,7 +681,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                 worst.push(-float(np.max(np.abs(sample.closed_form - rhs)))
                            / scale, trial=k, check="weighting_closed_form")
                 rel = float(np.max(np.abs(sample.values - rhs))) / scale
-                worst.push(-rel * CONSTRUCTION_TOL / dtol, trial=k,
+                worst.push(-rel * via.tol / dtol, trial=k,
                            check="weighting_derivative")
     return _report("chain_rule", form, sampler.seed, trials, worst, via.tol)
 

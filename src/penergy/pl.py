@@ -259,10 +259,6 @@ class PLFunction(_PLBase):
             raise ValueError('expected a JSON object with "x" and "y"')
         return cls(obj["x"], obj["y"])
 
-    def to_json(self) -> str:
-        return json.dumps({"x": self.breakpoints.tolist(),
-                           "y": self.values.tolist()})
-
     # -- arithmetic (the named ops below are the real interface) ------------
 
     def __add__(self, other):
@@ -307,12 +303,6 @@ def dyadic_mod(v, period):
     with np.errstate(over="ignore"):
         m = v - np.floor(v / period) * period
     return np.where(np.isinf(m), 0.0, m)
-
-
-def shifted_cut_scalar(t, a: float, n: int):
-    """S_n^a(t) = ((a + 2^-n - t) ^ 2^-n)^+ : 2^-n for t <= a, 0 past a + 2^-n."""
-    eps = 2.0 ** (-n)
-    return np.clip(a + eps - np.asarray(t, dtype=float), 0.0, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ headers advertise.
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -294,7 +295,9 @@ def test_ks_energy_step_flagged(tmp_path):
 
 def test_ks_energy_profile_file(tmp_path):
     prof = tmp_path / "profile.json"
-    prof.write_text(PLFunction.tent(height=1.0).to_json())
+    tent = PLFunction.tent(height=1.0)
+    prof.write_text(json.dumps({"x": tent.breakpoints.tolist(),
+                                "y": tent.values.tolist()}))
     assert main(["--out", str(tmp_path), "ks-energy", "--n", "1000",
                  "--profile", "file", "--profile-file", str(prof)]) \
         == EXIT_PASS
@@ -426,6 +429,10 @@ NON_FINITE = {
     "build-measure empty weight": (
         "build-measure", {"seed": 1, "form": {"kind": "pl", "p": 2.0,
                                               "weight": []}}),
+    "build-measure weight cells with a gap": (
+        "build-measure", {"seed": 1, "form": {
+            "kind": "pl", "p": 2.0,
+            "weight": [[0, 0.3, 1], [0.5, 1, 2]]}}),
     "check-laws empty domination_weight": (
         "check-laws", {"seed": 1, "laws": ["domination"],
                        "domination_weight": []}),
@@ -461,6 +468,17 @@ def test_non_finite_or_non_integral_config_is_rejected(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_overlapping_domination_weight_is_rejected(tmp_path, capsys):
+    # the heavier form is built when the law runs, after --out is made
+    cfg = write_config(tmp_path, seed=1, laws=["domination"],
+                       domination_weight=[[0, 0.7, 1], [0.5, 1, 2]])
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
+                 "check-laws"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "weight cells must be consecutive" in err
+    assert "Traceback" not in err
 
 
 def test_null_means_absent_in_nested_objects(tmp_path):
@@ -595,6 +613,18 @@ def test_no_module_imports_scipy():
         for node in ast.walk(ast.parse(path.read_text())):
             assert not any(n == "scipy" or n.startswith("scipy.")
                            for n in _imported_modules(node)), path.name
+
+
+def test_every_exported_name_resolves():
+    # a name moved out of a module must leave its __all__ too, or
+    # `from penergy.<module> import *` fails
+    modules = [penergy] + [importlib.import_module(f"penergy.{path.stem}")
+                           for path in sorted(SRC.glob("*.py"))
+                           if path.stem != "__init__"]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert not missing, missing
 
 
 def test_small_array_modules_call_no_numpy_wrappers():

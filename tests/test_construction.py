@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from penergy import construction
 from penergy.construction import (
     DEFAULT_SCHEDULE,
-    LAW_SCHEDULE,
     MEASURE_SCHEDULE,
     ConvergenceError,
     CoverHypothesisError,
@@ -26,7 +25,6 @@ from penergy.construction import (
     InadmissibleWitnessWarning,
     F_value,
     canonical_witnesses,
-    cell_function,
     covering_check,
     distribution,
     energy_measure,
@@ -42,6 +40,7 @@ from penergy.pl import (IntervalSet, PLFunction, lattice,
                         shifted_cut, sublevel_set, triangle_fold,
                         triangle_wave)
 from penergy.sampler import PLSampler
+from references import LAW_SCHEDULE, cell_function
 
 SAMPLER = PLSampler(seed=137)
 IDENT = PLFunction.identity()

@@ -17,13 +17,14 @@ energy on each sublevel set."""
 import numpy as np
 import pytest
 
-from penergy.construction import (LAW_SCHEDULE, F_value, FoldSchedule,
-                                  _cut_run, covering_check, distribution,
+from penergy.construction import (F_value, FoldSchedule, _cut_run,
+                                  covering_check, distribution,
                                   two_sided_cut_limit)
 from penergy.forms import PLIntervalForm
 from penergy.laws import law_image_density
 from penergy.pl import PLFunction, sublevel_set
 from penergy.sampler import PLSampler
+from references import LAW_SCHEDULE
 
 # (levels, energies, converged) per trace
 RECORDED = {'F_value': ((6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),

@@ -10,11 +10,11 @@ from penergy.forms import (
     SGForm,
     check_assumptions,
     check_clarkson,
-    check_fold_identity,
     form_from_descriptor,
 )
 from penergy.pl import PLFunction, PLMap, affine_combine, cut, triangle_fold
 from penergy.sampler import PLSampler
+from references import check_fold_identity
 
 SAMPLER = PLSampler(seed=91)
 
@@ -76,6 +76,19 @@ def test_weight_validation():
         PLIntervalForm(2.0, weight=[(0.0, 0.6, 1.0), (0.6, 1.0, -2.0)])
     with pytest.raises(ValueError):
         PLIntervalForm(1.0)
+    # a gap or an overlap between cells, in any order, is not a cover
+    for cells in ([(0.0, 0.3, 1.0), (0.5, 1.0, 2.0)],
+                  [(0.0, 0.7, 1.0), (0.5, 1.0, 2.0)],
+                  [(0.5, 1.0, 2.0), (0.0, 0.3, 1.0)],
+                  [(0.0, 0.5, 1.0), (0.5, 0.6, 2.0), (0.7, 1.0, 3.0)],
+                  [(0.0, 0.5, 1.0), (0.5 + 1e-9, 1.0, 2.0)],
+                  [(0.0, np.nan, 1.0), (0.5, 1.0, 2.0)]):
+        with pytest.raises(ValueError, match="consecutive|finite"):
+            PLIntervalForm(2.0, weight=cells)
+    # ends within GEOM_TOL of each other still meet
+    form = PLIntervalForm(2.0, weight=[(0.0, 0.5 + 1e-13, 1.0),
+                                       (0.5, 1.0, 2.0)])
+    assert form.weight_bounds.tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("build", [

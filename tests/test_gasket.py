@@ -24,7 +24,6 @@ pytestmark = pytest.mark.filterwarnings("error")
 def test_vertex_and_edge_counts(level):
     g = gasket.build_gasket(level)
     assert g.n_vertices == 3 * (3 ** level + 1) // 2
-    assert g.n_vertices == gasket.vertex_count(level)
     assert g.edge_i.size == 3 ** (level + 1)
     assert g.cells.shape == (3 ** level, 3)
 
@@ -85,26 +84,35 @@ def test_level_one_harmonic_values():
     assert vals[mid["m12"]] == pytest.approx(0.2, abs=1e-13)
 
 
+def _triangle_energy(p, values):
+    """Edge-sum energy of one triangle: the level-0 gasket graph."""
+    return gasket.graph_energy(gasket.build_gasket(0), p, values)
+
+
 def test_level_one_energies():
     g = gasket.build_gasket(1)
-    assert gasket.triangle_energy(2.0, (1.0, 0.0, 0.0)) == pytest.approx(2.0)
+    assert _triangle_energy(2.0, (1.0, 0.0, 0.0)) == pytest.approx(2.0)
     ext = gasket.harmonic_extension(g, 2.0, [1.0, 0.0, 0.0])
     assert ext.energy == pytest.approx(1.2, abs=1e-13)
     assert ext.converged
 
 
 def test_min_extension_energy_p2_closed_form():
-    res = gasket.min_extension_energy(2.0, (1.0, 0.0, 0.0))
+    graph = gasket.build_gasket(1)
+    res = gasket.harmonic_extension(graph, 2.0, (1.0, 0.0, 0.0), tol=1e-15)
+    # cells[0] = (u0, m01, m02) and cells[1] = (u1, m01, m12)
+    midpoints = res.values[graph.cells[[0, 0, 1], [1, 2, 2]]]
     assert res.energy == pytest.approx(1.2, abs=1e-14)
-    assert np.allclose(res.midpoints, [0.4, 0.4, 0.2])
+    assert np.allclose(midpoints, [0.4, 0.4, 0.2])
 
 
 def test_min_extension_energy_p3_below_flat_candidate():
-    res = gasket.min_extension_energy(3.0, (1.0, 0.0, 0.0))
+    res = gasket.harmonic_extension(gasket.build_gasket(1), 3.0,
+                                    (1.0, 0.0, 0.0), tol=1e-15)
     # linear interpolation along edges is admissible, so the min is lower
-    flat = (gasket.triangle_energy(3.0, (1.0, 0.5, 0.5))
-            + gasket.triangle_energy(3.0, (0.0, 0.5, 0.0))
-            + gasket.triangle_energy(3.0, (0.0, 0.5, 0.0)))
+    flat = (_triangle_energy(3.0, (1.0, 0.5, 0.5))
+            + _triangle_energy(3.0, (0.0, 0.5, 0.0))
+            + _triangle_energy(3.0, (0.0, 0.5, 0.0)))
     assert 0.0 < res.energy <= flat
     assert res.gradient_norm <= 1e-9
 
@@ -462,7 +470,7 @@ def test_harmonic_extension_rejects_non_finite_p(p):
 
 def test_renormalized_level_energy_is_stable_p2():
     # E_L(harmonic extension) with rho = 5/3 reproduces E_0 at every level
-    base = gasket.triangle_energy(2.0, (1.0, 0.0, 0.0))
+    base = _triangle_energy(2.0, (1.0, 0.0, 0.0))
     for level in (1, 2, 3):
         g = gasket.build_gasket(level)
         vals = gasket.exact_p2_extension(g, [1.0, 0.0, 0.0])

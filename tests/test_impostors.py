@@ -46,12 +46,23 @@ def _tilted(form, f, cells):
     return cells.mass(f) * (1.0 + 0.01 * f.evaluate(cells.mid))
 
 
+def _translated(form, f, cells):
+    # mu moved right by 0.01, wrapping around: the cumulative energy F,
+    # extended periodically, is linear on each cell of f, so the moved
+    # masses are exact differences and the total mass is kept
+    nodes, cum = form.cumulative_energy(f)
+    x = cells.nodes - 0.01
+    moved = np.interp(np.mod(x, 1.0), nodes, cum) + np.floor(x) * cum[-1]
+    return moved[1:] - moved[:-1]
+
+
 MEASURES = {
     "true": _true,
     "1.001 mu": _scaled,
     "exponent p + 0.05": _exponent,
     "mu + 0.01 E(f) dx": _lebesgue_mix,
     "mu (1 + 0.01 f)": _tilted,
+    "mu moved by 0.01": _translated,
 }
 
 

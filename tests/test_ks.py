@@ -22,7 +22,6 @@ from penergy.ks import (
     _membership,
     _offset_cap,
     ball_measure,
-    check_weak_monotonicity,
     default_r_sequence,
     ks_energy,
     ks_limit_scan,
@@ -30,6 +29,7 @@ from penergy.ks import (
     profile_values,
 )
 from penergy.pl import IntervalSet, PLFunction
+from references import check_weak_monotonicity
 
 GRID = SampledSpace.interval(2000)
 LINEAR = GRID.points.copy()

@@ -13,15 +13,15 @@ import hashlib
 
 import pytest
 
-from penergy.construction import (LAW_SCHEDULE, outer_measure_lb,
-                                  reflection_gap)
-from penergy.forms import PLIntervalForm, check_fold_identity
+from penergy.construction import outer_measure_lb, reflection_gap
+from penergy.forms import PLIntervalForm
 from penergy.laws import (dyadic_sets, law_chain_rule,
                           law_functional_identity, law_image_density,
                           law_leibniz, law_locality, law_measure_clarkson,
                           law_measure_triangle, law_multivariable_chain)
 from penergy.pl import IntervalSet, PLMap
 from penergy.sampler import PLSampler
+from references import LAW_SCHEDULE, check_fold_identity
 
 CALLS = {
     "measure_clarkson": lambda form: law_measure_clarkson(

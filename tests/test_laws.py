@@ -377,6 +377,9 @@ def test_law_chain_rule_oracle_and_construction():
         rep = law_chain_rule(UNIFORM2, SAMPLER, trials=2, route=route,
                              derivative_trials=1)
         assert rep.passed, rep
+    # the derivative check is judged against the route's own tolerance
+    rep = law_chain_rule(PLIntervalForm(2.5), PLSampler(11), 3, route="oracle")
+    assert rep.passed, rep
 
 
 def test_law_chain_rule_p3_and_subquadratic():
