@@ -602,9 +602,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = _load_config(args.command, args)
-        out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args, out_dir)
+        # the writers make the directory, so a run that fails writes none
+        return COMMANDS[args.command](cfg, args, Path(cfg["out_dir"]))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

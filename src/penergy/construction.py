@@ -372,7 +372,7 @@ def _cat(parts: list) -> np.ndarray:
 
 
 def _drive(energies_at, rerun, groups, first: np.ndarray,
-           stops: np.ndarray, load: np.ndarray, sched: FoldSchedule,
+           stops: np.ndarray, table: dict, sched: FoldSchedule,
            tol: float) -> list[_LevelRun]:
     """Run groups of fold limits through levels n_min..n_max in lock-step,
     one block of levels per call.
@@ -381,18 +381,18 @@ def _drive(energies_at, rerun, groups, first: np.ndarray,
     thresholds are numbered once, group after group; ``first`` gives each
     threshold's first level, ``stops`` each group's earliest possible stop
     level, no earlier than any of its thresholds' first level plus
-    stall_count, and ``load`` each threshold's rows.  ``energies_at(levels,
-    first)`` gives (energy, band residual) rows, one per level of the
-    block, for all thresholds; only a threshold's levels from its ``first``
-    on need be worked out, and a ``first`` past n_max runs none: that of
-    the thresholds of stopped groups.  ``rerun(j, levels)`` gives threshold
-    j's energies at levels before its first.  A step is quiet when the
-    energy change and the band residual, which bounds the distance left to
-    the limit, are both at most ``tol`` times the largest of the two
-    energies and the group's ``reference``; a threshold's first level is no
-    step.  A group stops once all its thresholds have had ``stall_count``
-    quiet steps in a row; its run, sliced out of the full rows, is the one
-    it would have had alone.
+    stall_count, and ``table`` the kernel's rows by threshold ``owner``,
+    ordered by first level; those of stopped groups are masked out.
+    ``energies_at(table, levels, held)`` gives (energy, band residual) rows,
+    one per level of the block, for all thresholds, the k-th level running
+    the first held[k] rows.  ``rerun(j, levels)`` gives threshold j's
+    energies at levels before its first.  A step is quiet when the energy
+    change and the band residual, which bounds the distance left to the
+    limit, are both at most ``tol`` times the largest of the two energies
+    and the group's ``reference``; a threshold's first level is no step.
+    A group stops once all its thresholds have had ``stall_count`` quiet
+    steps in a row; its run, sliced out of the full rows, is the one it
+    would have had alone.
 
     A block runs from the next level to the first at which some running
     group could stop: not before its ``stops`` level, nor before the level
@@ -421,16 +421,17 @@ def _drive(energies_at, rerun, groups, first: np.ndarray,
     quiet_run = np.zeros(floor.size, dtype=int)
     miss = np.full(floor.size, np.inf)
     rows, prev, levels = [], None, sched.levels
-    count, never = sched.stall_count, sched.n_max + 1
+    count = sched.stall_count
 
-    def running_rows():
-        """Each threshold's first level, never for a stopped group's, and
-        the rows that run at each level."""
-        live = np.repeat(running, sizes)
-        return np.where(live, first, never), np.cumsum(np.bincount(
-            first - sched.n_min, load * live, len(levels)))
+    def running_rows(table):
+        """The rows of running groups, and how many run at each level."""
+        keep = np.repeat(running, sizes)[table["owner"]]
+        if not keep.all():
+            table = {name: v[keep] for name, v in table.items()}
+        return table, np.cumsum(np.bincount(
+            first[table["owner"]] - sched.n_min, minlength=len(levels)))
 
-    runs_from, held = running_rows()
+    table, held = running_rows(table)
     i = 0
     while i < len(levels) and running.any():
         # the first level at which a running group could stop
@@ -438,7 +439,8 @@ def _drive(energies_at, rerun, groups, first: np.ndarray,
             least, count))[running].min()), sched.n_max)
         m = max(int(np.searchsorted(np.cumsum(
             held[i:end - sched.n_min + 1]), _BOUND_CHUNK, side="right")), 1)
-        block = energies_at(np.arange(levels[i], levels[i] + m), runs_from)
+        block = energies_at(table, np.arange(levels[i], levels[i] + m),
+                            held[i:i + m])
         for e, band in zip(*block):
             n = levels[i]
             if prev is not None:
@@ -466,7 +468,7 @@ def _drive(energies_at, rerun, groups, first: np.ndarray,
                     first[s:s + k], lambda j, at, s=s: rerun(s + j, at))
             if stop.any():
                 running = running & ~stop
-                runs_from, held = running_rows()
+                table, held = running_rows(table)
             i += 1
     return runs
 
@@ -506,9 +508,6 @@ _KAPPA = 2.0 ** -30
 #: 2^13 entries the kernel's temporaries leave the cache, and an entry costs
 #: half as much again
 _BOUND_CHUNK = 1 << 13
-#: how far short of a node in [0, 1] the producer can end the band of a cell
-#: the band covers: a few ulps of 1, as _preimage rounds three times
-_SHORT = 2.0 ** -50
 
 
 def _rank(key: np.ndarray, group, x, side: str) -> np.ndarray:
@@ -550,10 +549,13 @@ def _rate_bounds(grid: dict, ident: dict, level):
     a band inside one cell, every fine level's, is one product with no
     cancellation.  The cells in between are whole, and their share is a
     difference of the cumulative rates R_lo and R_hi at the nodes.  The
-    producer can end each whole cell's band _SHORT short of its node, which
-    R_lo takes off every cell, and a difference of R over k cells is off by
-    at most k ulps of R at its far end, a margin that widens both.  The
-    kernel's own sum is within _KAPPA.
+    producer ends a whole cell [xa, xb]'s band exactly at xb: c + 2^-n >
+    xb, so its ratio in :func:`_preimage` rounds to at least 1, and xb - xa
+    is exact when xa >= xb / 2.  Only a cell wider than half its node, so
+    with xa < (c + 2^-n) / 2, can end short, by at most an ulp of xb, which
+    is 2^-51 of its band and far inside _KAPPA.  A difference of R over k
+    cells is off by at most k ulps of R at its far end, a margin that
+    widens both.  The kernel's own sum is within _KAPPA.
     """
     top = ident["c"] + np.ldexp(1.0, -level)
     xa, xb, own = ident["xa"], ident["xb"], ident["own"]
@@ -587,10 +589,10 @@ def _first_levels(grid: dict, ident: dict, plateau: np.ndarray,
     each group's E(f).  The bounds are read off cumulative rates, not off
     rows, and widened by what the rows' rounding can move: the ends of a
     band in its first and last cell are the producer's own, each whole
-    cell between may end a few ulps of 1 short of its node, a difference
-    of cumulative sums is off by an ulp of its far end per cell, and the
-    kernel's sum by _KAPPA.  So they hold at every level, also where a
-    band is a few ulps wide.
+    cell between ends at its node or, if wider than half of it, at most
+    2^-51 of its band short, a difference of cumulative sums is off by an
+    ulp of its far end per cell, and the kernel's sum by _KAPPA.  So they
+    hold at every level, also where a band is a few ulps wide.
 
     A threshold whose band is certainly above the tolerance at a level is
     not quiet there.  If one threshold's is at every step up to a level m,
@@ -662,8 +664,7 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
     level is chosen by :func:`_first_levels` from rates on the same
     partition, before any of its rows exist, and its rows are built at that
     level, in order of first level, so that the rows a level runs are a
-    prefix of those that run at all.  A stopped group's rows are masked
-    out.  A batch with no groups has no runs.
+    prefix of those that run at all.  A batch with no groups has no runs.
     """
     if not groups:
         return []
@@ -720,7 +721,7 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                                                              np.maximum))
             grids.append((group + 1j * grid, grid, f.evaluate(grid), *(
                 np.append(v, 0.0) for v in (fs, cells.weight, S, r_lo, r_hi)),
-                cells.cumulative(r_lo * (cells.width - _SHORT)),
+                cells.cumulative(r_lo * cells.width),
                 cells.cumulative(r_hi * cells.width)))
         drive.append((_cat(his), float(cum[-1])))
     plateau, size = _cat(plateau), start
@@ -745,7 +746,6 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
         order = np.argsort(first[t], kind="stable")
         rows.append(_identity_rows(grid, ident, order, first[t][order]))
     rows = {name: _cat([r[name] for r in rows]) for name in rows[0]}
-    live = {}
 
     def energies_at(r, levels, held):
         """(energy, band residual) rows, one per level, where level l sends
@@ -781,15 +781,6 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
                             ).reshape(k, size)
         return plateau + band, band
 
-    def batch(levels, runs_from):
-        # the rows that run, kept while the caller passes the same array
-        if live.get("key") is not runs_from:
-            keep = (runs_from <= sched.n_max)[rows["owner"]]
-            r = rows if keep.all() else {k: v[keep] for k, v in rows.items()}
-            live.update(key=runs_from, rows=r, upto=np.cumsum(np.bincount(
-                runs_from[r["owner"]], minlength=sched.n_max + 1)))
-        return energies_at(live["rows"], levels, live["upto"][levels])
-
     def rerun(j, levels):
         # a late identity threshold's rows, built at the first level asked
         levels = np.asarray(levels)
@@ -797,8 +788,7 @@ def _window_runs(form: PLIntervalForm, groups, sched: FoldSchedule,
         return energies_at(r, levels, np.full(levels.size, r["owner"].size)
                            )[0][:, j]
 
-    return _drive(batch, rerun, drive, first, stops,
-                  np.bincount(rows["owner"], minlength=size), sched, tol)
+    return _drive(energies_at, rerun, drive, first, stops, rows, sched, tol)
 
 
 def _identity_runs(form: PLIntervalForm, groups,

@@ -91,6 +91,8 @@ class PLIntervalForm:
             vals = np.array([1.0])
         else:
             cells = sorted((float(lo), float(hi), float(w)) for lo, hi, w in weight)
+            if not cells:
+                raise ValueError("weight needs at least one cell")
             bounds = np.array([c[0] for c in cells] + [cells[-1][1]])
             highs = np.array([c[1] for c in cells])
             vals = np.array([c[2] for c in cells])

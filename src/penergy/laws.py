@@ -9,8 +9,8 @@ power interpolants) rescale the gap so a single tolerance line applies to the
 whole report, with the budget recorded in the worst-case witness.
 
 Masses flow through two route objects, each with a method per kind of
-mass read, a tolerance and an extrapolation floor; a public function looks
-its route up once by name, and every mass read goes through one of them.
+mass read and a tolerance; a public function looks its route up once by
+name, and every mass read goes through one of them.
 The oracle route integrates the closed-form density w |f'|^p exactly and
 is the reference; its slacks sit at roundoff.
 It and every other closed-form integral here (pairings, signed masses,
@@ -193,8 +193,7 @@ def set_mass_oracle(form: PLIntervalForm, f: PLFunction, target) -> float:
     return float(_ORACLE.masses(form, [(f, spans((target,)))])[0][0])
 
 
-def set_masses(form: PLIntervalForm, f: PLFunction, targets,
-               sched: FoldSchedule = MEASURE_SCHEDULE) -> np.ndarray:
+def set_masses(form: PLIntervalForm, f: PLFunction, targets) -> np.ndarray:
     """Construction-route masses mu_f(A) for each target, via fold limits.
 
     All component endpoints go through one batched level run; the mass of a
@@ -203,7 +202,7 @@ def set_masses(form: PLIntervalForm, f: PLFunction, targets,
     the batch every construction-route law runs.
     """
     _require_pl(form)
-    return _CONSTRUCTION.masses(form, [(f, spans(targets))], sched)[0]
+    return _CONSTRUCTION.masses(form, [(f, spans(targets))])[0]
 
 
 class _OracleRoute:
@@ -211,21 +210,18 @@ class _OracleRoute:
 
     tol = ORACLE_TOL
 
-    def masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+    def masses(self, form, jobs):
         cells = [Cells(form, f) for f, _ in jobs]
         return [c.integrate(c.mass(f), family)
                 for c, (f, family) in zip(cells, jobs)]
 
-    def cell_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+    def cell_masses(self, form, jobs):
         return [cells.mass(fn) for fn, cells in jobs]
 
-    def sublevel_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+    def sublevel_masses(self, form, jobs, sched):
         return self.masses(form, [(f, spans([sublevel_set(f, s)
                                              for s in levels]))
                                   for f, levels in jobs])
-
-    def floor(self, e_scale, p, step, sched):
-        return 1e-12 * e_scale
 
 
 class _ConstructionRoute:
@@ -233,26 +229,22 @@ class _ConstructionRoute:
 
     tol = CONSTRUCTION_TOL
 
-    def masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+    def masses(self, form, jobs):
         ends = [np.unique(np.concatenate((fam.lo, fam.hi))) for _, fam in jobs]
         runs = _identity_runs(form, [(f, pts) for (f, _), pts
-                                     in zip(jobs, ends)], sched)
+                                     in zip(jobs, ends)], MEASURE_SCHEDULE)
         return [integrate(pts, run.limits(), family)
                 for (_, family), pts, run in zip(jobs, ends, runs)]
 
-    def cell_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+    def cell_masses(self, form, jobs):
         runs = _identity_runs(form, [(fn, cells.nodes) for fn, cells in jobs],
-                              sched)
+                              MEASURE_SCHEDULE)
         return [np.diff(run.limits()) for run in runs]
 
-    def sublevel_masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+    def sublevel_masses(self, form, jobs, sched):
         runs = _window_runs(form, [(f, [(f, None, a)]) for f, a in jobs],
                             sched, sched.rel_tol)
         return [run.limits() for run in runs]
-
-    def floor(self, e_scale, p, step, sched):
-        # the stall rule's band residual through a quotient at the step
-        return sched.rel_tol * e_scale / (p * step)
 
 
 _ORACLE, _CONSTRUCTION = _OracleRoute(), _ConstructionRoute()
@@ -314,9 +306,7 @@ def _density_pairing(form: PLIntervalForm, f: PLFunction, g: PLFunction,
 
 
 def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
-                         sets, steps=DERIVATIVE_STEPS, route: str = "oracle",
-                         sched: FoldSchedule = MEASURE_SCHEDULE
-                         ) -> SignedMeasureSample:
+                         sets, steps=DERIVATIVE_STEPS) -> SignedMeasureSample:
     """nu_{u;v} on a set family by Richardson-extrapolated differences.
 
     D(t) = (mu_{u+tv}(A) - mu_{u-tv}(A)) / (2 p t) per step, then successive
@@ -325,7 +315,6 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     rides along in ``closed_form`` for cross-checks.  Raises
     ExtrapolationError when extrapolants disagree beyond the raw deltas.
     """
-    via = _route(route)
     _require_pl(form)
     steps = tuple(float(t) for t in steps)
     if len(steps) < 2 or any(t <= 0.0 for t in steps) \
@@ -334,8 +323,8 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     sets = tuple(sets)
     family = spans(sets)
     p = form.p
-    masses = via.masses(form, [(u + v * s, family) for t in steps
-                               for s in (t, -t)], sched)
+    masses = _ORACLE.masses(form, [(u + v * s, family) for t in steps
+                                   for s in (t, -t)])
     d = np.vstack([(plus - minus) / (2.0 * p * t) for t, plus, minus
                    in zip(steps, masses[0::2], masses[1::2])])
     rich = []
@@ -348,7 +337,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
     closed = _signed_masses(form, u, v, family)
 
     e_scale = max(form.energy(u) + form.energy(v), 1e-12)
-    floor = via.floor(e_scale, p, steps[-1], sched)
+    floor = 1e-12 * e_scale
     raw = np.abs(d[-1] - d[-2])
     bad = err > 4.0 * raw + 16.0 * floor
     if bad.any():
@@ -364,8 +353,7 @@ def two_variable_measure(form: PLIntervalForm, u: PLFunction, v: PLFunction,
 
 
 def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
-                   route: str = "oracle",
-                   sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                   route: str = "oracle") -> LawReport:
     """mu_f(X) = E(f), and mu_f vanishes on the interior of {f = 0}.
 
     Sampled draws rarely hit exact zeros, so each trial also checks a
@@ -381,7 +369,7 @@ def law_total_mass(form: PLIntervalForm, sampler: PLSampler, trials: int = 24,
         jobs = []
         for _, fn, zero in variants:
             jobs += [(fn, WHOLE)] + ([(fn, spans((zero,)))] if zero else [])
-        masses = iter(via.masses(form, jobs, sched))
+        masses = iter(via.masses(form, jobs))
         for name, fn, zero in variants:
             e = form.energy(fn)
             scale = e if e > 0.0 else 1.0
@@ -412,8 +400,8 @@ def _flat_zero_interior(f: PLFunction) -> IntervalSet:
 
 
 def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
-                          trials: int = 16, route: str = "oracle", sets=None,
-                          sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                          trials: int = 16, route: str = "oracle",
+                          sets=None) -> LawReport:
     """mu_{af} = |a|^p mu_f and mu_{|f-a|-|a|} = mu_f on the set family."""
     via = _route(route)
     _require_pl(form)
@@ -432,7 +420,7 @@ def law_homogeneity_shift(form: PLIntervalForm, sampler: PLSampler,
                   ("at_max", float(f.values.max())))
         fns = [f, f * a] + [_reflected_abs(f, s) for _, s in shifts]
         base, scaled, *shifted = via.masses(
-            form, [(fn, family) for fn in fns], sched)
+            form, [(fn, family) for fn in fns])
         gap = np.abs(scaled - abs(a) ** p * base)
         i = int(np.argmax(gap))
         worst.push(-float(gap[i]) / (abs(a) ** p * e), trial=k,
@@ -457,8 +445,8 @@ def _reflected_abs(f: PLFunction, s: float) -> PLFunction:
 
 
 def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
-                         trials: int = 40, route: str = "oracle", sets=None,
-                         sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                         trials: int = 40, route: str = "oracle",
+                         sets=None) -> LawReport:
     """Clarkson inequalities for mu(A)^{1/p} over pairs and the set family.
 
     Slacks are normalised by the pair's total energy (the p-power scale), so
@@ -471,7 +459,7 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
     worst = _Worst()
     pairs = [sampler.pl_pair(k) for k in range(trials)]
     masses = via.masses(form, [(fn, family) for u, v in pairs
-                               for fn in (u, v, u + v, u - v)], sched)
+                               for fn in (u, v, u + v, u - v)])
     for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) + form.energy(v), 1e-12)
         # schedule noise can leave a mass a hair below zero; clip before ^1/p
@@ -487,8 +475,8 @@ def law_measure_clarkson(form: PLIntervalForm, sampler: PLSampler,
 
 
 def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
-                         trials: int = 40, route: str = "oracle", sets=None,
-                         sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                         trials: int = 40, route: str = "oracle",
+                         sets=None) -> LawReport:
     """mu_{f+g}(A)^{1/p} <= mu_f(A)^{1/p} + mu_g(A)^{1/p} on the family."""
     via = _route(route)
     _require_pl(form)
@@ -497,7 +485,7 @@ def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
     worst = _Worst()
     pairs = [sampler.pl_pair(k) for k in range(trials)]
     masses = via.masses(form, [(fn, family) for u, v in pairs
-                               for fn in (u, v, u + v)], sched)
+                               for fn in (u, v, u + v)])
     for k, (u, v) in enumerate(pairs):
         scale = max(form.energy(u) ** invp + form.energy(v) ** invp, 1e-9)
         su, sv, ssum = (np.maximum(m, 0.0) ** invp
@@ -510,8 +498,7 @@ def law_measure_triangle(form: PLIntervalForm, sampler: PLSampler,
 
 
 def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
-                 route: str = "oracle",
-                 sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                 route: str = "oracle") -> LawReport:
     """Pairs equal up to a constant on A have equal masses on A.
 
     Each trial draws A and f, then g = f + h with h constant on A and a
@@ -532,7 +519,7 @@ def law_locality(form: PLIntervalForm, sampler: PLSampler, trials: int = 32,
                       float(rng.uniform(0.5, 2.0)))
         cases.append((A, spans((A,)), f, f + h))
     masses = via.masses(form, [(fn, family) for _, family, f, g in cases
-                               for fn in (f, g)], sched)
+                               for fn in (f, g)])
     for k, (A, _, f, g) in enumerate(cases):
         m_f, m_g = masses[2 * k][0], masses[2 * k + 1][0]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
@@ -563,8 +550,8 @@ def _gap_bump(A: IntervalSet, c: float, amp: float) -> PLFunction:
 
 
 def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
-                     trials: int = 32, route: str = "oracle", sets=None,
-                     sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                     trials: int = 32, route: str = "oracle",
+                     sets=None) -> LawReport:
     """mu of f v (g-a) and f ^ (g+a) stay within c_p (mu_f + mu_g) setwise."""
     via = _route(route)
     _require_pl(form)
@@ -578,7 +565,7 @@ def law_minmax_bound(form: PLIntervalForm, sampler: PLSampler,
         cases.append((f, g, a, lattice(f, g - a, "max"),
                       lattice(f, g + a, "min")))
     masses = via.masses(form, [(fn, family) for f, g, _, top, bot in cases
-                               for fn in (f, g, top, bot)], sched)
+                               for fn in (f, g, top, bot)])
     for k, (f, g, a, _, _) in enumerate(cases):
         mf, mg, mt, mb = masses[4 * k:4 * k + 4]
         scale = max(form.energy(f) + form.energy(g), 1e-12)
@@ -613,7 +600,6 @@ def default_map_family(lo: float, hi: float) -> tuple[PLMap, ...]:
 
 def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
                    trials: int = 12, route: str = "construction", sets=None,
-                   sched: FoldSchedule = MEASURE_SCHEDULE,
                    derivative_trials: int = 2) -> LawReport:
     """Cell-wise density identity mu_{phi o f} = |phi' o f|^p mu_f.
 
@@ -647,7 +633,7 @@ def law_chain_rule(form: PLIntervalForm, sampler: PLSampler,
         drawn.append((f, per_map))
     jobs = [job for f, per_map in drawn for _, cells, g in per_map
             for job in ((g, cells), (f, cells))]
-    masses = iter(via.cell_masses(form, jobs, sched))
+    masses = iter(via.cell_masses(form, jobs))
     for k, (f, per_map) in enumerate(drawn):
         e_ref = max(form.energy(f), 1e-12)
         for j, (phi, cells, g) in enumerate(per_map):
@@ -941,8 +927,7 @@ def _poly_pairing_budget(form, f, phi, gs, base) -> float:
 
 def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
                    sampler: PLSampler, trials: int = 24,
-                   route: str = "oracle", sets=None,
-                   sched: FoldSchedule = MEASURE_SCHEDULE) -> LawReport:
+                   route: str = "oracle", sets=None) -> LawReport:
     """The smaller form's measure is dominated setwise by the larger's."""
     via = _route(route)
     _require_pl(form_lo)
@@ -961,8 +946,8 @@ def law_domination(form_lo: PLIntervalForm, form_hi: PLIntervalForm,
     worst = _Worst()
     fns = [sampler.pl(k) for k in range(trials)]
     jobs = [(f, family) for f in fns]
-    lows = via.masses(form_lo, jobs, sched)
-    highs = via.masses(form_hi, jobs, sched)
+    lows = via.masses(form_lo, jobs)
+    highs = via.masses(form_hi, jobs)
     for k, (f, mu, nu) in enumerate(zip(fns, lows, highs)):
         scale = max(form_hi.energy(f), 1e-12)
         margin = nu - mu

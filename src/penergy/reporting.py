@@ -79,7 +79,9 @@ def csv_text(names, columns, header: dict | None = None) -> str:
 
 
 def write_csv(path, names, columns, header: dict | None = None) -> Path:
+    """Write the CSV, making its directory first if need be."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(csv_text(names, columns, header))
     return path
 
@@ -210,6 +212,8 @@ def svg_chart(series, *, title: str, x_label: str, y_label: str,
 
 
 def write_svg(path, text: str) -> Path:
+    """Write the SVG, making its directory first if need be."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path

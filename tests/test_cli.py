@@ -471,14 +471,22 @@ def test_non_finite_or_non_integral_config_is_rejected(tmp_path, capsys,
 
 
 def test_overlapping_domination_weight_is_rejected(tmp_path, capsys):
-    # the heavier form is built when the law runs, after --out is made
-    cfg = write_config(tmp_path, seed=1, laws=["domination"],
-                       domination_weight=[[0, 0.7, 1], [0.5, 1, 2]])
-    assert main(["--config", cfg, "--out", str(tmp_path / "out"),
-                 "check-laws"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "weight cells must be consecutive" in err
-    assert "Traceback" not in err
+    # the heavier form is built when the law runs, yet a run that fails
+    # there leaves no --out behind, as a config rejected at load does; a
+    # weight lighter than the form's is rejected by the law itself
+    for name, weight, message in (
+            ("overlap", [[0, 0.7, 1], [0.5, 1, 2]],
+             "weight cells must be consecutive"),
+            ("lighter", [[0, 1, 0.5]], "weights are not ordered")):
+        cfg = write_config(tmp_path, f"{name}.json", seed=1,
+                           laws=["domination"], domination_weight=weight)
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out),
+                     "check-laws"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_null_means_absent_in_nested_objects(tmp_path):
@@ -595,6 +603,27 @@ def test_cli_import_leaves_scipy_unloaded():
          "import sys, penergy.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["ks-energy", "--n", "500", "--profile", "sine"], EXIT_PASS),
+    (["ks-energy", "--n", "2000", "--p", "100", "--profile", "tent"],
+     EXIT_NUMERIC),
+    (["--jobs", "0", "ks-energy"], EXIT_CONFIG),
+], ids=["pass", "numeric", "config"])
+def test_module_entry_point_returns_the_exit_code(tmp_path, argv, code):
+    # python -m penergy.cli hands main's code to the shell
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "penergy.cli", "--out", str(out), *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr[-2000:]
+    assert "Traceback" not in run.stderr
+    if code == EXIT_PASS:
+        assert (out / "ks_energy.csv").is_file()
+    if code == EXIT_CONFIG:
+        assert not out.exists()
 
 
 def _imported_modules(node):

@@ -12,6 +12,7 @@ from penergy.forms import (
     check_clarkson,
     form_from_descriptor,
 )
+from penergy.gasket import renormalization_constant
 from penergy.pl import PLFunction, PLMap, affine_combine, cut, triangle_fold
 from penergy.sampler import PLSampler
 from references import check_fold_identity
@@ -76,6 +77,8 @@ def test_weight_validation():
         PLIntervalForm(2.0, weight=[(0.0, 0.6, 1.0), (0.6, 1.0, -2.0)])
     with pytest.raises(ValueError):
         PLIntervalForm(1.0)
+    with pytest.raises(ValueError, match="at least one cell"):
+        PLIntervalForm(2.0, weight=[])
     # a gap or an overlap between cells, in any order, is not a cover
     for cells in ([(0.0, 0.3, 1.0), (0.5, 1.0, 2.0)],
                   [(0.0, 0.7, 1.0), (0.5, 1.0, 2.0)],
@@ -320,6 +323,23 @@ def test_sg_form_energy_scaling():
                          - vals[form.graph.edge_i]) ** 2)
     assert form.energy(vals) == pytest.approx(5.0 / 3.0 * base, rel=1e-14)
     assert form.rho == pytest.approx(5.0 / 3.0)
+
+
+def test_sg_form_energy_derivative_is_the_energy_slope():
+    # (1/p) d/dt E(u + t v) at t = 0, by a central difference on level 2
+    form = SGForm(2, 3.0, rho=1.5)
+    u, v = np.random.default_rng(7).uniform(-1.0, 1.0,
+                                            (2, form.graph.n_vertices))
+    h = 1e-5
+    slope = (form.energy(u + h * v) - form.energy(u - h * v)) / (2.0 * h)
+    assert form.energy_derivative(u, v) == pytest.approx(slope / form.p,
+                                                         rel=1e-9)
+
+
+def test_sg_form_build_fills_in_rho():
+    assert SGForm.build(1, 2.0).rho == 5.0 / 3.0
+    assert SGForm.build(1, 3.0).rho == renormalization_constant(
+        3.0, tol=1e-9).rho
 
 
 def test_sg_form_requires_rho_for_general_p():

@@ -77,14 +77,14 @@ class Impostor(type(laws._ORACLE)):
     def __init__(self, cell_mass):
         self.cell_mass = cell_mass
 
-    def masses(self, form, jobs, sched=None):
+    def masses(self, form, jobs):
         out = []
         for f, family in jobs:
             cells = Cells(form, f, nodes=(family.lo, family.hi))
             out.append(cells.integrate(self.cell_mass(form, f, cells), family))
         return out
 
-    def cell_masses(self, form, jobs, sched=None):
+    def cell_masses(self, form, jobs):
         return [self.cell_mass(form, fn, cells) for fn, cells in jobs]
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from penergy import laws
-from penergy.construction import MEASURE_SCHEDULE
 from penergy.forms import PLIntervalForm
 from penergy.laws import (
     ALL_LAWS,
@@ -79,11 +78,9 @@ def test_default_set_family_adds_unions():
     assert all(isinstance(s, IntervalSet) for s in fam)
 
 
-# one cheap call of every public function that takes a mass route; the
-# laws take a trial count
+# one cheap call of every public function that takes a mass route, with
+# a trial count
 ROUTE_CALLS = {
-    "two_variable_measure": lambda route: two_variable_measure(
-        UNIFORM2, IDENT, IDENT, dyadic_sets(1), route=route),
     "law_total_mass": lambda route, trials=1: law_total_mass(
         UNIFORM2, SAMPLER, trials, route=route),
     "law_homogeneity_shift": lambda route, trials=1: law_homogeneity_shift(
@@ -119,8 +116,7 @@ def test_unknown_mass_route_is_rejected(name):
         ROUTE_CALLS[name]("Oracle")
 
 
-@pytest.mark.parametrize("name", sorted(n for n in ROUTE_CALLS
-                                         if n.startswith("law_")))
+@pytest.mark.parametrize("name", sorted(ROUTE_CALLS))
 def test_empty_batches_give_equal_reports_on_both_routes(name):
     # a construction batch with no functions used to fail to concatenate
     # its empty row arrays; the tolerance is the one field routes set apart
@@ -144,6 +140,8 @@ SEAM_CALLS = [(route, name, functools.partial(call, route))
      lambda: law_continuity(UNIFORM2, SAMPLER, trials=1)),
     ("oracle", "law_two_variable",
      lambda: law_two_variable(UNIFORM2, SAMPLER, trials=1)),
+    ("oracle", "two_variable_measure",
+     lambda: two_variable_measure(UNIFORM2, IDENT, IDENT, dyadic_sets(1))),
     ("oracle", "set_mass_oracle",
      lambda: set_mass_oracle(UNIFORM2, IDENT, (0.0, 0.5))),
     ("construction", "set_masses",
@@ -641,7 +639,7 @@ def test_registry_calls_every_sampled_law_directly():
 
 def test_nan_slack_fails_the_report(monkeypatch):
     class NanRoute(type(laws._ORACLE)):
-        def masses(self, form, jobs, sched=MEASURE_SCHEDULE):
+        def masses(self, form, jobs):
             return [np.full(sets.size, np.nan) for _, sets in jobs]
 
     monkeypatch.setattr(laws, "_ORACLE", NanRoute())

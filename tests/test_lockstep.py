@@ -14,7 +14,7 @@ failing function in draw order.
 import numpy as np
 import pytest
 
-from penergy import construction
+from penergy import construction, laws
 from penergy.construction import (
     MEASURE_SCHEDULE,
     ConvergenceError,
@@ -182,24 +182,26 @@ def test_no_row_reaches_the_kernel_past_its_group_s_stop(monkeypatch, make,
     assert any(np.unique(level).size > 1 for level, _ in calls)
 
 
-def test_law_raises_for_first_failing_function_in_draw_order():
+def test_law_raises_for_first_failing_function_in_draw_order(monkeypatch):
     form = PLIntervalForm(3.0)
     sampler = PLSampler(seed=3)
     sets = dyadic_sets(3)
-    sched = FoldSchedule(n_min=6, n_max=32, rel_tol=1e-8)
+    # a schedule too shallow for some of the drawn functions
+    monkeypatch.setattr(laws, "MEASURE_SCHEDULE",
+                        FoldSchedule(n_min=6, n_max=32, rel_tol=1e-8))
     drawn = [fn for k in range(3) for u, v in [sampler.pl_pair(k)]
              for fn in (u, v, u + v, u - v)]
     first = None
     for i, fn in enumerate(drawn):
         try:
-            set_masses(form, fn, sets, sched)
+            set_masses(form, fn, sets)
         except ConvergenceError as exc:
             first = (i, exc)
             break
     assert first is not None and first[0] > 0  # an earlier function passes
     with pytest.raises(ConvergenceError) as got:
         law_measure_clarkson(form, sampler, trials=3, route="construction",
-                             sets=sets, sched=sched)
+                             sets=sets)
     assert str(got.value) == str(first[1])
     assert got.value.trace == first[1].trace
 
